@@ -11,31 +11,25 @@ Library layout:
 - ``cli``      — command-line driver
 """
 
-from excised_rmt.groups import GroupKind, GroupSpec, SeedSpec, GroupMatrix, sample, sample_stream
+from excised_rmt.groups import GroupKind, GroupSpec, sample, sample_batch
 from excised_rmt.spectral import (
-    EigenangleSpectrum,
-    CharPolyValue,
     ExcisionRule,
-    eigenangles,
-    char_poly_at_one,
-    first_eigenangle,
-    excise,
+    char_poly_batch,
+    eigenangles_batch,
+    excise_mask,
+    first_angles_batch,
 )
 from excised_rmt.theory import SymmetryCase
 
 __all__ = [
     "GroupKind",
     "GroupSpec",
-    "SeedSpec",
-    "GroupMatrix",
     "sample",
-    "sample_stream",
-    "EigenangleSpectrum",
-    "CharPolyValue",
+    "sample_batch",
     "ExcisionRule",
-    "eigenangles",
-    "char_poly_at_one",
-    "first_eigenangle",
-    "excise",
+    "eigenangles_batch",
+    "char_poly_batch",
+    "first_angles_batch",
+    "excise_mask",
     "SymmetryCase",
 ]

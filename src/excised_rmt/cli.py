@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,9 +20,9 @@ import numpy as np
 
 from excised_rmt import arith, config as cfgmod, stats, theory, zeros
 from excised_rmt.groups import GroupSpec, group_from_name
-from excised_rmt.spectral import ExcisionRule
+from excised_rmt.spectral import ExcisionRule, excise_mask
 
-SAMPLE_HEADER = "sample_index,first_angle,charpoly_re,charpoly_im,charpoly_abs"
+SAMPLE_HEADER = ",".join(stats.SAMPLE_DTYPE.names)
 
 
 class DataError(RuntimeError):
@@ -29,15 +30,19 @@ class DataError(RuntimeError):
 
 
 def _workers(args) -> int:
-    if getattr(args, "workers", None):
-        return max(1, args.workers)
-    env = os.environ.get("EXCISED_RMT_WORKERS")
-    if env:
+    if args.workers is not None:
+        workers, source = args.workers, "--workers"
+    else:
+        env = os.environ.get("EXCISED_RMT_WORKERS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            workers, source = int(env), "EXCISED_RMT_WORKERS"
         except ValueError:
             raise DataError(f"EXCISED_RMT_WORKERS must be an integer, got {env!r}")
-    return 1
+    if workers < 1:
+        raise DataError(f"{source} must be >= 1, got {workers}")
+    return workers
 
 
 def _group_spec(args) -> GroupSpec:
@@ -63,6 +68,7 @@ def _sample_table_text(table) -> str:
 
 
 def _read_sample_table(path) -> np.ndarray:
+    fields = stats.SAMPLE_DTYPE.names
     with open(path) as fh:
         header = fh.readline().strip()
         if header != SAMPLE_HEADER:
@@ -73,24 +79,15 @@ def _read_sample_table(path) -> np.ndarray:
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != 5:
-                raise DataError(f"{path}: line {lineno}: expected 5 fields")
+            if len(parts) != len(fields):
+                raise DataError(f"{path}: line {lineno}: expected {len(fields)} fields")
             try:
                 rows.append(
                     (int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]), float(parts[4]))
                 )
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from None
-    dtype = np.dtype(
-        [
-            ("sample_index", np.int64),
-            ("first_angle", float),
-            ("charpoly_re", float),
-            ("charpoly_im", float),
-            ("charpoly_abs", float),
-        ]
-    )
-    return np.array(rows, dtype=dtype)
+    return np.array(rows, dtype=stats.SAMPLE_DTYPE)
 
 
 def cmd_sample(args) -> int:
@@ -121,7 +118,7 @@ def cmd_paircorr(args) -> int:
 def cmd_excise(args) -> int:
     rule = ExcisionRule(c=args.c, k=args.k, n_std=args.nstd)
     table = _read_sample_table(args.input)
-    keep = table["charpoly_abs"] >= rule.threshold
+    keep = excise_mask(table["charpoly_abs"], rule)
     kept = table[keep]
     _write_text(args.out, _sample_table_text(kept))
     sys.stderr.write(
@@ -204,65 +201,88 @@ def cmd_compare(args) -> int:
     return 0
 
 
+# Values of the flags that neither the command line nor a config sets;
+# every other flag defaults to None.
+_DEFAULTS = {
+    "seed": 0,
+    "count": 1000,
+    "bins": 100,
+    "window": 5.0,
+    "epsilon": 1,
+    "delta": 1,
+    "residue": 1,
+    "which": "lowest",
+    "vanish_tol": 1e-8,
+}
+
+
 def _add_common(p, *, seed=True, count=True, bins=False, out=True):
     p.add_argument("--config", help="JSON config supplying defaults for flags")
     if seed:
-        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--seed", type=int, help="master seed")
     if count:
-        p.add_argument("--count", type=int, default=1000, help="number of samples")
+        p.add_argument("--count", type=int, help="number of samples")
     if bins:
-        p.add_argument("--bins", type=int, default=100, help="histogram bin count")
+        p.add_argument("--bins", type=int, help="histogram bin count")
     if out:
         p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--workers", type=int, help="worker shard count (result-invariant)")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser.  Flags default to absent so that a config can fill
+    them; ``required`` names the flags that the command line or the config
+    must supply."""
     parser = argparse.ArgumentParser(
         prog="excised-rmt",
         description="Excised random-matrix model simulator for quadratic twist families",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", help="sample matrices; write per-sample summaries")
-    p.add_argument("--group", required=True, help="so_even | so_odd | usp | unitary")
-    p.add_argument("--n", type=int, required=True, help="half-size N")
+    def command(name, func, required, help):
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.set_defaults(func=func, required=required)
+        return p
+
+    p = command("sample", cmd_sample, ("group", "n"),
+                "sample matrices; write per-sample summaries")
+    p.add_argument("--group", help="so_even | so_odd | usp | unitary")
+    p.add_argument("--n", type=int, help="half-size N")
     _add_common(p)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("onelevel", help="Monte Carlo one-level eigenangle density")
-    p.add_argument("--group", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = command("onelevel", cmd_onelevel, ("group", "n"),
+                "Monte Carlo one-level eigenangle density")
+    p.add_argument("--group")
+    p.add_argument("--n", type=int)
     _add_common(p, bins=True)
-    p.set_defaults(func=cmd_onelevel)
 
-    p = sub.add_parser("paircorr", help="Monte Carlo pair correlation of eigenangles")
-    p.add_argument("--group", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--window", type=float, default=5.0, help="window in mean spacings")
+    p = command("paircorr", cmd_paircorr, ("group", "n"),
+                "Monte Carlo pair correlation of eigenangles")
+    p.add_argument("--group")
+    p.add_argument("--n", type=int)
+    p.add_argument("--window", type=float, help="window in mean spacings")
     _add_common(p, bins=True)
-    p.set_defaults(func=cmd_paircorr)
 
-    p = sub.add_parser("excise", help="filter a sample file by the excision threshold")
-    p.add_argument("--c", type=float, required=True, help="cutoff constant")
-    p.add_argument("--k", type=int, required=True, help="weight")
-    p.add_argument("--nstd", type=float, required=True, help="standard matrix size")
-    p.add_argument("--input", required=True, help="sample CSV produced by `sample`")
+    p = command("excise", cmd_excise, ("c", "k", "nstd", "input"),
+                "filter a sample file by the excision threshold")
+    p.add_argument("--c", type=float, help="cutoff constant")
+    p.add_argument("--k", type=int, help="weight")
+    p.add_argument("--nstd", type=float, help="standard matrix size")
+    p.add_argument("--input", help="sample CSV produced by `sample`")
     _add_common(p, seed=False, count=False)
-    p.set_defaults(func=cmd_excise)
 
-    p = sub.add_parser("discriminants", help="enumerate a fundamental-discriminant family")
-    p.add_argument("--M", type=int, required=True, help="odd prime level")
-    p.add_argument("--case", required=True, help="principal_even | principal_odd | self_cm | generic")
-    p.add_argument("--X", type=int, required=True, help="upper bound")
-    p.add_argument("--epsilon", type=int, default=1, choices=(1, -1))
-    p.add_argument("--delta", type=int, default=1, choices=(1, -1))
-    p.add_argument("--residue", type=int, default=1, help="residue class U mod M (generic case)")
+    p = command("discriminants", cmd_discriminants, ("M", "case", "X"),
+                "enumerate a fundamental-discriminant family")
+    p.add_argument("--M", type=int, help="odd prime level")
+    p.add_argument("--case", help="principal_even | principal_odd | self_cm | generic")
+    p.add_argument("--X", type=int, help="upper bound")
+    p.add_argument("--epsilon", type=int, choices=(1, -1))
+    p.add_argument("--delta", type=int, choices=(1, -1))
+    p.add_argument("--residue", type=int, help="residue class U mod M (generic case)")
     _add_common(p, seed=False, count=False)
-    p.set_defaults(func=cmd_discriminants)
 
-    p = sub.add_parser("neff", help="effective matrix size for a symmetry case")
-    p.add_argument("--case", required=True)
+    p = command("neff", cmd_neff, ("case",), "effective matrix size for a symmetry case")
+    p.add_argument("--case")
     p.add_argument("--M", type=int)
     p.add_argument("--X", type=int)
     p.add_argument("--coeffs", help="JSON file of raw coefficient inputs")
@@ -270,45 +290,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e2", type=float)
     p.add_argument("--R", type=float)
     _add_common(p, seed=False, count=False)
-    p.set_defaults(func=cmd_neff)
 
-    p = sub.add_parser("compare", help="compare zero data against an ensemble sample file")
-    p.add_argument("--zeros", required=True, help="zero list CSV: d,gamma1,gamma2,...")
-    p.add_argument("--samples", required=True, help="sample CSV produced by `sample`")
+    p = command("compare", cmd_compare, ("zeros", "samples"),
+                "compare zero data against an ensemble sample file")
+    p.add_argument("--zeros", help="zero list CSV: d,gamma1,gamma2,...")
+    p.add_argument("--samples", help="sample CSV produced by `sample`")
     p.add_argument(
         "--which",
-        default="lowest",
         choices=("lowest", "lowest_nonvanishing", "second_lowest"),
         help="zero selector per record",
     )
-    p.add_argument("--vanish-tol", type=float, default=1e-8, dest="vanish_tol")
+    p.add_argument("--vanish-tol", type=float, dest="vanish_tol")
     _add_common(p, seed=False, count=False, bins=True)
-    p.set_defaults(func=cmd_compare)
 
-    parser.subcommand_parsers = {name: sp for name, sp in sub.choices.items()}
     return parser
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Config values fill flags the user left at their defaults."""
-    if not getattr(args, "config", None):
-        return
-    cfg = cfgmod.load_config(args.config)
-    if cfg.kind != args.command:
-        raise DataError(f"config kind {cfg.kind!r} does not match subcommand {args.command!r}")
-    subparser = parser.subcommand_parsers[args.command]
-    for key, value in cfg.__dict__.items():
-        if key == "kind" or value is None:
-            continue
-        if hasattr(args, key) and getattr(args, key) in (None, subparser.get_default(key)):
-            setattr(args, key, value)
+def _resolve_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Fills each flag absent from the command line from the config, then
+    from _DEFAULTS, and exits with a usage error if a required one is
+    still unset."""
+    values = vars(args)
+    if values.get("config"):
+        cfg = cfgmod.load_config(args.config)
+        if cfg.kind != args.command:
+            raise DataError(f"config kind {cfg.kind!r} does not match subcommand {args.command!r}")
+        for key, value in vars(cfg).items():
+            if key != "kind" and value is not None:
+                values.setdefault(key, value)
+    for field in dataclasses.fields(cfgmod.RunConfig):
+        values.setdefault(field.name, _DEFAULTS.get(field.name))
+    missing = [f"--{key}" for key in args.required if values[key] is None]
+    if missing:
+        parser.error(f"{args.command}: the following arguments are required: {', '.join(missing)}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, parser)
+        _resolve_args(args, parser)
         return args.func(args)
     except (DataError, cfgmod.ConfigError, zeros.ZeroDataError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -20,7 +20,6 @@ count.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,22 +58,8 @@ class GroupSpec:
         return self.n
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Addresses one sample in a reproducible stream."""
-
-    master_seed: int
-    sample_index: int
-
-
 class GroupInvariantError(RuntimeError):
     """A constructed matrix failed its group invariants (internal defect)."""
-
-
-@dataclass(frozen=True)
-class GroupMatrix:
-    spec: GroupSpec
-    entries: np.ndarray  # complex128, shape (dim, dim)
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -197,56 +182,41 @@ def sample_batch(spec: GroupSpec, master_seed: int, start: int, count: int) -> n
     return _usp_batch(spec.n, raw)
 
 
-def sample(spec: GroupSpec, seed: SeedSpec, check: bool = True) -> GroupMatrix:
-    """One Haar sample; a pure function of (spec, seed)."""
-    entries = sample_batch(spec, seed.master_seed, seed.sample_index, 1)[0]
-    mat = GroupMatrix(spec=spec, entries=np.asarray(entries, dtype=np.complex128))
-    if check:
-        verify_invariants(mat)
-    return mat
+def sample(spec: GroupSpec, master_seed: int, sample_index: int) -> np.ndarray:
+    """One Haar sample, checked against its group invariants.
+
+    A pure function of (spec, master_seed, sample_index); equal to row
+    sample_index - start of any sample_batch that covers that index.
+    """
+    a = sample_batch(spec, master_seed, sample_index, 1)[0]
+    verify_invariants(spec, a)
+    return a
 
 
-def sample_stream(spec: GroupSpec, master_seed: int, count: int, batch: int = 1024):
-    """Yields GroupMatrix objects for sample indices 0..count-1 in order."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    start = 0
-    while start < count:
-        size = min(batch, count - start)
-        block = sample_batch(spec, master_seed, start, size)
-        for i in range(size):
-            yield GroupMatrix(spec=spec, entries=np.asarray(block[i], dtype=np.complex128))
-        start += size
-
-
-def verify_invariants(mat: GroupMatrix, unitary_tol: float = 1e-10, det_tol: float = 1e-8) -> None:
-    """Checks unitarity, determinant, and symplectic-form invariants.
+def verify_invariants(
+    spec: GroupSpec, a: np.ndarray, unitary_tol: float = 1e-10, det_tol: float = 1e-8
+) -> None:
+    """Checks unitarity, determinant, and symplectic-form invariants of one matrix.
 
     Raises GroupInvariantError on violation; such a failure indicates an
     internal sampling defect, not bad user input.
     """
-    a = mat.entries
-    d = mat.spec.dim
+    d = spec.dim
     gram = a @ a.conj().T
     err = np.max(np.abs(gram - np.eye(d)))
     if err > unitary_tol:
         raise GroupInvariantError(f"unitarity violated: max |A A^* - I| = {err:.3e}")
-    if mat.spec.group in (GroupKind.SOEven, GroupKind.SOOdd):
+    if spec.group in (GroupKind.SOEven, GroupKind.SOOdd):
         if np.max(np.abs(a.imag)) != 0.0:
             raise GroupInvariantError("orthogonal sample has nonzero imaginary part")
         det = np.linalg.det(a.real)
         if abs(det - 1.0) > det_tol:
             raise GroupInvariantError(f"determinant {det} is not +1 within {det_tol}")
-    elif mat.spec.group is GroupKind.USp:
-        j = symplectic_form(mat.spec.n)
+    elif spec.group is GroupKind.USp:
+        j = symplectic_form(spec.n)
         err = np.max(np.abs(a.T @ j @ a - j))
         if err > unitary_tol:
             raise GroupInvariantError(f"symplectic form violated: max |A^T J A - J| = {err:.3e}")
-
-
-def haar_shift(mat: GroupMatrix, u0: np.ndarray) -> np.ndarray:
-    """Left-translate a sample by a fixed unitary (for invariance checks)."""
-    return u0 @ mat.entries
 
 
 _GROUP_NAMES = {

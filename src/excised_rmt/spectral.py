@@ -4,33 +4,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from excised_rmt.groups import GroupKind, GroupMatrix, GroupSpec
+from excised_rmt.groups import GroupKind, GroupSpec
 
 _MODULUS_TOL = 1e-6
 
 
 class SpectralError(RuntimeError):
     """Eigen-solve failure or tolerance breach."""
-
-
-@dataclass(frozen=True)
-class EigenangleSpectrum:
-    """Sorted eigenangles in (-pi, pi] of one group matrix."""
-
-    spec: GroupSpec
-    angles: np.ndarray
-
-
-@dataclass(frozen=True)
-class CharPolyValue:
-    """det(I - A) together with its magnitude."""
-
-    value: complex
-    magnitude: float
 
 
 @dataclass(frozen=True)
@@ -98,11 +81,6 @@ def eigenangles_batch(spec: GroupSpec, mats: np.ndarray) -> np.ndarray:
     return _symmetrize(theta, forced_zero=spec.group is GroupKind.SOOdd)
 
 
-def eigenangles(a: GroupMatrix) -> EigenangleSpectrum:
-    angles = eigenangles_batch(a.spec, a.entries[None, :, :])[0]
-    return EigenangleSpectrum(spec=a.spec, angles=angles)
-
-
 def char_poly_batch(
     mats: np.ndarray, check: bool = True, rel_tol: float = 1e-6, abs_tol: float = 1e-9
 ) -> np.ndarray:
@@ -130,55 +108,11 @@ def char_poly_batch(
     return lu
 
 
-def char_poly_at_one(a: GroupMatrix) -> CharPolyValue:
-    value = complex(char_poly_batch(a.entries[None, :, :])[0])
-    return CharPolyValue(value=value, magnitude=abs(value))
-
-
-def first_eigenangle(
-    s: EigenangleSpectrum, exclude_forced_zero: bool = False
-) -> Optional[float]:
-    """Smallest strictly positive angle, or None if there is none.
-
-    With exclude_forced_zero on an odd orthogonal spectrum the structural
-    zero (identified by index of smallest magnitude, not by a threshold)
-    is removed first; since that angle sits at exactly 0 it is never
-    positive, so the flag only matters for callers who treat the zero as a
-    reportable lowest angle.
-    """
-    angles = s.angles
-    if s.spec.group is GroupKind.SOOdd and exclude_forced_zero:
-        idx = int(np.argmin(np.abs(angles)))
-        angles = np.delete(angles, idx)
-    positive = angles[angles > 0.0]
-    if positive.size == 0:
-        return None
-    return float(positive.min())
-
-
 def first_angles_batch(angle_rows: np.ndarray) -> np.ndarray:
     """Smallest strictly positive angle per row; rows without one get NaN."""
     masked = np.where(angle_rows > 0.0, angle_rows, np.inf)
     out = masked.min(axis=1)
     return np.where(np.isinf(out), np.nan, out)
-
-
-def excise(
-    values: Iterable[Tuple[CharPolyValue, object]], rule: ExcisionRule
-) -> Tuple[list, int, int]:
-    """Filter a stream of (CharPolyValue, payload) by the excision threshold.
-
-    Returns (kept_items, kept_count, total_count); kept items satisfy
-    magnitude >= threshold exactly.
-    """
-    threshold = rule.threshold
-    kept = []
-    total = 0
-    for cpv, payload in values:
-        total += 1
-        if cpv.magnitude >= threshold:
-            kept.append((cpv, payload))
-    return kept, len(kept), total
 
 
 def excise_mask(magnitudes: np.ndarray, rule: ExcisionRule) -> np.ndarray:

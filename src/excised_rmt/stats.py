@@ -1,13 +1,12 @@
 """Streaming Monte Carlo statistics for sampled spectra.
 
-Histograms and accumulators are mergeable monoids so the sample-index
-range can be sharded across workers and combined deterministically.
+Every ensemble statistic is one reduction over ``_blocks``, which walks
+the sample-index range in order as blocks of Haar matrices.  Histograms
+are mergeable, so the result does not depend on how the range is split.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -16,56 +15,19 @@ from excised_rmt.groups import GroupKind, GroupSpec, sample_batch
 from excised_rmt.spectral import char_poly_batch, eigenangles_batch, first_angles_batch
 
 DEFAULT_BINS = 100
-_BATCH = 2048
+# Matrix entries per sampled block; bounds block memory for any matrix size.
+_BLOCK_ELEMENTS = 2**18
 
-
-@dataclass
-class Accumulator:
-    """Streaming count/sum/sum-of-squares/min/max."""
-
-    count: int = 0
-    total: float = 0.0
-    total_sq: float = 0.0
-    minimum: float = math.inf
-    maximum: float = -math.inf
-
-    def push(self, x: float) -> None:
-        self.count += 1
-        self.total += x
-        self.total_sq += x * x
-        self.minimum = min(self.minimum, x)
-        self.maximum = max(self.maximum, x)
-
-    def extend(self, xs) -> None:
-        xs = np.asarray(xs, dtype=float)
-        if xs.size == 0:
-            return
-        self.count += xs.size
-        self.total += float(xs.sum())
-        self.total_sq += float((xs * xs).sum())
-        self.minimum = min(self.minimum, float(xs.min()))
-        self.maximum = max(self.maximum, float(xs.max()))
-
-    def merge(self, other: "Accumulator") -> "Accumulator":
-        self.count += other.count
-        self.total += other.total
-        self.total_sq += other.total_sq
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        return self
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            raise ValueError("empty accumulator has no mean")
-        return self.total / self.count
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        m = self.mean
-        return max(self.total_sq / self.count - m * m, 0.0)
+# One row per sample of the CLI ``sample`` table and the excision pipeline.
+SAMPLE_DTYPE = np.dtype(
+    [
+        ("sample_index", np.int64),
+        ("first_angle", float),
+        ("charpoly_re", float),
+        ("charpoly_im", float),
+        ("charpoly_abs", float),
+    ]
+)
 
 
 class Histogram:
@@ -170,16 +132,29 @@ def mean_one_histogram(samples, bins: int = DEFAULT_BINS, hi: Optional[float] = 
 
 
 def _index_shards(count: int, workers: int):
-    """Deterministic contiguous shards of the sample index range."""
-    workers = max(1, int(workers))
-    base = count // workers
-    extra = count % workers
+    """Deterministic contiguous shards of the sample index range, at most count of them."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    shards = max(1, min(int(workers), count))
+    base, extra = divmod(count, shards)
     start = 0
-    for w in range(workers):
+    for w in range(shards):
         size = base + (1 if w < extra else 0)
         if size:
             yield start, size
         start += size
+
+
+def _blocks(spec: GroupSpec, count: int, master_seed: int, workers: int):
+    """Yields (start, mats) for sample indices 0..count-1 in index order.
+
+    mats holds the Haar samples start..start+len(mats)-1; a block never
+    spans two shards and holds at most _BLOCK_ELEMENTS matrix entries.
+    """
+    block = max(1, _BLOCK_ELEMENTS // spec.dim**2)
+    for start, size in _index_shards(count, workers):
+        for first in range(start, start + size, block):
+            yield first, sample_batch(spec, master_seed, first, min(block, start + size - first))
 
 
 def density_angles(spec: GroupSpec, angle_rows: np.ndarray) -> np.ndarray:
@@ -218,15 +193,9 @@ def one_level_density_mc(
         raise ValueError("count must be >= 1")
     hi = one_level_range(spec)
     hist = Histogram.uniform(0.0, hi, bins, normalization="per_event", events=0.0)
-    for start, size in _index_shards(count, workers):
-        done = 0
-        while done < size:
-            block = min(_BATCH, size - done)
-            mats = sample_batch(spec, master_seed, start + done, block)
-            angles = eigenangles_batch(spec, mats)
-            hist.add(density_angles(spec, angles))
-            hist.events += block
-            done += block
+    for _, mats in _blocks(spec, count, master_seed, workers):
+        hist.add(density_angles(spec, eigenangles_batch(spec, mats)))
+        hist.events += len(mats)
     return hist
 
 
@@ -249,18 +218,13 @@ def pair_correlation_mc(
     dim = spec.dim
     hist = Histogram.uniform(0.0, window, bins, normalization="per_event", events=0.0)
     scale = dim / (2.0 * np.pi)
-    for start, size in _index_shards(count, workers):
-        done = 0
-        while done < size:
-            block = min(512, size - done)
-            mats = sample_batch(spec, master_seed, start + done, block)
-            theta = eigenangles_batch(spec, mats)
-            diffs = np.mod(theta[:, :, None] - theta[:, None, :], 2.0 * np.pi)
-            iu = ~np.eye(dim, dtype=bool)
-            x = diffs[:, iu].ravel() * scale
-            hist.add(x[x > 0.0])
-            hist.events += block * dim
-            done += block
+    off_diagonal = ~np.eye(dim, dtype=bool)
+    for _, mats in _blocks(spec, count, master_seed, workers):
+        theta = eigenangles_batch(spec, mats)
+        diffs = np.mod(theta[:, :, None] - theta[:, None, :], 2.0 * np.pi)
+        x = diffs[:, off_diagonal].ravel() * scale
+        hist.add(x[x > 0.0])
+        hist.events += len(mats) * dim
     return hist
 
 
@@ -309,14 +273,8 @@ def first_eigenangle_samples(
 ) -> np.ndarray:
     """Smallest positive eigenangle of each sampled matrix, in index order."""
     out = np.empty(count)
-    for start, size in _index_shards(count, workers):
-        done = 0
-        while done < size:
-            block = min(_BATCH, size - done)
-            mats = sample_batch(spec, master_seed, start + done, block)
-            theta = eigenangles_batch(spec, mats)
-            out[start + done : start + done + block] = first_angles_batch(theta)
-            done += block
+    for start, mats in _blocks(spec, count, master_seed, workers):
+        out[start : start + len(mats)] = first_angles_batch(eigenangles_batch(spec, mats))
     return out
 
 
@@ -328,34 +286,19 @@ def sample_summaries(
 ) -> np.ndarray:
     """Per-sample summary table: first angle and det(I - A).
 
-    Returns a structured array with fields (sample_index, first_angle,
-    charpoly_re, charpoly_im, charpoly_abs); the backbone of the CLI
-    ``sample`` output and the excision pipeline.
+    Returns a SAMPLE_DTYPE array in sample-index order; the backbone of
+    the CLI ``sample`` output and the excision pipeline.
     """
-    dtype = np.dtype(
-        [
-            ("sample_index", np.int64),
-            ("first_angle", float),
-            ("charpoly_re", float),
-            ("charpoly_im", float),
-            ("charpoly_abs", float),
-        ]
-    )
-    out = np.empty(count, dtype=dtype)
-    for start, size in _index_shards(count, workers):
-        done = 0
-        while done < size:
-            block = min(_BATCH, size - done)
-            mats = sample_batch(spec, master_seed, start + done, block)
-            theta = eigenangles_batch(spec, mats)
-            cp = char_poly_batch(mats)
-            sl = slice(start + done, start + done + block)
-            out["sample_index"][sl] = np.arange(start + done, start + done + block)
-            out["first_angle"][sl] = first_angles_batch(theta)
-            out["charpoly_re"][sl] = cp.real
-            out["charpoly_im"][sl] = cp.imag
-            out["charpoly_abs"][sl] = np.abs(cp)
-            done += block
+    out = np.empty(count, dtype=SAMPLE_DTYPE)
+    for start, mats in _blocks(spec, count, master_seed, workers):
+        theta = eigenangles_batch(spec, mats)
+        cp = char_poly_batch(mats)
+        rows = out[start : start + len(mats)]
+        rows["sample_index"] = np.arange(start, start + len(mats))
+        rows["first_angle"] = first_angles_batch(theta)
+        rows["charpoly_re"] = cp.real
+        rows["charpoly_im"] = cp.imag
+        rows["charpoly_abs"] = np.abs(cp)
     return out
 
 
@@ -364,12 +307,6 @@ def char_poly_magnitudes(
 ) -> np.ndarray:
     """|det(I - A)| per sample, without the eigen cross-check (fast path)."""
     out = np.empty(count)
-    for start, size in _index_shards(count, workers):
-        done = 0
-        while done < size:
-            block = min(8192, size - done)
-            mats = sample_batch(spec, master_seed, start + done, block)
-            cp = char_poly_batch(mats, check=False)
-            out[start + done : start + done + block] = np.abs(cp)
-            done += block
+    for start, mats in _blocks(spec, count, master_seed, workers):
+        out[start : start + len(mats)] = np.abs(char_poly_batch(mats, check=False))
     return out

@@ -423,11 +423,15 @@ def h_asymp(n: float, group: GroupKind = GroupKind.SOEven) -> float:
     raise ValueError("no small-value prefactor for this group")
 
 
-def small_value_prob(rho: float, n: float, group: GroupKind = GroupKind.SOEven) -> float:
-    """P(0 <= |char poly at 1| <= rho) ~ 2 h(N) sqrt(rho) for small rho."""
+def small_value_prob(rho: float, n: float) -> float:
+    """SO(2N) small-value law: P(0 <= |char poly at 1| <= rho) ~ 2 h(N) sqrt(rho).
+
+    The square-root law is specific to SO(2N); USp(2N) and U(N) follow
+    other powers of rho, so this function covers SO(2N) only.
+    """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    return 2.0 * h_asymp(n, group) * math.sqrt(rho)
+    return 2.0 * h_asymp(n, GroupKind.SOEven) * math.sqrt(rho)
 
 
 def vanishing_count(X: float, model: VanishingModel) -> dict:

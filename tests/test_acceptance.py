@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from excised_rmt.cli import main as cli_main
-from excised_rmt.groups import GroupKind, GroupSpec, SeedSpec, sample, verify_invariants
+from excised_rmt.groups import GroupKind, GroupSpec, sample
 from excised_rmt.spectral import ExcisionRule, char_poly_batch, excise_mask
 from excised_rmt.special import adaptive_simpson
 from excised_rmt.stats import (
@@ -56,9 +56,9 @@ def test_criterion_01_sampling_speed_and_invariants():
         if kind in (GroupKind.SOEven, GroupKind.SOOdd):
             assert np.max(np.abs(np.linalg.det(mats) - 1.0)) <= 1e-8, kind
     elapsed = time.perf_counter() - start
-    # spot-check the per-sample verifier too
+    # spot-check the per-sample verifier too (sample raises on a violation)
     for kind in GroupKind:
-        verify_invariants(sample(GroupSpec(kind, spec_n), SeedSpec(101, 0), check=False))
+        sample(GroupSpec(kind, spec_n), 101, 0)
     ok = elapsed < 10.0
     _report(1, ok, f"1000 samples/group at N=10 with invariants in {elapsed:.2f}s (< 10s)")
 

@@ -132,6 +132,35 @@ def test_config_provides_defaults_flags_override(tmp_path, capsys):
     assert len(out.strip().split("\n")) == 5  # flag wins
 
 
+def test_explicit_flag_beats_config_even_at_its_default(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"kind": "sample", "count": 3, "seed": 5}))
+    base = ["sample", "--group", "unitary", "--n", "3", "--count", "3"]
+    _, seed0, _ = run(capsys, *base, "--seed", "0")
+    _, seed5, _ = run(capsys, *base, "--seed", "5")
+    _, merged, _ = run(capsys, *base, "--seed", "0", "--config", str(cfg))
+    assert seed0 != seed5
+    assert merged == seed0
+
+
+def test_config_supplies_required_flags(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"kind": "sample", "group": "usp", "n": 2, "count": 2}))
+    code, out, _ = run(capsys, "sample", "--config", str(cfg))
+    assert code == 0
+    assert out == run(capsys, "sample", "--group", "usp", "--n", "2", "--count", "2")[1]
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_workers_below_one_is_data_error(workers, capsys, monkeypatch):
+    argv = ["sample", "--group", "unitary", "--n", "3", "--count", "2"]
+    code, _, err = run(capsys, *argv, "--workers", workers)
+    assert code == 1 and "--workers" in err
+    monkeypatch.setenv("EXCISED_RMT_WORKERS", workers)
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "EXCISED_RMT_WORKERS" in err
+
+
 def test_config_kind_mismatch_is_data_error(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"kind": "onelevel"}))

@@ -6,18 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from excised_rmt.groups import (
+    GroupInvariantError,
     GroupKind,
     GroupSpec,
-    SeedSpec,
     group_from_name,
-    haar_shift,
     sample,
     sample_batch,
-    sample_stream,
     symplectic_form,
     verify_invariants,
 )
-from excised_rmt.stats import ks_distance
+from excised_rmt.stats import _blocks, ks_distance
 
 ALL_KINDS = list(GroupKind)
 
@@ -26,7 +24,20 @@ ALL_KINDS = list(GroupKind)
 def test_invariants_hold(kind):
     spec = GroupSpec(kind, 6)
     for idx in range(5):
-        verify_invariants(sample(spec, SeedSpec(11, idx), check=False))
+        verify_invariants(spec, sample_batch(spec, 11, idx, 1)[0])
+
+
+def test_verify_invariants_rejects_non_members():
+    spec = GroupSpec(GroupKind.SOEven, 3)
+    a = sample(spec, 1, 0)
+    flipped = a.copy()
+    flipped[:, -1] = -flipped[:, -1]  # orthogonal with determinant -1
+    for bad in (flipped, 1.01 * a):
+        with pytest.raises(GroupInvariantError):
+            verify_invariants(spec, bad)
+    unitary = sample(GroupSpec(GroupKind.Unitary, 6), 1, 0)
+    with pytest.raises(GroupInvariantError):
+        verify_invariants(GroupSpec(GroupKind.USp, 3), unitary)
 
 
 @given(
@@ -37,15 +48,17 @@ def test_invariants_hold(kind):
 )
 @settings(max_examples=40, deadline=None)
 def test_invariants_hold_property(kind, n, seed, idx):
-    verify_invariants(sample(GroupSpec(kind, n), SeedSpec(seed, idx), check=False))
+    spec = GroupSpec(kind, n)
+    verify_invariants(spec, sample_batch(spec, seed, idx, 1)[0])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_sample_is_deterministic(kind):
     spec = GroupSpec(kind, 4)
-    a = sample(spec, SeedSpec(7, 3)).entries
-    b = sample(spec, SeedSpec(7, 3)).entries
+    a = sample(spec, 7, 3)
+    b = sample(spec, 7, 3)
     assert np.array_equal(a, b)
+    assert np.array_equal(a, sample_batch(spec, 7, 0, 4)[3])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -59,16 +72,20 @@ def test_batches_are_offset_invariant(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_stream_matches_batch(kind):
+    # the block stream every Monte Carlo statistic reduces over, split here
+    # into three shards, concatenates to one whole batch
     spec = GroupSpec(kind, 3)
-    streamed = np.stack([m.entries for m in sample_stream(spec, 9, 7, batch=2)])
-    assert np.array_equal(streamed, sample_batch(spec, 9, 0, 7).astype(np.complex128))
+    blocks = list(_blocks(spec, 7, 9, workers=3))
+    assert [start for start, _ in blocks] == [0, 3, 5]
+    streamed = np.concatenate([mats for _, mats in blocks])
+    assert np.array_equal(streamed, sample_batch(spec, 9, 0, 7))
 
 
 def test_distinct_seeds_differ():
     spec = GroupSpec(GroupKind.Unitary, 4)
-    a = sample(spec, SeedSpec(1, 0)).entries
-    b = sample(spec, SeedSpec(2, 0)).entries
-    c = sample(spec, SeedSpec(1, 1)).entries
+    a = sample(spec, 1, 0)
+    b = sample(spec, 2, 0)
+    c = sample(spec, 1, 1)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -108,7 +125,7 @@ def test_haar_invariance_of_trace_statistic():
     # If A is Haar on U(5), tr(U0 A) and tr(A) are identically distributed
     # for any fixed unitary U0; compare via the KS distance of Re tr.
     spec = GroupSpec(GroupKind.Unitary, 5)
-    u0 = sample(spec, SeedSpec(999, 0)).entries
+    u0 = sample(spec, 999, 0)
     count = 100_000
     mats = sample_batch(spec, 4, 0, count)
     tr_plain = np.einsum("bii->b", mats).real
@@ -118,10 +135,8 @@ def test_haar_invariance_of_trace_statistic():
 
 def test_haar_shift_preserves_membership():
     spec = GroupSpec(GroupKind.Unitary, 4)
-    u0 = sample(spec, SeedSpec(5, 0)).entries
-    m = sample(spec, SeedSpec(6, 1))
-    shifted = haar_shift(m, u0)
-    assert np.max(np.abs(shifted @ shifted.conj().T - np.eye(4))) < 1e-9
+    shifted = sample(spec, 5, 0) @ sample(spec, 6, 1)
+    verify_invariants(spec, shifted, unitary_tol=1e-9)
 
 
 def test_first_moment_of_trace_vanishes():

@@ -5,18 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excised_rmt.groups import GroupKind, GroupSpec, SeedSpec, sample, sample_batch
+from excised_rmt.groups import GroupKind, GroupSpec, sample, sample_batch
 from excised_rmt.spectral import (
-    CharPolyValue,
     ExcisionRule,
-    char_poly_at_one,
     char_poly_batch,
-    eigenangles,
     eigenangles_batch,
-    excise,
     excise_mask,
     first_angles_batch,
-    first_eigenangle,
 )
 
 ALL_KINDS = list(GroupKind)
@@ -25,10 +20,10 @@ ALL_KINDS = list(GroupKind)
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_angles_sorted_and_in_range(kind):
     spec = GroupSpec(kind, 6)
-    s = eigenangles(sample(spec, SeedSpec(3, 0)))
-    assert s.angles.size == spec.dim
-    assert np.all(np.diff(s.angles) >= 0)
-    assert np.all(s.angles > -np.pi) and np.all(s.angles <= np.pi)
+    angles = eigenangles_batch(spec, sample_batch(spec, 3, 0, 1))[0]
+    assert angles.size == spec.dim
+    assert np.all(np.diff(angles) >= 0)
+    assert np.all(angles > -np.pi) and np.all(angles <= np.pi)
 
 
 @pytest.mark.parametrize("kind", [GroupKind.SOEven, GroupKind.SOOdd, GroupKind.USp])
@@ -50,10 +45,10 @@ def test_so_odd_has_forced_zero():
 def test_eigenvalues_reconstruct_matrix_spectrum():
     # angles must reproduce the actual eigenvalues of the sampled matrix
     spec = GroupSpec(GroupKind.Unitary, 7)
-    m = sample(spec, SeedSpec(12, 5))
-    s = eigenangles(m)
-    w = np.sort_complex(np.linalg.eigvals(m.entries))
-    recon = np.sort_complex(np.exp(1j * s.angles))
+    m = sample(spec, 12, 5)
+    angles = eigenangles_batch(spec, m[None])[0]
+    w = np.sort_complex(np.linalg.eigvals(m))
+    recon = np.sort_complex(np.exp(1j * angles))
     assert np.max(np.abs(w - recon)) < 1e-9
 
 
@@ -66,11 +61,10 @@ def test_char_poly_dual_route_agrees(kind):
 
 def test_char_poly_matches_eigen_product():
     spec = GroupSpec(GroupKind.SOEven, 6)
-    m = sample(spec, SeedSpec(2, 9))
-    cpv = char_poly_at_one(m)
-    w = np.linalg.eigvals(m.entries)
-    assert cpv.value == pytest.approx(complex(np.prod(1.0 - w)), rel=1e-8)
-    assert cpv.magnitude == pytest.approx(abs(cpv.value))
+    m = sample(spec, 2, 9)
+    value = complex(char_poly_batch(m[None])[0])
+    w = np.linalg.eigvals(m)
+    assert value == pytest.approx(complex(np.prod(1.0 - w)), rel=1e-8)
 
 
 def test_so_odd_char_poly_vanishes():
@@ -82,10 +76,9 @@ def test_so_odd_char_poly_vanishes():
 
 def test_first_eigenangle_is_smallest_positive():
     spec = GroupSpec(GroupKind.USp, 6)
-    s = eigenangles(sample(spec, SeedSpec(3, 1)))
-    first = first_eigenangle(s)
-    positive = s.angles[s.angles > 0]
-    assert first == positive.min()
+    angles = eigenangles_batch(spec, sample_batch(spec, 3, 1, 1))[0]
+    first = first_angles_batch(angles[None])[0]
+    assert first == angles[angles > 0].min()
 
 
 def test_first_angles_batch_matches_scalar():
@@ -113,17 +106,10 @@ def test_excision_rule_threshold():
 @settings(max_examples=50, deadline=None)
 def test_excision_boundary_is_inclusive(mags, c):
     rule = ExcisionRule(c=c, k=1, n_std=1.0)
-    stream = [(CharPolyValue(value=m, magnitude=m), i) for i, m in enumerate(mags)]
-    kept, n_kept, total = excise(stream, rule)
-    assert total == len(mags)
-    assert n_kept == sum(m >= rule.threshold for m in mags)
-    assert all(cpv.magnitude >= rule.threshold for cpv, _ in kept)
     mask = excise_mask(np.asarray(mags), rule)
-    assert int(mask.sum()) == n_kept
+    assert mask.tolist() == [m >= rule.threshold for m in mags]
 
 
 def test_boundary_value_is_kept_exactly():
     rule = ExcisionRule(c=0.25, k=1, n_std=3.0)
-    stream = [(CharPolyValue(value=0.25, magnitude=0.25), None)]
-    kept, n_kept, _ = excise(stream, rule)
-    assert n_kept == 1
+    assert excise_mask(np.array([0.25, np.nextafter(0.25, 0.0)]), rule).tolist() == [True, False]

@@ -1,4 +1,4 @@
-"""Streaming statistics: histograms, accumulators, KS distance, sharding."""
+"""Streaming statistics: histograms, KS distance, sharding."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from excised_rmt.groups import GroupKind, GroupSpec
 from excised_rmt.stats import (
-    Accumulator,
     Histogram,
+    _blocks,
     _index_shards,
     first_eigenangle_samples,
     ks_distance,
@@ -20,34 +20,6 @@ from excised_rmt.stats import (
     pair_correlation_mc,
     sample_summaries,
 )
-
-
-@given(st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=200))
-@settings(max_examples=50, deadline=None)
-def test_accumulator_matches_numpy(xs):
-    acc = Accumulator()
-    acc.extend(xs)
-    assert acc.count == len(xs)
-    assert acc.mean == pytest.approx(np.mean(xs), abs=1e-9)
-    assert acc.variance == pytest.approx(np.var(xs), abs=1e-6)
-    assert acc.minimum == min(xs) and acc.maximum == max(xs)
-
-
-@given(
-    st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=50),
-    st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=50),
-)
-@settings(max_examples=50, deadline=None)
-def test_accumulator_merge_equals_whole(xs, ys):
-    left = Accumulator()
-    left.extend(xs)
-    right = Accumulator()
-    right.extend(ys)
-    whole = Accumulator()
-    whole.extend(xs + ys)
-    merged = left.merge(right)
-    assert merged.count == whole.count
-    assert merged.mean == pytest.approx(whole.mean, abs=1e-9)
 
 
 def test_histogram_density_integrates_to_one():
@@ -120,6 +92,19 @@ def test_index_shards_partition():
             for start, size in spans:
                 assert start == pos and size > 0
                 pos = start + size
+            assert len(spans) == min(count, workers)
+    # the shard count is capped by the sample count, not looped over
+    assert list(_index_shards(3, 10**12)) == [(0, 1), (1, 1), (2, 1)]
+    with pytest.raises(ValueError):
+        list(_index_shards(10, 0))
+
+
+def test_block_size_follows_matrix_size():
+    # 2**18 matrix entries per block: 655 matrices of SO(20), 291 of U(30)
+    for spec, block in ((GroupSpec(GroupKind.SOEven, 10), 655),
+                        (GroupSpec(GroupKind.Unitary, 30), 291)):
+        starts = [start for start, _ in _blocks(spec, block + 1, 1, workers=1)]
+        assert starts == [0, block]
 
 
 def test_ks_distance_against_scipy():

@@ -250,6 +250,15 @@ def test_small_value_prob_scaling():
     assert small_value_prob(0.0, 10) == 0.0
 
 
+def test_small_value_prob_is_so_even_only():
+    # USp(2N) and U(N) do not follow the square-root law; a call that names
+    # another group must fail rather than return the SO(2N) value
+    assert small_value_prob(0.01, 6) == pytest.approx(0.2 * h_asymp(6, GroupKind.SOEven))
+    for group in (GroupKind.USp, GroupKind.Unitary):
+        with pytest.raises(TypeError):
+            small_value_prob(0.01, 6, group)
+
+
 def test_vanishing_count_weight_threshold():
     m2 = VanishingModel(k=2, delta_f=1.0, kappa_f=1.0)
     assert vanishing_count(1e6, m2)["divergent"]
