@@ -22,6 +22,12 @@ RUNS = {
         ["sample", "--group", "so_even", "--n", "10", "--count", "1500", "--seed", "11"],
         "5fe67c5d0d07eaefe0238bed9890cfc54b7d6d65d600775a752b72223dfa4fdd",
     ),
+    # SO(11) draws an odd number (121) of Gaussians per matrix, so the last
+    # Box-Muller pair is cut in half
+    "sample_so_odd": (
+        ["sample", "--group", "so_odd", "--n", "5", "--count", "700", "--seed", "14"],
+        "26433349fad230ab2dbb233ee10aecd8a6b2e29092ecb0f0dbf4cff6f1d26623",
+    ),
     "onelevel": (
         ["onelevel", "--group", "usp", "--n", "10", "--count", "1500", "--seed", "12",
          "--bins", "50"],
