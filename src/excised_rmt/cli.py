@@ -59,11 +59,10 @@ def _write_text(path, text: str) -> None:
 
 def _sample_table_text(table) -> str:
     lines = [SAMPLE_HEADER]
-    for row in table:
-        lines.append(
-            f"{int(row['sample_index'])},{row['first_angle']:.17g},"
-            f"{row['charpoly_re']:.17g},{row['charpoly_im']:.17g},{row['charpoly_abs']:.17g}"
-        )
+    lines.extend(
+        f"{index},{angle:.17g},{re:.17g},{im:.17g},{mag:.17g}"
+        for index, angle, re, im, mag in table.tolist()
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -216,17 +215,17 @@ _DEFAULTS = {
 }
 
 
-def _add_common(p, *, seed=True, count=True, bins=False, out=True):
+def _add_common(p, *, monte_carlo=True, bins=False):
+    """--config and --out, plus --seed, --count and --workers for the
+    subcommands that sample matrices."""
     p.add_argument("--config", help="JSON config supplying defaults for flags")
-    if seed:
+    if monte_carlo:
         p.add_argument("--seed", type=int, help="master seed")
-    if count:
         p.add_argument("--count", type=int, help="number of samples")
+        p.add_argument("--workers", type=int, help="worker shard count (result-invariant)")
     if bins:
         p.add_argument("--bins", type=int, help="histogram bin count")
-    if out:
-        p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--workers", type=int, help="worker shard count (result-invariant)")
+    p.add_argument("--out", help="output path (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="weight")
     p.add_argument("--nstd", type=float, help="standard matrix size")
     p.add_argument("--input", help="sample CSV produced by `sample`")
-    _add_common(p, seed=False, count=False)
+    _add_common(p, monte_carlo=False)
 
     p = command("discriminants", cmd_discriminants, ("M", "case", "X"),
                 "enumerate a fundamental-discriminant family")
@@ -279,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=int, choices=(1, -1))
     p.add_argument("--delta", type=int, choices=(1, -1))
     p.add_argument("--residue", type=int, help="residue class U mod M (generic case)")
-    _add_common(p, seed=False, count=False)
+    _add_common(p, monte_carlo=False)
 
     p = command("neff", cmd_neff, ("case",), "effective matrix size for a symmetry case")
     p.add_argument("--case")
@@ -289,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e1", type=float)
     p.add_argument("--e2", type=float)
     p.add_argument("--R", type=float)
-    _add_common(p, seed=False, count=False)
+    _add_common(p, monte_carlo=False)
 
     p = command("compare", cmd_compare, ("zeros", "samples"),
                 "compare zero data against an ensemble sample file")
@@ -301,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="zero selector per record",
     )
     p.add_argument("--vanish-tol", type=float, dest="vanish_tol")
-    _add_common(p, seed=False, count=False, bins=True)
+    _add_common(p, monte_carlo=False, bins=True)
 
     return parser
 

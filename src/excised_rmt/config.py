@@ -1,13 +1,14 @@
 """Experiment configuration: a flat, schema-validated record.
 
 Configs serialize to JSON with only the explicitly set keys; unknown keys
-are rejected on load so typos fail fast.
+and values of the wrong type are rejected on load so typos fail fast.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,6 +56,10 @@ class RunConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        for name, (what, accepts) in _FIELD_CHECKS.items():
+            value = getattr(self, name)
+            if value is not None and not accepts(value):
+                raise ConfigError(f"config field {name!r} must be {what}, got {value!r}")
 
     def to_json(self) -> str:
         data = {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
@@ -62,6 +67,18 @@ class RunConfig:
 
 
 _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+# bool is an int subclass, but true/false is never a count or a size
+_TYPE_CHECKS = {
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "float": ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+# annotations are strings here, and Optional[X] checks as X
+_FIELD_CHECKS = {
+    f.name: _TYPE_CHECKS[f.type.removeprefix("Optional[").removesuffix("]")]
+    for f in dataclasses.fields(RunConfig)
+}
 
 
 def config_from_dict(data: dict) -> RunConfig:

@@ -25,6 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+# raw Philox words put through Box-Muller at a time (256 KiB); a chunk
+# this size stays in cache and keeps the block's memory near its output's
+_CHUNK_WORDS = 2**15
 
 
 class GroupKind(enum.Enum):
@@ -70,22 +73,66 @@ def symplectic_form(n: int) -> np.ndarray:
     return j
 
 
-def _generator(master_seed: int, sample_index: int) -> np.random.Generator:
-    key = (int(master_seed) & _MASK64) | ((int(sample_index) & _MASK64) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _gaussian_block(master_seed: int, start: int, count: int, need: int) -> np.ndarray:
+    """Standard normals for sample indices start..start+count-1, shape (count, need).
+
+    Row i is drawn from the Philox stream keyed by (master_seed, start + i)
+    from counter 0.  One generator is reset per row through its state, and
+    the raw words of up to _CHUNK_WORDS at a time go through Box-Muller
+    together, so the block costs one output array and a small buffer.
+    """
+    start = int(start)
+    pairs = (need + 1) // 2
+    bitgen = np.random.Philox(0)
+    key = [int(master_seed) & _MASK64, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # empty buffer, as after construction
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    z = np.empty((count, need))
+    rows = min(count, max(1, _CHUNK_WORDS // (2 * pairs)))
+    buffer = np.empty((rows, 2 * pairs), dtype=np.uint64)
+    for lo in range(0, count, rows):
+        out = z[lo : lo + rows]
+        bits = buffer[: len(out)]
+        for row, index in zip(bits, range(start + lo, start + count)):
+            key[1] = index & _MASK64
+            bitgen.state = state
+            row[...] = bitgen.random_raw(2 * pairs)
+        _box_muller(bits, out)
+    return z
 
 
-def _gaussians(gen: np.random.Generator, count: int) -> np.ndarray:
-    """Standard normals via Box-Muller on counter-based uniforms."""
-    pairs = (count + 1) // 2
-    u1 = gen.random(pairs)
-    u2 = gen.random(pairs)
+def _box_muller(bits: np.ndarray, out: np.ndarray) -> None:
+    """Fills `out` with standard normals from raw Philox words, overwriting `bits`.
+
+    A row of `bits` holds `pairs` words for u1, then `pairs` for u2; entries
+    2j and 2j+1 of the row of `out` are r cos(2 pi u2_j) and r sin(2 pi u2_j)
+    with r = sqrt(-2 log(1 - u1_j)).
+    """
+    pairs = bits.shape[1] // 2
+    # numpy's random(): the top 53 bits scaled into [0, 1), here in place
+    bits >>= 11
+    u = bits.view(np.float64)
+    np.multiply(bits, 2.0**-53, out=u, casting="unsafe")
+    u1 = u[:, :pairs]
+    u2 = u[:, pairs:]
     # 1 - u1 lies in (0, 1], keeping the logarithm finite.
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    z = np.empty(2 * pairs)
-    z[0::2] = r * np.cos(2.0 * np.pi * u2)
-    z[1::2] = r * np.sin(2.0 * np.pi * u2)
-    return z[:count]
+    np.negative(u1, out=u1)
+    np.log1p(u1, out=u1)
+    np.multiply(u1, -2.0, out=u1)
+    r = np.sqrt(u1, out=u1)
+    theta = np.multiply(u2, 2.0 * np.pi, out=u2)
+    even = out[:, 0::2]
+    odd = out[:, 1::2]  # one column short of `pairs` when the row length is odd
+    np.cos(theta, out=even)
+    even *= r
+    np.sin(theta[:, : odd.shape[1]], out=odd)
+    odd *= r[:, : odd.shape[1]]
 
 
 def _gaussian_count(spec: GroupSpec) -> int:
@@ -169,10 +216,7 @@ def sample_batch(spec: GroupSpec, master_seed: int, start: int, count: int) -> n
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    need = _gaussian_count(spec)
-    raw = np.empty((count, need))
-    for i in range(count):
-        raw[i] = _gaussians(_generator(master_seed, start + i), need)
+    raw = _gaussian_block(master_seed, start, count, _gaussian_count(spec))
     d = spec.dim
     if spec.group in (GroupKind.SOEven, GroupKind.SOOdd):
         return _so_batch(d, raw)

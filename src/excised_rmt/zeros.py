@@ -40,16 +40,17 @@ def ingest_zero_list(path) -> List[ZeroRecord]:
             parts = line.split(",")
             try:
                 d = int(parts[0])
-                ordinates = np.asarray([float(x) for x in parts[1:]], dtype=float)
+                ordinates = [float(x) for x in parts[1:]]
             except ValueError as exc:
                 raise ZeroDataError(f"line {lineno}: cannot parse: {exc}") from None
-            if ordinates.size == 0:
+            if not ordinates:
                 raise ZeroDataError(f"line {lineno}: record has no ordinates")
-            if np.any(ordinates < 0):
+            # plain float comparisons, so a NaN ordinate fails neither check
+            if any(x < 0 for x in ordinates):
                 raise ZeroDataError(f"line {lineno}: negative ordinate")
-            if np.any(np.diff(ordinates) <= 0):
+            if any(b <= a for a, b in zip(ordinates, ordinates[1:])):
                 raise ZeroDataError(f"line {lineno}: ordinates not strictly increasing")
-            records.append(ZeroRecord(d=d, ordinates=ordinates))
+            records.append(ZeroRecord(d=d, ordinates=np.array(ordinates)))
     return records
 
 

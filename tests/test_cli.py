@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from excised_rmt.cli import SAMPLE_HEADER, main
+from excised_rmt import stats
+from excised_rmt.cli import SAMPLE_HEADER, _sample_table_text, main
 
 
 def run(capsys, *argv):
@@ -24,6 +25,19 @@ def test_sample_csv_contract(capsys):
     fields = lines[1].split(",")
     assert len(fields) == 5 and fields[0] == "0"
     assert float(fields[4]) == pytest.approx(abs(complex(float(fields[2]), float(fields[3]))))
+
+
+def test_sample_table_text_formats_every_value():
+    table = np.array(
+        [(0, 0.1, -0.0, 1e-300, 2.5), (2**40, np.nan, np.inf, -np.inf, 1 / 3)],
+        dtype=stats.SAMPLE_DTYPE,
+    )
+    assert _sample_table_text(table) == (
+        SAMPLE_HEADER + "\n"
+        "0,0.10000000000000001,-0,1e-300,2.5\n"
+        "1099511627776,nan,inf,-inf,0.33333333333333331\n"
+    )
+    assert _sample_table_text(table[:0]) == SAMPLE_HEADER + "\n"
 
 
 def test_sample_deterministic_across_workers(tmp_path, capsys):
@@ -159,6 +173,36 @@ def test_workers_below_one_is_data_error(workers, capsys, monkeypatch):
     monkeypatch.setenv("EXCISED_RMT_WORKERS", workers)
     code, _, err = run(capsys, *argv)
     assert code == 1 and "EXCISED_RMT_WORKERS" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("excise", "--c", "1", "--k", "1", "--nstd", "5", "--input", "s.csv"),
+        ("discriminants", "--M", "5", "--case", "generic", "--X", "50"),
+        ("neff", "--case", "generic", "--e1", "0.1", "--e2", "2", "--R", "8"),
+        ("compare", "--zeros", "z.csv", "--samples", "s.csv"),
+    ],
+)
+def test_workers_only_on_monte_carlo_commands(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("count", 2.5), ("bins", 8.0), ("n", True), ("seed", "7"), ("group", 3),
+     ("out", ["o.csv"])],
+)
+def test_config_value_of_wrong_type_is_data_error(field, value, tmp_path, capsys):
+    data = {"kind": "onelevel", "group": "unitary", "n": 3, "count": 2, field: value}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(data))
+    code, out, err = run(capsys, "onelevel", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and repr(field) in err
 
 
 def test_config_kind_mismatch_is_data_error(tmp_path, capsys):

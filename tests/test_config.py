@@ -44,3 +44,12 @@ def test_load_config_errors(tmp_path):
     p.write_text('{"kind": "onelevel", "group": "usp", "n": 5}')
     cfg = load_config(p)
     assert cfg.kind == "onelevel" and cfg.n == 5
+
+
+def test_value_types_checked():
+    # a float field takes any real number; int fields refuse floats and bools
+    assert config_from_dict({"kind": "paircorr", "window": 5, "c": 0.5}).window == 5
+    for key, value in [("count", 2.5), ("n", True), ("window", False), ("window", "5"),
+                       ("group", 3), ("workers", "2")]:
+        with pytest.raises(ConfigError, match=f"config field '{key}' must be"):
+            config_from_dict({"kind": "paircorr", key: value})

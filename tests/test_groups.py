@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from excised_rmt import groups
 from excised_rmt.groups import (
+    _MASK64,
     GroupInvariantError,
     GroupKind,
     GroupSpec,
@@ -14,6 +16,8 @@ from excised_rmt.groups import (
     sample_batch,
     symplectic_form,
     verify_invariants,
+    _gaussian_block,
+    _gaussian_count,
 )
 from excised_rmt.stats import _blocks, ks_distance
 
@@ -79,6 +83,51 @@ def test_stream_matches_batch(kind):
     assert [start for start, _ in blocks] == [0, 3, 5]
     streamed = np.concatenate([mats for _, mats in blocks])
     assert np.array_equal(streamed, sample_batch(spec, 9, 0, 7))
+
+
+def _reference_gaussians(master_seed, sample_index, need):
+    """The per-sample recipe: a fresh Generator(Philox) and Box-Muller on one row."""
+    key = (master_seed & _MASK64) | ((sample_index & _MASK64) << 64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    pairs = (need + 1) // 2
+    u1 = gen.random(pairs)
+    u2 = gen.random(pairs)
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    z = np.empty(2 * pairs)
+    z[0::2] = r * np.cos(2.0 * np.pi * u2)
+    z[1::2] = r * np.sin(2.0 * np.pi * u2)
+    return z[:need]
+
+
+GAUSSIAN_NEEDS = sorted(
+    {1, 3, 400, 441, 1800} | {_gaussian_count(GroupSpec(kind, 5)) for kind in ALL_KINDS}
+)
+
+
+@pytest.mark.parametrize("chunk_words", [groups._CHUNK_WORDS, 8])
+@pytest.mark.parametrize("need", GAUSSIAN_NEEDS)
+@pytest.mark.parametrize("start", [0, 2**64 - 3])
+@pytest.mark.parametrize("seed", [0, -1, 2**64 - 1, 7])
+def test_gaussian_block_matches_per_sample_recipe(seed, start, need, chunk_words, monkeypatch):
+    # bit for bit, including the wrap of the sample index past 2**64 - 1;
+    # 8-word chunks split a block into several, the last one short
+    monkeypatch.setattr(groups, "_CHUNK_WORDS", chunk_words)
+    for count in (1, 5):
+        block = _gaussian_block(seed, start, count, need)
+        assert block.shape == (count, need) and block.flags.c_contiguous
+        expected = np.stack([_reference_gaussians(seed, start + i, need) for i in range(count)])
+        assert np.array_equal(block.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_sample_index_wraps_past_2_64(kind):
+    # sample index 2**64 under master seed -1 is index 0 under 2**64 - 1;
+    # SO(2N+1) is the only group with an odd Gaussian count
+    spec = GroupSpec(kind, 5)
+    need = _gaussian_count(spec)
+    assert (need % 2 == 1) == (kind is GroupKind.SOOdd)
+    wrapped = sample_batch(spec, -1, 2**64 - 1, 2)
+    assert np.array_equal(wrapped[1], sample_batch(spec, 2**64 - 1, 0, 1)[0])
 
 
 def test_distinct_seeds_differ():

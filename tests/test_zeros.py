@@ -42,6 +42,36 @@ def test_ingest_rejects_bad_rows(tmp_path):
         ingest_zero_list(_write(tmp_path, "5,1.0,0.5\n"))
 
 
+def test_ingest_records_exactly(tmp_path):
+    # NaN fails neither the sign nor the ordering check; -0.0 is not negative
+    p = _write(tmp_path, "# d,gamma...\n\n 12 , 0.5,2.75\n7,nan,0.25\n9,0.5,nan,0.25\n-3,-0.0,inf\n")
+    recs = ingest_zero_list(p)
+    assert [r.d for r in recs] == [12, 7, 9, -3]
+    expected = [[0.5, 2.75], [np.nan, 0.25], [0.5, np.nan, 0.25], [-0.0, np.inf]]
+    for rec, ords in zip(recs, expected):
+        assert rec.ordinates.dtype == np.float64
+        assert np.array_equal(rec.ordinates.view(np.uint64), np.array(ords).view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("5,0.5,x", "cannot parse: could not convert string to float: 'x'"),
+        ("5.5,0.5", "cannot parse: invalid literal for int() with base 10: '5.5'"),
+        ("5", "record has no ordinates"),
+        ("5,0.5,-1", "negative ordinate"),
+        ("5,-1,-0.5", "negative ordinate"),
+        ("5,0.5,0.75,0.75", "ordinates not strictly increasing"),
+        ("5,nan,2,1", "ordinates not strictly increasing"),
+    ],
+)
+def test_ingest_error_names_its_line(tmp_path, row, message):
+    p = _write(tmp_path, f"# header\n3,0.25\n\n{row}\n4,0.5\n")
+    with pytest.raises(ZeroDataError) as info:
+        ingest_zero_list(p)
+    assert str(info.value) == f"line 4: {message}"
+
+
 def test_round_trip(tmp_path):
     recs = [
         ZeroRecord(d=5, ordinates=np.array([0.1234567890123456, 2.5])),
