@@ -60,3 +60,55 @@ def test_golden_output(name, workers, tmp_path, capsys):
         assert code == 0
         assert _digest(kept) == EXCISED_SAMPLE
         assert "kept 650 of 1500" in capsys.readouterr().err
+
+
+# Family enumeration is exact integer arithmetic, so these digests do not
+# depend on the numpy or BLAS build.  Each family is a condition on the
+# residue of d mod M, so runs that reach the same condition through another
+# case or sign (kronecker(d, 3) = -1 is d = 2 mod 3) share a digest.
+DISCRIMINANT_RUNS = {
+    "M3_principal_even": (["--M", "3", "--case", "principal_even"],
+        "c218eeebc0bbaedcbddb6355909e2dbcf0ecbb169d14d03dd2bafe39189f2430"),
+    "M3_principal_odd": (["--M", "3", "--case", "principal_odd"],
+        "07c7da57c72f7adcefad955745d7924f3bd91ae925d17b3ea9e9c9d62d93aba5"),
+    "M3_self_cm": (["--M", "3", "--case", "self_cm", "--delta", "-1"],
+        "07c7da57c72f7adcefad955745d7924f3bd91ae925d17b3ea9e9c9d62d93aba5"),
+    "M3_generic": (["--M", "3", "--case", "generic", "--residue", "2"],
+        "07c7da57c72f7adcefad955745d7924f3bd91ae925d17b3ea9e9c9d62d93aba5"),
+    "M11_principal_even": (["--M", "11", "--case", "principal_even", "--epsilon", "-1"],
+        "beb53d0167b1df94e7e2fb235c1fe718faa18b1f28127dadaf67d5115ea93eaf"),
+    "M11_principal_odd": (["--M", "11", "--case", "principal_odd", "--epsilon", "-1"],
+        "d2b57633a5ca8823fdac1553a3fdc23e418a840a7cd06c15257596ada9f299b6"),
+    "M11_self_cm": (["--M", "11", "--case", "self_cm"],
+        "d2b57633a5ca8823fdac1553a3fdc23e418a840a7cd06c15257596ada9f299b6"),
+    "M11_generic": (["--M", "11", "--case", "generic", "--residue", "7"],
+        "9c909ff62c81a1900071a1dc14bde3e7f99acac1715a45b53af0ca44434b0155"),
+}
+DISCRIMINANT_X = "1000000"
+
+
+@pytest.mark.parametrize("name", list(DISCRIMINANT_RUNS))
+def test_golden_discriminants(name, tmp_path):
+    flags, expected = DISCRIMINANT_RUNS[name]
+    out = tmp_path / f"{name}.txt"
+    assert main(["discriminants", *flags, "--X", DISCRIMINANT_X, "--out", str(out)]) == 0
+    assert _digest(out) == expected
+
+
+def test_discriminants_stdout_matches_file(tmp_path, capsysbinary):
+    argv = ["discriminants", "--M", "11", "--case", "generic", "--residue", "7", "--X", "100000"]
+    out = tmp_path / "family.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsysbinary.readouterr()
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+def test_empty_discriminant_family_writes_nothing(tmp_path, capsysbinary):
+    argv = ["discriminants", "--M", "5", "--case", "generic", "--X", "3"]
+    out = tmp_path / "family.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == b""
+    assert main(argv) == 0
+    captured = capsysbinary.readouterr()
+    assert captured.out == b"" and b"count 0 " in captured.err
