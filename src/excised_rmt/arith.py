@@ -77,7 +77,9 @@ def _squarefree_mask(n: int) -> np.ndarray:
     if n >= 0:
         mask[0] = False
     for i in range(2, int(math.isqrt(n)) + 1):
-        mask[i * i :: i * i] = False
+        # multiples of i*i for a non-squarefree i are cleared by a smaller square
+        if mask[i]:
+            mask[i * i :: i * i] = False
     return mask
 
 
@@ -158,22 +160,24 @@ class FamilySpec:
             raise ValueError("residue class U must satisfy 0 < U < M")
 
 
+def _fundamental_mask(X: int) -> np.ndarray:
+    """Boolean array of length X + 1, true exactly at the positive
+    fundamental discriminants d <= X (d = 1 included)."""
+    fd = np.zeros(X + 1, dtype=bool)
+    fd[1::4] = _squarefree_mask(X)[1::4]
+    # d = 4m with m squarefree: d = 8 (mod 16) is m = 2 (mod 4), 12 is m = 3
+    sfq = _squarefree_mask(X // 4)
+    fd[8::16] = sfq[2::4]
+    fd[12::16] = sfq[3::4]
+    return fd
+
+
 def fundamental_discriminants_up_to(X: int) -> np.ndarray:
     """Sorted positive fundamental discriminants d <= X (d = 1 included)."""
     X = int(X)
     if X < 1:
         return np.empty(0, dtype=np.int64)
-    sf = _squarefree_mask(X)
-    d = np.arange(X + 1, dtype=np.int64)
-    part1 = d[(d % 4 == 1) & sf]
-    q = X // 4
-    if q >= 2:
-        sfq = _squarefree_mask(q)
-        m = np.arange(q + 1, dtype=np.int64)
-        part2 = 4 * m[((m % 4 == 2) | (m % 4 == 3)) & sfq]
-    else:
-        part2 = np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate([part1, part2]))
+    return np.flatnonzero(_fundamental_mask(X)).astype(np.int64, copy=False)
 
 
 def _legendre_table(M: int) -> np.ndarray:
@@ -190,18 +194,22 @@ def enumerate_family(spec: FamilySpec) -> np.ndarray:
     +epsilon_f for even principal twists, -epsilon_f for odd ones, Delta
     with gcd(d, M) = 1 for the self-CM case.  The generic case keeps one
     residue class d = U (mod M), matching its closed-form cardinality.
+    Each condition depends on d mod M only, so it is one length-M mask of
+    residues, tiled over the sieve.
     """
-    d = fundamental_discriminants_up_to(spec.X)
-    d = d[d > 1]
+    X, M = spec.X, spec.M
+    mask = _fundamental_mask(X)
+    mask[1] = False
     if spec.case is SymmetryCase.Generic:
-        return d[d % spec.M == spec.residue_u]
-    table = _legendre_table(spec.M)
-    chi = table[d % spec.M]
-    if spec.case is SymmetryCase.PrincipalEven:
-        return d[chi * spec.epsilon_f == 1]
-    if spec.case is SymmetryCase.PrincipalOdd:
-        return d[chi * spec.epsilon_f == -1]
-    return d[chi == spec.Delta]
+        keep = np.arange(M) == spec.residue_u
+    elif spec.case is SymmetryCase.PrincipalEven:
+        keep = _legendre_table(M) == spec.epsilon_f
+    elif spec.case is SymmetryCase.PrincipalOdd:
+        keep = _legendre_table(M) == -spec.epsilon_f
+    else:
+        keep = _legendre_table(M) == spec.Delta
+    mask &= np.tile(keep, -(-(X + 1) // M))[: X + 1]
+    return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
 def cardinality_estimate(spec: FamilySpec) -> float:

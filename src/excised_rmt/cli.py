@@ -49,12 +49,47 @@ def _group_spec(args) -> GroupSpec:
     return GroupSpec(group_from_name(args.group), args.n)
 
 
-def _write_text(path, text: str) -> None:
+def _write_text(path, text) -> None:
+    """Writes a str or bytes output to path, or to stdout if path is None."""
+    binary = isinstance(text, bytes)
     if path is None:
-        sys.stdout.write(text)
+        if binary:
+            sys.stdout.flush()
+            sys.stdout.buffer.write(text)
+        else:
+            sys.stdout.write(text)
         return
-    with open(path, "w", newline="\n") as fh:
+    with (open(path, "wb") if binary else open(path, "w", newline="\n")) as fh:
         fh.write(text)
+
+
+def _decimal_lines(values: np.ndarray) -> bytes:
+    """ASCII decimal of each value of a sorted non-negative int64 array,
+    one per LF-terminated line.
+
+    Values with the same number of digits w are contiguous, so each such
+    slice is written as a (k, w + 1) byte array, one digit column at a time.
+    """
+    chunks = []
+    start = 0
+    for width in range(1, 20):
+        # 10**19 exceeds int64, so every value left has 19 digits
+        stop = values.size if width == 19 else int(np.searchsorted(values, 10**width))
+        if stop > start:
+            rest = values[start:stop].copy()
+            quot = np.empty_like(rest)
+            lines = np.empty((stop - start, width + 1), dtype=np.uint8)
+            for column in range(width - 1, -1, -1):
+                # numpy divides by a scalar far faster than it takes remainders
+                np.floor_divide(rest, 10, out=quot)
+                rest -= 10 * quot
+                lines[:, column] = rest
+                rest, quot = quot, rest
+            lines += ord("0")
+            lines[:, width] = ord("\n")
+            chunks.append(lines.tobytes())
+            start = stop
+    return b"".join(chunks)
 
 
 def _sample_table_text(table) -> str:
@@ -144,8 +179,7 @@ def cmd_discriminants(args) -> int:
         residue_u=args.residue,
     )
     family = arith.enumerate_family(spec)
-    text = "\n".join(str(int(d)) for d in family) + ("\n" if family.size else "")
-    _write_text(args.out, text)
+    _write_text(args.out, _decimal_lines(family))
     estimate = arith.cardinality_estimate(spec)
     sys.stderr.write(f"count {family.size} estimate {estimate:.17g}\n")
     return 0
@@ -302,21 +336,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vanish-tol", type=float, dest="vanish_tol")
     _add_common(p, monte_carlo=False, bins=True)
 
+    for p in sub.choices.values():
+        p.set_defaults(flags=frozenset(action.dest for action in p._actions))
     return parser
 
 
 def _resolve_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Fills each flag absent from the command line from the config, then
     from _DEFAULTS, and exits with a usage error if a required one is
-    still unset."""
+    still unset.  A config field that the subcommand has no flag for is a
+    data error."""
     values = vars(args)
     if values.get("config"):
         cfg = cfgmod.load_config(args.config)
         if cfg.kind != args.command:
             raise DataError(f"config kind {cfg.kind!r} does not match subcommand {args.command!r}")
-        for key, value in vars(cfg).items():
-            if key != "kind" and value is not None:
-                values.setdefault(key, value)
+        given = {key: value for key, value in vars(cfg).items()
+                 if key != "kind" and value is not None}
+        foreign = sorted(set(given) - args.flags)
+        if foreign:
+            raise DataError(
+                f"config sets {', '.join(map(repr, foreign))}, "
+                f"which {args.command!r} has no flag for"
+            )
+        for key, value in given.items():
+            values.setdefault(key, value)
     for field in dataclasses.fields(cfgmod.RunConfig):
         values.setdefault(field.name, _DEFAULTS.get(field.name))
     missing = [f"--{key}" for key in args.required if values[key] is None]

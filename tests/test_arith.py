@@ -78,6 +78,17 @@ def test_fundamental_discriminants_exhaustive():
     assert ours == ref
 
 
+def test_fundamental_discriminants_every_small_bound():
+    # the sieve fills d = 1 (mod 4), 8 and 12 (mod 16) as separate slices,
+    # so every residue of X mod 16 ends them differently
+    ref = [d for d in range(1, 301) if _is_fund_brute(d)]
+    assert fundamental_discriminants_up_to(0).size == 0
+    for X in range(1, 301):
+        ours = fundamental_discriminants_up_to(X)
+        assert ours.dtype == np.int64
+        assert ours.tolist() == [d for d in ref if d <= X], X
+
+
 # --- Kronecker symbol ------------------------------------------------------
 
 @given(st.integers(min_value=-500, max_value=500), st.integers(min_value=-500, max_value=500))
@@ -120,12 +131,16 @@ def _family_brute(spec: FamilySpec) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
+@pytest.mark.parametrize(
+    "epsilon_f, Delta, residue_u", [(1, 1, 1), (1, -1, 2), (-1, 1, 2), (-1, -1, 1)]
+)
 @pytest.mark.parametrize("M", [3, 5, 7, 11, 13, 17])
 @pytest.mark.parametrize(
     "case", [SymmetryCase.PrincipalEven, SymmetryCase.PrincipalOdd, SymmetryCase.SelfCM, SymmetryCase.Generic]
 )
-def test_enumerate_family_matches_brute_force(M, case):
-    spec = FamilySpec(M=M, case=case, X=10_000)
+def test_enumerate_family_matches_brute_force(M, case, epsilon_f, Delta, residue_u):
+    spec = FamilySpec(M=M, case=case, X=10_000, epsilon_f=epsilon_f, Delta=Delta,
+                      residue_u=residue_u)
     assert np.array_equal(enumerate_family(spec), _family_brute(spec))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from excised_rmt import stats
-from excised_rmt.cli import SAMPLE_HEADER, _sample_table_text, main
+from excised_rmt.cli import SAMPLE_HEADER, _decimal_lines, _sample_table_text, main
 
 
 def run(capsys, *argv):
@@ -96,6 +96,32 @@ def test_discriminants_output(capsys):
     ds = [int(x) for x in out.split()]
     assert all(d % 5 == 1 for d in ds)
     assert "estimate" in err
+
+
+def _decimal_reference(values) -> bytes:
+    return "".join(f"{v}\n" for v in values).encode()
+
+
+def test_decimal_lines_at_every_width_boundary():
+    values = [0]
+    for k in range(1, 19):
+        values += [10**k - 1, 10**k]
+    values.append(2**63 - 1)
+    array = np.array(values, dtype=np.int64)
+    assert _decimal_lines(array) == _decimal_reference(values)
+    # every slice that starts or ends at a boundary
+    for i in range(len(values)):
+        assert _decimal_lines(array[i:]) == _decimal_reference(values[i:])
+        assert _decimal_lines(array[:i]) == _decimal_reference(values[:i])
+
+
+@pytest.mark.parametrize("value", [0, 7, 10, 123456789, 10**18, 2**63 - 1])
+def test_decimal_lines_single_value(value):
+    assert _decimal_lines(np.array([value], dtype=np.int64)) == f"{value}\n".encode()
+
+
+def test_decimal_lines_empty():
+    assert _decimal_lines(np.empty(0, dtype=np.int64)) == b""
 
 
 def test_neff_generic_json(capsys):
@@ -203,6 +229,18 @@ def test_config_value_of_wrong_type_is_data_error(field, value, tmp_path, capsys
     code, out, err = run(capsys, "onelevel", "--config", str(cfg))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and repr(field) in err
+
+
+def test_config_field_without_a_flag_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(
+        {"kind": "discriminants", "M": 5, "case": "generic", "X": 50, "workers": 0, "bins": 4}))
+    code, out, err = run(capsys, "discriminants", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "'bins'" in err and "'workers'" in err
+    cfg.write_text(json.dumps({"kind": "discriminants", "M": 5, "case": "generic", "X": 50}))
+    code, out, _ = run(capsys, "discriminants", "--config", str(cfg))
+    assert code == 0 and out == "21\n41\n"
 
 
 def test_config_kind_mismatch_is_data_error(tmp_path, capsys):
