@@ -257,11 +257,19 @@ def self_cm_root_number(D: int, d: int, epsilon_f: complex) -> complex:
     return direct
 
 
+def _log_scaled(d: np.ndarray, M: int) -> np.ndarray:
+    """log(sqrt(M) d / 2 pi) as float, computed in one array."""
+    d = d.astype(float)
+    np.multiply(d, math.sqrt(M), out=d)
+    np.divide(d, 2.0 * _PI, out=d)
+    return np.log(d, out=d)
+
+
 def sum_log_family(spec: FamilySpec) -> dict:
     """Direct and closed-form values of sum over d of log(sqrt(M) d / 2 pi)."""
-    d = enumerate_family(spec).astype(float)
+    d = _log_scaled(enumerate_family(spec), spec.M)
     count = d.size
-    direct = float(np.sum(np.log(math.sqrt(spec.M) * d / (2.0 * _PI))))
+    direct = float(np.sum(d))
     closed = count * (math.log(math.sqrt(spec.M) * spec.X / (2.0 * _PI)) - 1.0)
     return {"direct": direct, "closed": closed, "gap": direct - closed, "count": count}
 
@@ -276,10 +284,11 @@ def oscillatory_family_sum(spec: FamilySpec, tau: float, R: float) -> dict:
     """
     if R <= 0:
         raise ValueError("R must be positive")
-    d = enumerate_family(spec).astype(float)
+    d = _log_scaled(enumerate_family(spec), spec.M)
     count = d.size
-    base = np.log(math.sqrt(spec.M) * d / (2.0 * _PI))
-    direct = complex(np.sum(np.exp(-2j * _PI * tau / R * base)))
+    z = np.multiply(d, -2j * _PI * tau / R)
+    del d
+    direct = complex(np.sum(np.exp(z, out=z)))
     closed = (
         count
         * cmath.exp(-2j * _PI * tau - 2j * _PI * tau / R)

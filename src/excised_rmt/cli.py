@@ -256,7 +256,9 @@ def _add_common(p, *, monte_carlo=True, bins=False):
     if monte_carlo:
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--count", type=int, help="number of samples")
-        p.add_argument("--workers", type=int, help="worker shard count (result-invariant)")
+        p.add_argument("--workers", type=int,
+                       help="threads that sample blocks, capped at the usable cores "
+                            "(output bytes do not depend on it)")
     if bins:
         p.add_argument("--bins", type=int, help="histogram bin count")
     p.add_argument("--out", help="output path (default: stdout)")

@@ -1,12 +1,18 @@
 """Streaming Monte Carlo statistics for sampled spectra.
 
 Every ensemble statistic is one reduction over ``_blocks``, which walks
-the sample-index range in order as blocks of Haar matrices.  Histograms
-are mergeable, so the result does not depend on how the range is split.
+the sample-index range in order as blocks of Haar matrices.  With more
+than one worker, blocks are sampled and reduced on a thread pool (numpy's
+LAPACK and ufunc loops release the GIL) and handed back in index order;
+the blocks in flight share one memory budget.  Each matrix is a pure
+function of (seed, index) and histogram counts are integer sums, so no
+output byte depends on the worker count.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -15,7 +21,8 @@ from excised_rmt.groups import GroupKind, GroupSpec, sample_batch
 from excised_rmt.spectral import char_poly_batch, eigenangles_batch, first_angles_batch
 
 DEFAULT_BINS = 100
-# Matrix entries per sampled block; bounds block memory for any matrix size.
+# Matrix entries over all blocks in flight; bounds memory for any matrix
+# size and worker count.
 _BLOCK_ELEMENTS = 2**18
 
 # One row per sample of the CLI ``sample`` table and the excision pipeline.
@@ -31,7 +38,7 @@ SAMPLE_DTYPE = np.dtype(
 
 
 class Histogram:
-    """Fixed-edge bin counts with underflow/overflow tracking.
+    """Fixed-edge bin counts with underflow, overflow and NaN tracking.
 
     normalization selects how ``values()`` reports the bins:
 
@@ -51,6 +58,7 @@ class Histogram:
         self.counts = np.zeros(edges.size - 1, dtype=np.int64)
         self.underflow = 0
         self.overflow = 0
+        self.nan = 0
         self.normalization = normalization
         self.events = events
 
@@ -63,6 +71,7 @@ class Histogram:
         if values.size == 0:
             return
         lo, hi = self.edges[0], self.edges[-1]
+        self.nan += int(np.count_nonzero(np.isnan(values)))
         self.underflow += int(np.count_nonzero(values < lo))
         self.overflow += int(np.count_nonzero(values > hi))
         inside = values[(values >= lo) & (values <= hi)]
@@ -75,6 +84,7 @@ class Histogram:
         self.counts += other.counts
         self.underflow += other.underflow
         self.overflow += other.overflow
+        self.nan += other.nan
         if self.events is not None and other.events is not None:
             self.events += other.events
         return self
@@ -145,16 +155,51 @@ def _index_shards(count: int, workers: int):
         start += size
 
 
-def _blocks(spec: GroupSpec, count: int, master_seed: int, workers: int):
-    """Yields (start, mats) for sample indices 0..count-1 in index order.
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _blocks(
+    spec: GroupSpec, count: int, master_seed: int, workers: int, reduce=lambda mats: mats
+):
+    """Yields (start, reduce(mats)) for sample indices 0..count-1 in index order.
 
     mats holds the Haar samples start..start+len(mats)-1; a block never
-    spans two shards and holds at most _BLOCK_ELEMENTS matrix entries.
+    spans two shards.  Up to min(workers, count, usable cores) threads
+    sample and reduce blocks, and at most one block per thread is started
+    ahead of the one the caller is consuming, so the blocks in flight share
+    a budget of about _BLOCK_ELEMENTS matrix entries.  An exception in a
+    block is raised here, in index order.  One thread runs inline.
     """
-    block = max(1, _BLOCK_ELEMENTS // spec.dim**2)
-    for start, size in _index_shards(count, workers):
-        for first in range(start, start + size, block):
-            yield first, sample_batch(spec, master_seed, first, min(block, start + size - first))
+    threads = max(1, min(workers, count, _usable_cores()))
+    block = max(1, _BLOCK_ELEMENTS // (threads * spec.dim**2))
+
+    def run(first: int, size: int):
+        return first, reduce(sample_batch(spec, master_seed, first, size))
+
+    spans = (
+        (first, min(block, start + size - first))
+        for start, size in _index_shards(count, workers)
+        for first in range(start, start + size, block)
+    )
+    if threads == 1:
+        for first, size in spans:
+            yield run(first, size)
+        return
+    # imported here: one-worker runs do not pay for concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(threads) as pool:
+        pending = deque()
+        for first, size in spans:
+            pending.append(pool.submit(run, first, size))
+            if len(pending) > threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def density_angles(spec: GroupSpec, angle_rows: np.ndarray) -> np.ndarray:
@@ -193,9 +238,13 @@ def one_level_density_mc(
         raise ValueError("count must be >= 1")
     hi = one_level_range(spec)
     hist = Histogram.uniform(0.0, hi, bins, normalization="per_event", events=0.0)
-    for _, mats in _blocks(spec, count, master_seed, workers):
-        hist.add(density_angles(spec, eigenangles_batch(spec, mats)))
-        hist.events += len(mats)
+
+    def reduce(mats):
+        return len(mats), density_angles(spec, eigenangles_batch(spec, mats))
+
+    for _, (size, angles) in _blocks(spec, count, master_seed, workers, reduce):
+        hist.add(angles)
+        hist.events += size
     return hist
 
 
@@ -219,12 +268,16 @@ def pair_correlation_mc(
     hist = Histogram.uniform(0.0, window, bins, normalization="per_event", events=0.0)
     scale = dim / (2.0 * np.pi)
     off_diagonal = ~np.eye(dim, dtype=bool)
-    for _, mats in _blocks(spec, count, master_seed, workers):
+
+    def reduce(mats):
         theta = eigenangles_batch(spec, mats)
         diffs = np.mod(theta[:, :, None] - theta[:, None, :], 2.0 * np.pi)
         x = diffs[:, off_diagonal].ravel() * scale
-        hist.add(x[x > 0.0])
-        hist.events += len(mats) * dim
+        return len(mats), x[x > 0.0]
+
+    for _, (size, x) in _blocks(spec, count, master_seed, workers, reduce):
+        hist.add(x)
+        hist.events += size * dim
     return hist
 
 
@@ -273,8 +326,12 @@ def first_eigenangle_samples(
 ) -> np.ndarray:
     """Smallest positive eigenangle of each sampled matrix, in index order."""
     out = np.empty(count)
-    for start, mats in _blocks(spec, count, master_seed, workers):
-        out[start : start + len(mats)] = first_angles_batch(eigenangles_batch(spec, mats))
+
+    def reduce(mats):
+        return first_angles_batch(eigenangles_batch(spec, mats))
+
+    for start, angles in _blocks(spec, count, master_seed, workers, reduce):
+        out[start : start + len(angles)] = angles
     return out
 
 
@@ -290,15 +347,19 @@ def sample_summaries(
     the CLI ``sample`` output and the excision pipeline.
     """
     out = np.empty(count, dtype=SAMPLE_DTYPE)
-    for start, mats in _blocks(spec, count, master_seed, workers):
+
+    def reduce(mats):
         theta = eigenangles_batch(spec, mats)
         cp = char_poly_batch(mats)
-        rows = out[start : start + len(mats)]
-        rows["sample_index"] = np.arange(start, start + len(mats))
-        rows["first_angle"] = first_angles_batch(theta)
+        return first_angles_batch(theta), cp, np.abs(cp)
+
+    for start, (angles, cp, cp_abs) in _blocks(spec, count, master_seed, workers, reduce):
+        rows = out[start : start + len(angles)]
+        rows["sample_index"] = np.arange(start, start + len(angles))
+        rows["first_angle"] = angles
         rows["charpoly_re"] = cp.real
         rows["charpoly_im"] = cp.imag
-        rows["charpoly_abs"] = np.abs(cp)
+        rows["charpoly_abs"] = cp_abs
     return out
 
 
@@ -307,6 +368,10 @@ def char_poly_magnitudes(
 ) -> np.ndarray:
     """|det(I - A)| per sample, without the eigen cross-check (fast path)."""
     out = np.empty(count)
-    for start, mats in _blocks(spec, count, master_seed, workers):
-        out[start : start + len(mats)] = np.abs(char_poly_batch(mats, check=False))
+
+    def reduce(mats):
+        return np.abs(char_poly_batch(mats, check=False))
+
+    for start, magnitudes in _blocks(spec, count, master_seed, workers, reduce):
+        out[start : start + len(magnitudes)] = magnitudes
     return out

@@ -220,6 +220,20 @@ def test_oscillatory_family_sum_matched_r():
     assert gaps[1] <= gaps[0]
 
 
+@pytest.mark.parametrize("M, case, tau", [(11, SymmetryCase.PrincipalEven, 1.0),
+                                          (3, SymmetryCase.Generic, 0.37),
+                                          (7, SymmetryCase.SelfCM, 1.9)])
+def test_family_sums_match_the_plain_expression(M, case, tau):
+    # the in-place sums must equal the plain array expression bit for bit
+    spec = FamilySpec(M=M, case=case, X=100_000)
+    R = math.log(math.sqrt(M) * spec.X / (2 * math.pi)) - 1.0
+    d = enumerate_family(spec).astype(float)
+    base = np.log(math.sqrt(M) * d / (2.0 * math.pi))
+    assert sum_log_family(spec)["direct"] == float(np.sum(base))
+    expect = complex(np.sum(np.exp(-2j * math.pi * tau / R * base)))
+    assert oscillatory_family_sum(spec, tau, R)["direct"] == expect
+
+
 def test_oscillatory_family_sum_rejects_bad_r():
     spec = FamilySpec(M=11, case=SymmetryCase.PrincipalEven, X=1000)
     with pytest.raises(ValueError):

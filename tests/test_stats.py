@@ -1,4 +1,7 @@
-"""Streaming statistics: histograms, KS distance, sharding."""
+"""Streaming statistics: histograms, KS distance, sharding, threaded blocks."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,11 +9,14 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from excised_rmt import stats
 from excised_rmt.groups import GroupKind, GroupSpec
+from excised_rmt.spectral import SpectralError
 from excised_rmt.stats import (
     Histogram,
     _blocks,
     _index_shards,
+    char_poly_magnitudes,
     first_eigenangle_samples,
     ks_distance,
     mean_normalize,
@@ -32,6 +38,15 @@ def test_histogram_tracks_out_of_range():
     h = Histogram.uniform(0.0, 1.0, 4)
     h.add([-0.5, 0.2, 0.7, 3.0])
     assert h.total_in_range == 2
+
+
+def test_histogram_counts_nan():
+    h = Histogram.uniform(0.0, 1.0, 4)
+    h.add([np.nan, 0.5, np.inf])
+    assert (h.nan, h.overflow, h.underflow, h.total_in_range) == (1, 1, 0, 1)
+    other = Histogram.uniform(0.0, 1.0, 4)
+    other.add([np.nan, np.nan])
+    assert h.merge(other).nan == 3
 
 
 def test_histogram_merge_matches_whole():
@@ -105,6 +120,86 @@ def test_block_size_follows_matrix_size():
                         (GroupSpec(GroupKind.Unitary, 30), 291)):
         starts = [start for start, _ in _blocks(spec, block + 1, 1, workers=1)]
         assert starts == [0, block]
+
+
+def test_threads_share_the_block_budget(monkeypatch):
+    # two threads split 2**18 entries: 327 matrices of SO(20) per block
+    monkeypatch.setattr(stats, "_usable_cores", lambda: 2)
+    spec = GroupSpec(GroupKind.SOEven, 10)
+    starts = [start for start, _ in _blocks(spec, 700, 1, workers=2)]
+    assert starts == [0, 327, 350, 677]
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Many small blocks, and four usable cores whatever the machine has."""
+    monkeypatch.setattr(stats, "_BLOCK_ELEMENTS", 600)
+    monkeypatch.setattr(stats, "_usable_cores", lambda: 4)
+
+
+@pytest.mark.parametrize("fn", [sample_summaries, first_eigenangle_samples, char_poly_magnitudes])
+def test_threaded_arrays_are_byte_identical(fn, small_blocks):
+    spec = GroupSpec(GroupKind.USp, 3)
+    base = fn(spec, 50, 4, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for workers in (2, 3, 8):
+            assert fn(spec, 50, 4, workers=workers).tobytes() == base.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_block_error_propagates_and_stops_sampling(monkeypatch, small_blocks):
+    # 3 threads, blocks of 600 // (3 * 16) = 12 matrices of U(4)
+    calls = []
+    real = stats.sample_batch
+
+    def tagged(spec, seed, first, size):
+        calls.append(first)
+        return first, real(spec, seed, first, size)
+
+    def reduce(block):
+        first, mats = block
+        if first == 36:
+            raise SpectralError("block 36")
+        return mats
+
+    monkeypatch.setattr(stats, "sample_batch", tagged)
+    spec = GroupSpec(GroupKind.Unitary, 4)
+    seen = []
+    with pytest.raises(SpectralError, match="block 36"):
+        for start, _ in _blocks(spec, 600, 1, workers=3, reduce=reduce):
+            seen.append(start)
+    assert seen == [0, 12, 24]
+    assert len([first for first in calls if first > 36]) <= 3
+
+
+@pytest.mark.parametrize("workers, count", [(1, 50), (2, 50), (3, 50), (8, 50), (8, 2), (3, 1)])
+def test_thread_count_is_capped(workers, count, monkeypatch):
+    monkeypatch.setattr(stats, "_BLOCK_ELEMENTS", 600)
+    spec = GroupSpec(GroupKind.Unitary, 4)
+    for cores in (stats._usable_cores(), 2):
+        monkeypatch.setattr(stats, "_usable_cores", lambda: cores)
+        idents = set()
+
+        def reduce(mats):
+            idents.add(threading.get_ident())
+            return mats
+
+        starts = [start for start, _ in _blocks(spec, count, 1, workers, reduce)]
+        assert starts == sorted(starts) and len(starts) >= min(workers, count)
+        assert 1 <= len(idents) <= min(workers, count, cores)
+        if min(workers, count, cores) == 1:
+            assert idents == {threading.get_ident()}
+
+
+def test_huge_worker_count_matches_one_worker():
+    spec = GroupSpec(GroupKind.SOEven, 3)
+    huge = list(_blocks(spec, 3, 1, workers=10**12))
+    one = list(_blocks(spec, 3, 1, workers=1))
+    assert [start for start, _ in huge] == [0, 1, 2]
+    assert np.concatenate([m for _, m in huge]).tobytes() == one[0][1].tobytes()
 
 
 def test_ks_distance_against_scipy():
