@@ -99,8 +99,3 @@ def load_config(path) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     return config_from_dict(data)
-
-
-def parse_config(text: str) -> RunConfig:
-    data = json.loads(text)
-    return config_from_dict(data)

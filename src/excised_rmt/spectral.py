@@ -10,6 +10,9 @@ import numpy as np
 from excised_rmt.groups import GroupKind, GroupSpec
 
 _MODULUS_TOL = 1e-6
+# det(I - A) by LU against the product over (1 - e^{i theta_j})
+_CHARPOLY_REL_TOL = 1e-6
+_CHARPOLY_ABS_TOL = 1e-9
 
 
 class SpectralError(RuntimeError):
@@ -81,14 +84,13 @@ def eigenangles_batch(spec: GroupSpec, mats: np.ndarray) -> np.ndarray:
     return _symmetrize(theta, forced_zero=spec.group is GroupKind.SOOdd)
 
 
-def char_poly_batch(
-    mats: np.ndarray, check: bool = True, rel_tol: float = 1e-6, abs_tol: float = 1e-9
-) -> np.ndarray:
+def char_poly_batch(mats: np.ndarray, check: bool = True) -> np.ndarray:
     """det(I - A) for a stack of matrices, via LU with a product cross-check.
 
     The LU value is authoritative; the spectral product over (1 - e^{i
-    theta_j}) must agree within relative rel_tol (plus a small absolute
-    floor for the structurally singular odd orthogonal case).
+    theta_j}) must agree within relative _CHARPOLY_REL_TOL (plus the
+    absolute floor _CHARPOLY_ABS_TOL for the structurally singular odd
+    orthogonal case).
     """
     dim = mats.shape[-1]
     eye = np.eye(dim, dtype=mats.dtype)
@@ -98,7 +100,7 @@ def char_poly_batch(
         w = w / np.abs(w)
         prod = np.prod(1.0 - w, axis=1)
         gap = np.abs(lu - prod)
-        allow = rel_tol * np.maximum(np.abs(lu), np.abs(prod)) + abs_tol
+        allow = _CHARPOLY_REL_TOL * np.maximum(np.abs(lu), np.abs(prod)) + _CHARPOLY_ABS_TOL
         if np.any(gap > allow):
             worst = int(np.argmax(gap - allow))
             raise SpectralError(

@@ -1,19 +1,21 @@
 """Streaming Monte Carlo statistics for sampled spectra.
 
-Every ensemble statistic is one reduction over ``_blocks``, which walks
-the sample-index range in order as blocks of Haar matrices.  With more
-than one worker, blocks are sampled and reduced on a thread pool (numpy's
-LAPACK and ufunc loops release the GIL) and handed back in index order;
-the blocks in flight share one memory budget.  Each matrix is a pure
-function of (seed, index) and histogram counts are integer sums, so no
-output byte depends on the worker count.
+Every ensemble statistic is one reduction over ``_blocks``, which cuts
+the sample-index range into near-equal blocks of Haar matrices and hands
+them back in index order; per-sample arrays are filled by ``_collect``.
+With more than one worker, blocks are sampled and reduced on a thread
+pool (numpy's LAPACK and ufunc loops release the GIL), and the blocks in
+flight share one memory budget.  The library default (workers=None) uses
+every usable core.  Each matrix is a pure function of (seed, index) and
+histogram counts are integer sums, so no output byte depends on the
+worker count or the block layout.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -40,26 +42,22 @@ SAMPLE_DTYPE = np.dtype(
 class Histogram:
     """Fixed-edge bin counts with underflow, overflow and NaN tracking.
 
-    normalization selects how ``values()`` reports the bins:
-
-    - "raw": integer counts
-    - "density": counts / (in-range total * width), integrating to 1
-    - "per_event": counts / (events * width), a per-sample density whose
-      event weight is supplied by the builder (e.g. matrices sampled)
-    - "mean_one_density" behaves like "density" but records that samples
-      were rescaled to unit mean before binning
+    ``values()`` is a density: counts / (events * width) when the builder
+    gives an event count (e.g. matrices sampled), a per-event density;
+    otherwise counts / (in-range total * width), which integrates to 1.
     """
 
-    def __init__(self, edges, normalization: str = "density", events: Optional[float] = None):
+    def __init__(self, edges, events: Optional[int] = None):
         edges = np.asarray(edges, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
             raise ValueError("edges must be strictly increasing with >= 2 entries")
+        if events is not None and events <= 0:
+            raise ValueError("events must be positive")
         self.edges = edges
         self.counts = np.zeros(edges.size - 1, dtype=np.int64)
         self.underflow = 0
         self.overflow = 0
         self.nan = 0
-        self.normalization = normalization
         self.events = events
 
     @classmethod
@@ -78,17 +76,6 @@ class Histogram:
         counts, _ = np.histogram(inside, bins=self.edges)
         self.counts += counts
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        if not np.array_equal(self.edges, other.edges):
-            raise ValueError("cannot merge histograms with different edges")
-        self.counts += other.counts
-        self.underflow += other.underflow
-        self.overflow += other.overflow
-        self.nan += other.nan
-        if self.events is not None and other.events is not None:
-            self.events += other.events
-        return self
-
     @property
     def widths(self) -> np.ndarray:
         return np.diff(self.edges)
@@ -98,11 +85,7 @@ class Histogram:
         return int(self.counts.sum())
 
     def values(self) -> np.ndarray:
-        if self.normalization == "raw":
-            return self.counts.astype(float)
-        if self.normalization == "per_event":
-            if not self.events:
-                raise ValueError("per_event normalization requires an event count")
+        if self.events is not None:
             return self.counts / (self.events * self.widths)
         total = self.total_in_range
         if total == 0:
@@ -136,23 +119,9 @@ def mean_one_histogram(samples, bins: int = DEFAULT_BINS, hi: Optional[float] = 
     scaled = mean_normalize(samples)
     if hi is None:
         hi = float(scaled.max()) * (1.0 + 1e-12)
-    hist = Histogram.uniform(0.0, hi, bins, normalization="mean_one_density")
+    hist = Histogram.uniform(0.0, hi, bins)
     hist.add(scaled)
     return hist
-
-
-def _index_shards(count: int, workers: int):
-    """Deterministic contiguous shards of the sample index range, at most count of them."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    shards = max(1, min(int(workers), count))
-    base, extra = divmod(count, shards)
-    start = 0
-    for w in range(shards):
-        size = base + (1 if w < extra else 0)
-        if size:
-            yield start, size
-        start += size
 
 
 def _usable_cores() -> int:
@@ -163,43 +132,70 @@ def _usable_cores() -> int:
 
 
 def _blocks(
-    spec: GroupSpec, count: int, master_seed: int, workers: int, reduce=lambda mats: mats
+    spec: GroupSpec,
+    count: int,
+    master_seed: int,
+    workers: Optional[int] = None,
+    reduce=lambda mats: mats,
 ):
-    """Yields (start, reduce(mats)) for sample indices 0..count-1 in index order.
+    """Iterates (start, reduce(mats)) over sample indices 0..count-1 in index order.
 
-    mats holds the Haar samples start..start+len(mats)-1; a block never
-    spans two shards.  Up to min(workers, count, usable cores) threads
-    sample and reduce blocks, and at most one block per thread is started
-    ahead of the one the caller is consuming, so the blocks in flight share
-    a budget of about _BLOCK_ELEMENTS matrix entries.  An exception in a
-    block is raised here, in index order.  One thread runs inline.
+    mats holds the Haar samples start..start+len(mats)-1.  Up to
+    min(workers, count, usable cores) threads (usable cores when workers
+    is None) sample and reduce blocks, and at most one block per thread is
+    started ahead of the one the caller is consuming, so the blocks in
+    flight share a budget of about _BLOCK_ELEMENTS matrix entries.  The
+    range is cut into near-equal blocks, a multiple of the thread count of
+    them unless that would exceed count, so every thread gets the same
+    work.  A negative count or workers < 1 raises ValueError at the call;
+    an exception in a block is raised by the iterator, in index order.
+    One thread runs inline.
     """
-    threads = max(1, min(workers, count, _usable_cores()))
-    block = max(1, _BLOCK_ELEMENTS // (threads * spec.dim**2))
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    cores = _usable_cores()
+    if workers is None:
+        workers = cores
+    elif workers < 1:
+        raise ValueError("workers must be >= 1")
+    threads = max(1, min(workers, count, cores))
+    per_block = max(1, _BLOCK_ELEMENTS // (threads * spec.dim**2))
+    blocks = min(count, threads * -(-count // (threads * per_block)))
 
-    def run(first: int, size: int):
+    def run(i: int):
+        first = count * i // blocks
+        size = count * (i + 1) // blocks - first
         return first, reduce(sample_batch(spec, master_seed, first, size))
 
-    spans = (
-        (first, min(block, start + size - first))
-        for start, size in _index_shards(count, workers)
-        for first in range(start, start + size, block)
-    )
     if threads == 1:
-        for first, size in spans:
-            yield run(first, size)
-        return
+        return map(run, range(blocks))
+    return _in_order_on_threads(run, blocks, threads)
+
+
+def _in_order_on_threads(run, blocks: int, threads: int):
+    """Yields run(0), ..., run(blocks-1), computed on a pool of threads."""
     # imported here: one-worker runs do not pay for concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(threads) as pool:
         pending = deque()
-        for first, size in spans:
-            pending.append(pool.submit(run, first, size))
+        for i in range(blocks):
+            pending.append(pool.submit(run, i))
             if len(pending) > threads:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+
+
+def _collect(
+    spec: GroupSpec, count: int, master_seed: int, workers: Optional[int], reduce, dtype=float
+):
+    """One array of count rows, filled block by block from reduce's rows."""
+    blocks = _blocks(spec, count, master_seed, workers, reduce)
+    out = np.empty(count, dtype=dtype)
+    for start, rows in blocks:
+        out[start : start + len(rows)] = rows
+    return out
 
 
 def density_angles(spec: GroupSpec, angle_rows: np.ndarray) -> np.ndarray:
@@ -231,20 +227,18 @@ def one_level_density_mc(
     count: int,
     master_seed: int,
     bins: int = DEFAULT_BINS,
-    workers: int = 1,
+    workers: Optional[int] = None,
 ) -> Histogram:
     """Empirical eigenangle density per matrix per radian."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    hi = one_level_range(spec)
-    hist = Histogram.uniform(0.0, hi, bins, normalization="per_event", events=0.0)
+    hist = Histogram.uniform(0.0, one_level_range(spec), bins, events=count)
 
     def reduce(mats):
-        return len(mats), density_angles(spec, eigenangles_batch(spec, mats))
+        return density_angles(spec, eigenangles_batch(spec, mats))
 
-    for _, (size, angles) in _blocks(spec, count, master_seed, workers, reduce):
+    for _, angles in _blocks(spec, count, master_seed, workers, reduce):
         hist.add(angles)
-        hist.events += size
     return hist
 
 
@@ -254,7 +248,7 @@ def pair_correlation_mc(
     master_seed: int,
     window: float = 5.0,
     bins: int = DEFAULT_BINS,
-    workers: int = 1,
+    workers: Optional[int] = None,
 ) -> Histogram:
     """Density of scaled eigenangle differences over (0, window].
 
@@ -265,7 +259,7 @@ def pair_correlation_mc(
     if count < 1 or window <= 0:
         raise ValueError("need count >= 1 and window > 0")
     dim = spec.dim
-    hist = Histogram.uniform(0.0, window, bins, normalization="per_event", events=0.0)
+    hist = Histogram.uniform(0.0, window, bins, events=count * dim)
     scale = dim / (2.0 * np.pi)
     off_diagonal = ~np.eye(dim, dtype=bool)
 
@@ -273,28 +267,10 @@ def pair_correlation_mc(
         theta = eigenangles_batch(spec, mats)
         diffs = np.mod(theta[:, :, None] - theta[:, None, :], 2.0 * np.pi)
         x = diffs[:, off_diagonal].ravel() * scale
-        return len(mats), x[x > 0.0]
+        return x[x > 0.0]
 
-    for _, (size, x) in _blocks(spec, count, master_seed, workers, reduce):
+    for _, x in _blocks(spec, count, master_seed, workers, reduce):
         hist.add(x)
-        hist.events += size * dim
-    return hist
-
-
-def nearest_neighbor_spacings(
-    spectra: Iterable[np.ndarray], bins: int = DEFAULT_BINS, hi: float = 4.0
-) -> Histogram:
-    """Unit-mean-scaled gaps between consecutive positive angles."""
-    gaps = []
-    for angles in spectra:
-        positive = np.sort(np.asarray(angles)[np.asarray(angles) > 0.0])
-        if positive.size >= 2:
-            gaps.append(np.diff(positive))
-    hist = Histogram.uniform(0.0, hi, bins, normalization="density")
-    if not gaps:
-        return hist
-    pooled = np.concatenate(gaps)
-    hist.add(mean_normalize(pooled))
     return hist
 
 
@@ -322,56 +298,49 @@ def first_eigenangle_samples(
     spec: GroupSpec,
     count: int,
     master_seed: int,
-    workers: int = 1,
+    workers: Optional[int] = None,
 ) -> np.ndarray:
     """Smallest positive eigenangle of each sampled matrix, in index order."""
-    out = np.empty(count)
 
     def reduce(mats):
         return first_angles_batch(eigenangles_batch(spec, mats))
 
-    for start, angles in _blocks(spec, count, master_seed, workers, reduce):
-        out[start : start + len(angles)] = angles
-    return out
+    return _collect(spec, count, master_seed, workers, reduce)
 
 
 def sample_summaries(
     spec: GroupSpec,
     count: int,
     master_seed: int,
-    workers: int = 1,
+    workers: Optional[int] = None,
 ) -> np.ndarray:
     """Per-sample summary table: first angle and det(I - A).
 
     Returns a SAMPLE_DTYPE array in sample-index order; the backbone of
     the CLI ``sample`` output and the excision pipeline.
     """
-    out = np.empty(count, dtype=SAMPLE_DTYPE)
 
     def reduce(mats):
         theta = eigenangles_batch(spec, mats)
         cp = char_poly_batch(mats)
-        return first_angles_batch(theta), cp, np.abs(cp)
-
-    for start, (angles, cp, cp_abs) in _blocks(spec, count, master_seed, workers, reduce):
-        rows = out[start : start + len(angles)]
-        rows["sample_index"] = np.arange(start, start + len(angles))
-        rows["first_angle"] = angles
+        rows = np.empty(len(mats), dtype=SAMPLE_DTYPE)
+        rows["first_angle"] = first_angles_batch(theta)
         rows["charpoly_re"] = cp.real
         rows["charpoly_im"] = cp.imag
-        rows["charpoly_abs"] = cp_abs
+        rows["charpoly_abs"] = np.abs(cp)
+        return rows
+
+    out = _collect(spec, count, master_seed, workers, reduce, SAMPLE_DTYPE)
+    out["sample_index"] = np.arange(count)
     return out
 
 
 def char_poly_magnitudes(
-    spec: GroupSpec, count: int, master_seed: int, workers: int = 1
+    spec: GroupSpec, count: int, master_seed: int, workers: Optional[int] = None
 ) -> np.ndarray:
     """|det(I - A)| per sample, without the eigen cross-check (fast path)."""
-    out = np.empty(count)
 
     def reduce(mats):
         return np.abs(char_poly_batch(mats, check=False))
 
-    for start, magnitudes in _blocks(spec, count, master_seed, workers, reduce):
-        out[start : start + len(magnitudes)] = magnitudes
-    return out
+    return _collect(spec, count, master_seed, workers, reduce)

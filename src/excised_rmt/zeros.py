@@ -6,7 +6,6 @@ L-function side of the model is an external input by design.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
@@ -99,8 +98,8 @@ def compare_report(zero_samples, ensemble_samples, bins: int = 100) -> dict:
     left = mean_normalize(zero_samples)
     right = mean_normalize(ensemble_samples)
     hi = float(max(left.max(), right.max())) * (1.0 + 1e-12)
-    hleft = Histogram.uniform(0.0, hi, bins, normalization="mean_one_density")
-    hright = Histogram.uniform(0.0, hi, bins, normalization="mean_one_density")
+    hleft = Histogram.uniform(0.0, hi, bins)
+    hright = Histogram.uniform(0.0, hi, bins)
     hleft.add(left)
     hright.add(right)
     vleft = hleft.values()
@@ -128,9 +127,3 @@ def compare_report(zero_samples, ensemble_samples, bins: int = 100) -> dict:
         "normalization": "both sample sets divided by their own sample mean",
         "bins": rows,
     }
-
-
-def write_report(path, report: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

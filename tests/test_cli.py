@@ -27,6 +27,13 @@ def test_sample_csv_contract(capsys):
     assert float(fields[4]) == pytest.approx(abs(complex(float(fields[2]), float(fields[3]))))
 
 
+def test_negative_count_is_a_count_error(capsys):
+    code, out, err = run(capsys, "sample", "--group", "unitary", "--n", "3", "--count", "-5")
+    assert code == 1 and out == "" and err == "error: count must be >= 0\n"
+    code, out, _ = run(capsys, "sample", "--group", "unitary", "--n", "3", "--count", "0")
+    assert code == 0 and out == SAMPLE_HEADER + "\n"
+
+
 def test_sample_table_text_formats_every_value():
     table = np.array(
         [(0, 0.1, -0.0, 1e-300, 2.5), (2**40, np.nan, np.inf, -np.inf, 1 / 3)],

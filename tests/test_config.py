@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from excised_rmt.config import ConfigError, RunConfig, config_from_dict, load_config, parse_config
+from excised_rmt.config import ConfigError, RunConfig, config_from_dict, load_config
 
 
 def test_round_trip():
     cfg = RunConfig(kind="sample", group="so_even", n=10, count=100, seed=3)
-    back = parse_config(cfg.to_json())
+    back = config_from_dict(json.loads(cfg.to_json()))
     assert back == cfg
 
 

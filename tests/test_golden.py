@@ -2,8 +2,7 @@
 
 Each output is pinned by its sha256 digest and must not change with the
 worker count.  The sizes make every output span several sample blocks,
-so a change to how the index range is split into blocks or shards shows
-up here.
+so a change to how the index range is split into blocks shows up here.
 
 The digests were taken with numpy 2.4 on scipy-openblas 0.3.31 (x86-64).
 The outputs are exact functions of the seed, but the low bits of

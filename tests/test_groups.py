@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excised_rmt import groups
+from excised_rmt import groups, stats
 from excised_rmt.groups import (
     _MASK64,
     GroupInvariantError,
@@ -75,12 +75,13 @@ def test_batches_are_offset_invariant(kind):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_stream_matches_batch(kind):
+def test_stream_matches_batch(kind, monkeypatch):
     # the block stream every Monte Carlo statistic reduces over, split here
-    # into three shards, concatenates to one whole batch
+    # into one near-equal block per thread, concatenates to one whole batch
+    monkeypatch.setattr(stats, "_usable_cores", lambda: 4)
     spec = GroupSpec(kind, 3)
     blocks = list(_blocks(spec, 7, 9, workers=3))
-    assert [start for start, _ in blocks] == [0, 3, 5]
+    assert [start for start, _ in blocks] == [0, 2, 4]
     streamed = np.concatenate([mats for _, mats in blocks])
     assert np.array_equal(streamed, sample_batch(spec, 9, 0, 7))
 

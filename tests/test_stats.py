@@ -1,5 +1,6 @@
-"""Streaming statistics: histograms, KS distance, sharding, threaded blocks."""
+"""Streaming statistics: histograms, KS distance, the block split, threaded blocks."""
 
+import math
 import sys
 import threading
 
@@ -15,13 +16,11 @@ from excised_rmt.spectral import SpectralError
 from excised_rmt.stats import (
     Histogram,
     _blocks,
-    _index_shards,
     char_poly_magnitudes,
     first_eigenangle_samples,
     ks_distance,
     mean_normalize,
     mean_one_histogram,
-    nearest_neighbor_spacings,
     one_level_density_mc,
     pair_correlation_mc,
     sample_summaries,
@@ -29,7 +28,7 @@ from excised_rmt.stats import (
 
 
 def test_histogram_density_integrates_to_one():
-    h = Histogram.uniform(0.0, 2.0, 10, normalization="density")
+    h = Histogram.uniform(0.0, 2.0, 10)
     h.add(np.random.default_rng(0).uniform(0.0, 2.0, 1000))
     assert float(np.sum(h.values() * h.widths)) == pytest.approx(1.0)
 
@@ -44,28 +43,18 @@ def test_histogram_counts_nan():
     h = Histogram.uniform(0.0, 1.0, 4)
     h.add([np.nan, 0.5, np.inf])
     assert (h.nan, h.overflow, h.underflow, h.total_in_range) == (1, 1, 0, 1)
-    other = Histogram.uniform(0.0, 1.0, 4)
-    other.add([np.nan, np.nan])
-    assert h.merge(other).nan == 3
+    h.add([np.nan, np.nan])
+    assert h.nan == 3
 
 
-def test_histogram_merge_matches_whole():
-    a = Histogram.uniform(0.0, 1.0, 5)
-    b = Histogram.uniform(0.0, 1.0, 5)
-    whole = Histogram.uniform(0.0, 1.0, 5)
-    xs = np.linspace(0.01, 0.99, 37)
-    a.add(xs[:20])
-    b.add(xs[20:])
-    whole.add(xs)
-    merged = a.merge(b)
-    assert np.array_equal(merged.counts, whole.counts)
-
-
-def test_histogram_merge_rejects_mismatched_edges():
-    a = Histogram.uniform(0.0, 1.0, 5)
-    b = Histogram.uniform(0.0, 2.0, 5)
-    with pytest.raises(ValueError):
-        a.merge(b)
+def test_histogram_per_event_density():
+    # with an event count the density is per event, not per binned value
+    h = Histogram.uniform(0.0, 1.0, 2, events=4)
+    h.add([0.25, 0.25, 0.75, 3.0])
+    assert h.values().tolist() == [2 / (4 * 0.5), 1 / (4 * 0.5)]
+    for events in (0, -1):
+        with pytest.raises(ValueError, match="events"):
+            Histogram.uniform(0.0, 1.0, 2, events=events)
 
 
 def test_histogram_csv_contract():
@@ -97,37 +86,58 @@ def test_mean_one_histogram_has_unit_mean_support():
     assert est_mean == pytest.approx(1.0, abs=0.05)
 
 
-def test_index_shards_partition():
-    for count in (0, 1, 7, 100):
-        for workers in (1, 2, 3, 8):
-            spans = list(_index_shards(count, workers))  # (start, size) pairs
-            assert sum(size for _, size in spans) == count
-            # contiguous, ordered, nonempty
+@pytest.mark.parametrize("cores", [1, 2, 4])
+def test_blocks_split_the_range_evenly(cores, monkeypatch):
+    # 60 entries per budget: 15, 7 or 3 matrices of U(2) per block on 1, 2 or 4 threads
+    monkeypatch.setattr(stats, "_BLOCK_ELEMENTS", 60)
+    monkeypatch.setattr(stats, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(stats, "sample_batch", lambda spec, seed, first, size: (first, size))
+    spec = GroupSpec(GroupKind.Unitary, 2)
+    for count in (0, 1, 2, 3, 7, 100):
+        for workers in (1, 2, 3, 8, None):
+            threads = max(1, min(cores if workers is None else workers, count, cores))
+            per_block = max(1, 60 // (threads * 4))
+            spans = [span for _, span in _blocks(spec, count, 1, workers)]
             pos = 0
-            for start, size in spans:
-                assert start == pos and size > 0
-                pos = start + size
-            assert len(spans) == min(count, workers)
-    # the shard count is capped by the sample count, not looped over
-    assert list(_index_shards(3, 10**12)) == [(0, 1), (1, 1), (2, 1)]
-    with pytest.raises(ValueError):
-        list(_index_shards(10, 0))
+            for first, size in spans:  # contiguous, ordered, nonempty, within the budget
+                assert first == pos and 0 < size <= per_block
+                pos += size
+            assert pos == count
+            assert len(spans) == min(count, threads * math.ceil(count / (threads * per_block)))
+            assert len(spans) % threads == 0 or len(spans) == count
+            sizes = [size for _, size in spans]
+            assert not sizes or max(sizes) - min(sizes) <= 1
 
 
-def test_block_size_follows_matrix_size():
-    # 2**18 matrix entries per block: 655 matrices of SO(20), 291 of U(30)
-    for spec, block in ((GroupSpec(GroupKind.SOEven, 10), 655),
-                        (GroupSpec(GroupKind.Unitary, 30), 291)):
-        starts = [start for start, _ in _blocks(spec, block + 1, 1, workers=1)]
-        assert starts == [0, block]
+def test_blocks_reject_bad_count_and_workers():
+    spec = GroupSpec(GroupKind.Unitary, 2)
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        list(_blocks(spec, -2, 1, 1))
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        list(_blocks(spec, 10, 1, 0))
+
+
+def test_block_size_follows_matrix_size(monkeypatch):
+    # 2**18 matrix entries per block: at most 655 matrices of SO(20), 291 of
+    # U(30), so one more than that splits into two near-equal blocks
+    monkeypatch.setattr(stats, "_usable_cores", lambda: 1)
+    for spec, block, second in ((GroupSpec(GroupKind.SOEven, 10), 655, 328),
+                                (GroupSpec(GroupKind.Unitary, 30), 291, 146)):
+        blocks = list(_blocks(spec, block + 1, 1, workers=1))
+        assert [start for start, _ in blocks] == [0, second]
+        streamed = np.concatenate([mats for _, mats in blocks])
+        assert streamed.tobytes() == stats.sample_batch(spec, 1, 0, block + 1).tobytes()
 
 
 def test_threads_share_the_block_budget(monkeypatch):
-    # two threads split 2**18 entries: 327 matrices of SO(20) per block
+    # two threads split 2**18 entries: at most 327 matrices of SO(20) per
+    # block, so 700 matrices make 2 * ceil(700 / 654) = 4 blocks of 175
     monkeypatch.setattr(stats, "_usable_cores", lambda: 2)
     spec = GroupSpec(GroupKind.SOEven, 10)
-    starts = [start for start, _ in _blocks(spec, 700, 1, workers=2)]
-    assert starts == [0, 327, 350, 677]
+    blocks = list(_blocks(spec, 700, 1, workers=2))
+    assert [start for start, _ in blocks] == [0, 175, 350, 525]
+    streamed = np.concatenate([mats for _, mats in blocks])
+    assert streamed.tobytes() == stats.sample_batch(spec, 1, 0, 700).tobytes()
 
 
 @pytest.fixture
@@ -151,7 +161,8 @@ def test_threaded_arrays_are_byte_identical(fn, small_blocks):
 
 
 def test_block_error_propagates_and_stops_sampling(monkeypatch, small_blocks):
-    # 3 threads, blocks of 600 // (3 * 16) = 12 matrices of U(4)
+    # 3 threads, at most 600 // (3 * 16) = 12 matrices of U(4) per block, so
+    # 576 matrices make 48 blocks of exactly 12
     calls = []
     real = stats.sample_batch
 
@@ -169,7 +180,7 @@ def test_block_error_propagates_and_stops_sampling(monkeypatch, small_blocks):
     spec = GroupSpec(GroupKind.Unitary, 4)
     seen = []
     with pytest.raises(SpectralError, match="block 36"):
-        for start, _ in _blocks(spec, 600, 1, workers=3, reduce=reduce):
+        for start, _ in _blocks(spec, 576, 1, workers=3, reduce=reduce):
             seen.append(start)
     assert seen == [0, 12, 24]
     assert len([first for first in calls if first > 36]) <= 3
@@ -188,13 +199,15 @@ def test_thread_count_is_capped(workers, count, monkeypatch):
             return mats
 
         starts = [start for start, _ in _blocks(spec, count, 1, workers, reduce)]
-        assert starts == sorted(starts) and len(starts) >= min(workers, count)
-        assert 1 <= len(idents) <= min(workers, count, cores)
-        if min(workers, count, cores) == 1:
+        threads = min(workers, count, cores)
+        assert starts == sorted(starts) and len(starts) >= threads
+        assert 1 <= len(idents) <= threads
+        if threads == 1:
             assert idents == {threading.get_ident()}
 
 
-def test_huge_worker_count_matches_one_worker():
+def test_huge_worker_count_matches_one_worker(monkeypatch):
+    monkeypatch.setattr(stats, "_usable_cores", lambda: 4)
     spec = GroupSpec(GroupKind.SOEven, 3)
     huge = list(_blocks(spec, 3, 1, workers=10**12))
     one = list(_blocks(spec, 3, 1, workers=1))
@@ -258,13 +271,3 @@ def test_first_eigenangle_samples_positive():
     xs = first_eigenangle_samples(spec, 200, 3)
     assert xs.size == 200
     assert np.all(xs > 0)
-
-
-def test_nearest_neighbor_spacings_mean_one():
-    rng = np.random.default_rng(7)
-    rows = np.sort(rng.uniform(0, 2 * np.pi, (200, 20)), axis=1)
-    h = nearest_neighbor_spacings(rows)
-    mids = 0.5 * (h.edges[:-1] + h.edges[1:])
-    mean = float(np.sum(mids * h.values() * h.widths))
-    # spacings are rescaled to unit mean; mass above the histogram range is small
-    assert mean == pytest.approx(1.0, abs=0.1)
