@@ -144,24 +144,27 @@ def _gaussian_count(spec: GroupSpec) -> int:
     return 4 * spec.n * spec.n  # quaternionic: two complex matrices of size N
 
 
-def _unitary_from_ginibre(z: np.ndarray) -> np.ndarray:
-    """Batched QR with phase correction; z has shape (B, n, n)."""
+def _qr_phases(z: np.ndarray):
+    """Batched QR of z (B, n, n): Q and the unit-modulus phases of R's diagonal.
+
+    A zero diagonal entry gets phase 1.  Q with each column times the
+    conjugate of its phase is the Haar-distributed factor.
+    """
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     mod = np.abs(d)
-    mod[mod == 0.0] = 1.0
-    phase = d / mod
-    if np.iscomplexobj(z):
-        q = q * np.conj(phase)[:, None, :]
-    else:
-        q = q * np.sign(np.where(phase == 0.0, 1.0, phase))[:, None, :]
-    return q
+    zero = mod == 0.0
+    d[zero] = 1.0
+    mod[zero] = 1.0
+    return q, d / mod
 
 
 def _so_batch(dim: int, g: np.ndarray) -> np.ndarray:
-    q = _unitary_from_ginibre(g.reshape(-1, dim, dim))
-    det = np.linalg.det(q)
-    flip = det < 0.0
+    q, signs = _qr_phases(g.reshape(-1, dim, dim))
+    q *= signs[:, None, :]
+    # Householder QR makes Q a product of dim - 1 reflections (the last
+    # reflector is the identity), so det = (-1)^(dim - 1) * prod(signs)
+    flip = np.prod(signs, axis=1) * (-1.0) ** (dim - 1) < 0.0
     q[flip, :, -1] = -q[flip, :, -1]
     return q
 
@@ -222,7 +225,8 @@ def sample_batch(spec: GroupSpec, master_seed: int, start: int, count: int) -> n
         return _so_batch(d, raw)
     if spec.group is GroupKind.Unitary:
         z = raw[:, : d * d] + 1j * raw[:, d * d :]
-        return _unitary_from_ginibre(z.reshape(count, d, d))
+        q, phases = _qr_phases(z.reshape(count, d, d))
+        return q * np.conj(phases)[:, None, :]
     return _usp_batch(spec.n, raw)
 
 

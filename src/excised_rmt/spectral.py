@@ -1,4 +1,10 @@
-"""Eigenangle extraction, characteristic polynomial at 1, and excision."""
+"""Eigenangle extraction, characteristic polynomial at 1, and excision.
+
+U(N) eigenangles come from a Hermitian eigen-solve of the Cayley
+transform, with rows that have an eigenvalue near -1 solved again after a
+rotation (`unitary_angles`).  SO and USp eigenangles come from `eigvals`,
+projected to the unit circle and paired as +/- theta (`_symmetrize`).
+"""
 
 from __future__ import annotations
 
@@ -10,6 +16,11 @@ import numpy as np
 from excised_rmt.groups import GroupKind, GroupSpec
 
 _MODULUS_TOL = 1e-6
+# Largest |tan(theta / 2)| a Cayley pass may keep, and the passes a row may
+# take.  On planted U(2)-U(30) spectra one pass kept every angle within
+# 5e-14 up to max|t| = 100, 9.4e-14 up to 150 and 1.2e-13 up to 200.
+_CAYLEY_T_MAX = 100.0
+_CAYLEY_PASSES = 6
 # det(I - A) by LU against the product over (1 - e^{i theta_j})
 _CHARPOLY_REL_TOL = 1e-6
 _CHARPOLY_ABS_TOL = 1e-9
@@ -74,13 +85,107 @@ def _symmetrize(theta: np.ndarray, forced_zero: bool) -> np.ndarray:
     return out
 
 
+def _wrap(theta: np.ndarray) -> np.ndarray:
+    """Angles in (-2 pi, 2 pi] mapped into (-pi, pi]."""
+    theta = np.where(theta > np.pi, theta - 2.0 * np.pi, theta)
+    return np.where(theta <= -np.pi, theta + 2.0 * np.pi, theta)
+
+
+def _cayley(a: np.ndarray):
+    """Hermitian parts of i(I - A)(I + A)^-1 for a stack, their defects, and a solved mask.
+
+    The defect is the Frobenius norm of H - H^*, zero for unitary A in
+    exact arithmetic.  Dropping the skew part before `eigvalsh`, which reads
+    one triangle, cuts the error of small angles about tenfold.  A matrix
+    whose I + A is exactly singular gets a zero H and False in the mask;
+    np.linalg.solve would otherwise fail the whole stack for it.
+    """
+    diag = np.arange(a.shape[-1])
+    lhs = a + np.eye(a.shape[-1])
+    rhs = -1j * a
+    rhs[:, diag, diag] += 1j
+    solved = np.ones(len(a), dtype=bool)
+    try:
+        h = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        h = np.zeros_like(rhs)
+        for k in range(len(a)):
+            try:
+                h[k] = np.linalg.solve(lhs[k], rhs[k])
+            except np.linalg.LinAlgError:
+                solved[k] = False
+    del lhs, rhs
+    # h + h^* and h - h^* with one temporary
+    skew = h.conj().swapaxes(1, 2)
+    h += skew
+    skew *= -2.0
+    skew += h
+    h *= 0.5
+    return h, np.linalg.norm(skew, axis=(1, 2)), solved
+
+
+def _gap_centre(theta: np.ndarray) -> np.ndarray:
+    """Middle of the largest gap between the angles of each row, going round the circle."""
+    theta = np.sort(theta, axis=1)
+    gaps = np.empty_like(theta)
+    gaps[:, :-1] = np.diff(theta, axis=1)
+    gaps[:, -1] = theta[:, 0] + 2.0 * np.pi - theta[:, -1]
+    widest = gaps.argmax(axis=1)
+    pick = np.arange(len(theta))
+    return theta[pick, widest] + 0.5 * gaps[pick, widest]
+
+
+def unitary_angles(mats: np.ndarray) -> np.ndarray:
+    """Eigenangles in (-pi, pi] of a (B, dim, dim) unitary stack; rows sorted.
+
+    One pass takes A' = e^{-i psi} A (psi = 0 at first) to its Cayley
+    transform H = i(I - A')(I + A')^-1, which is Hermitian with eigenvalues
+    t = tan((theta - psi) / 2), so `eigvalsh(H)` gives the angles.  Their
+    error grows like eps * max|t|**2, so a row whose max|t| exceeds
+    _CAYLEY_T_MAX is solved again with psi moving -1 to the middle of the
+    largest gap between its latest angles, until every row is under it.
+    A row is kept only when its H is Hermitian within _MODULUS_TOL; one that
+    is not within _CAYLEY_PASSES passes, such as a non-unitary input,
+    raises SpectralError.
+    """
+    count, dim = mats.shape[:2]
+    theta = np.empty((count, dim))
+    rows = np.arange(count)
+    psi = np.zeros(count)
+    a = mats
+    for _ in range(_CAYLEY_PASSES):
+        h, defect, solved = _cayley(a)
+        if not np.all(np.isfinite(defect)):
+            raise SpectralError("matrix with non-finite entries")
+        t = np.linalg.eigvalsh(h)
+        theta[rows] = _wrap(psi[:, None] + 2.0 * np.arctan(t))
+        # the defect of a unitary row stays near eps * max|t|**2, far below
+        # _MODULUS_TOL, except when I + A' is nearly singular
+        far = ~solved | (np.abs(t).max(axis=1) > _CAYLEY_T_MAX) | (defect > _MODULUS_TOL)
+        if not far.any():
+            theta.sort(axis=1)
+            return theta
+        rows, psi, solved, defect = rows[far], psi[far], solved[far], defect[far]
+        # an exactly singular I + A' has -1 as an eigenvalue: turn it by
+        # half the mean spacing and let the next pass find the gap
+        psi[~solved] += np.pi / dim
+        if solved.any():
+            psi[solved] = _gap_centre(theta[rows[solved]]) - np.pi
+        psi = _wrap(psi)
+        a = mats[rows] * np.exp(-1j * psi)[:, None, None]
+    raise SpectralError(
+        f"no Cayley pass of {len(rows)} matrices was Hermitian within {_MODULUS_TOL} "
+        f"(largest defect {np.max(defect):.3e}) with max|t| <= {_CAYLEY_T_MAX}: "
+        "input not unitary"
+    )
+
+
 def eigenangles_batch(spec: GroupSpec, mats: np.ndarray) -> np.ndarray:
     """Eigenangles for a (B, dim, dim) stack; returns (B, dim) sorted rows."""
+    if spec.group is GroupKind.Unitary:
+        return unitary_angles(mats)
     w = np.linalg.eigvals(mats)
     theta = _canonical_angles(w)
-    if spec.group is GroupKind.Unitary:
-        theta.sort(axis=1)
-        return theta
     return _symmetrize(theta, forced_zero=spec.group is GroupKind.SOOdd)
 
 

@@ -387,6 +387,22 @@ def u_pair_corr(x, n: int):
     return out
 
 
+def u_pair_corr_exact(x, n: int):
+    """Exact U(N) pair correlation 1 - (sin pi x / (N sin(pi x / N)))^2.
+
+    x is an eigenangle difference scaled to unit mean spacing; the
+    function has period N and vanishes at multiples of N.
+    """
+    if int(n) != n or n < 1:
+        raise ValueError("N must be a positive integer")
+    n = int(n)
+    x = np.asarray(x, dtype=float)
+    out = 1.0 - (sin_ratio(n, _PI * x / n) / n) ** 2
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
 def pair_corr_expansion(y, R: float, e: PairCorrCoefficients):
     """Pair-correlation integrand including the R^-2 and R^-3 terms."""
     if R <= 0:

@@ -32,6 +32,7 @@ from excised_rmt.theory import (
     montgomery_r2,
     n_eff_l2_optimize,
     u_pair_corr,
+    u_pair_corr_exact,
 )
 from excised_rmt.arith import FamilySpec, cardinality_estimate, enumerate_family, oscillatory_family_sum, sum_log_family
 from excised_rmt.groups import sample_batch
@@ -99,6 +100,18 @@ def test_criterion_03_one_level_density(kind, n):
     _report(3, ok, f"{kind.name} N={n}: max per-bin |MC - exact|/se = {worst:.2f} over 100 bins (<= 4)")
 
 
+def _pair_corr_z(hist, n: int) -> float:
+    """Largest per-bin |MC - exact| / se against the bin-averaged exact U(N) form."""
+    exact = np.array(
+        [
+            adaptive_simpson(lambda x: u_pair_corr_exact(float(x), n), float(a), float(b)) / (b - a)
+            for a, b in zip(hist.edges[:-1], hist.edges[1:])
+        ]
+    )
+    se = np.sqrt(np.maximum(hist.counts, 1)) / (hist.events * hist.widths)
+    return float(np.max(np.abs(hist.values() - exact) / se))
+
+
 def test_criterion_04_pair_correlation():
     # U(30): L1 distance to the limiting pair correlation on [0, 3]
     spec = GroupSpec(GroupKind.Unitary, 30)
@@ -118,12 +131,18 @@ def test_criterion_04_pair_correlation():
     l1_without = float(np.sum(np.abs(v6 - montgomery_r2(mids6)) * w6))
     l1_with = float(np.sum(np.abs(v6 - u_pair_corr(mids6, 6)) * w6))
     cond_b = l1_with < l1_without
-    ok = cond_a and cond_b
+
+    # both histograms against the exact finite-N form, bin by bin
+    z30 = _pair_corr_z(hist, 30)
+    z6 = _pair_corr_z(hist6, 6)
+    cond_c = max(z30, z6) <= 4.0
+    ok = cond_a and cond_b and cond_c
     _report(
         4,
         ok,
         f"U(30) L1 vs limit = {l1_limit:.4f} (<= 0.02); "
-        f"U(6) L1 with finite-size term {l1_with:.4f} < without {l1_without:.4f}",
+        f"U(6) L1 with finite-size term {l1_with:.4f} < without {l1_without:.4f}; "
+        f"max per-bin |MC - exact|/se U(30) {z30:.2f}, U(6) {z6:.2f} over 60 bins (<= 4)",
     )
 
 

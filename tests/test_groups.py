@@ -147,6 +147,20 @@ def test_special_orthogonal_determinant_is_one():
         assert np.allclose(np.linalg.det(mats), 1.0, atol=1e-8)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 20, 21, 24, 25])
+def test_so_determinant_sign_comes_from_the_qr(dim):
+    # _so_batch reads det(q) = (-1)^(dim - 1) * prod(sign R_ii) off its QR;
+    # the matrices must equal those of a flip on the determinant's sign
+    for seed in range(20):
+        g = _gaussian_block(seed, 0, 200, dim * dim)
+        q, signs = groups._qr_phases(g.reshape(-1, dim, dim))
+        q *= signs[:, None, :]
+        rule = (-1.0) ** (dim - 1) * np.prod(signs, axis=1)
+        det_sign = np.sign(np.linalg.det(q))
+        assert np.array_equal(rule, det_sign)
+        q[det_sign < 0, :, -1] *= -1.0
+        assert np.array_equal(groups._so_batch(dim, g), q)
+
 def test_symplectic_form_preserved():
     n = 5
     j = symplectic_form(n)

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from excised_rmt.groups import GroupKind, GroupSpec, sample, sample_batch
 from excised_rmt.spectral import (
     ExcisionRule,
+    SpectralError,
+    _canonical_angles,
     char_poly_batch,
     eigenangles_batch,
     excise_mask,
     first_angles_batch,
+    unitary_angles,
 )
 
 ALL_KINDS = list(GroupKind)
@@ -51,6 +54,82 @@ def test_eigenvalues_reconstruct_matrix_spectrum():
     recon = np.sort_complex(np.exp(1j * angles))
     assert np.max(np.abs(w - recon)) < 1e-9
 
+
+def _haar(dim, seed, count):
+    return sample_batch(GroupSpec(GroupKind.Unitary, dim), seed, 0, count)
+
+
+def _eigvals_route(mats):
+    """The eigen-solve unitary_angles replaced: eigvals, radial projection, sort."""
+    return np.sort(_canonical_angles(np.linalg.eigvals(mats)), axis=1)
+
+
+def _circle_gap(a, b):
+    return np.max(np.abs(np.exp(1j * np.asarray(a)) - np.exp(1j * np.asarray(b))))
+
+
+@pytest.mark.parametrize("dim", [6, 9, 30])
+def test_cayley_angles_on_planted_spectra(dim):
+    # Q diag(e^{i theta}) Q^* with Q Haar: one angle within eps of -1 (from
+    # either side) and one small angle; every angle must come back within 1e-13
+    rng = np.random.default_rng(dim)
+    rows = []
+    for eps in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
+        for small in (1e-5, 1e-6, 1e-7, 1e-8):
+            block = rng.uniform(-np.pi, np.pi, (20, dim))
+            block[:10, 0] = np.pi - eps
+            block[10:, 0] = -np.pi + eps
+            block[:, 1] = small
+            rows.append(block)
+    rows = np.sort(np.concatenate(rows), axis=1)
+    q = _haar(dim, 100 + dim, len(rows))
+    mats = (q * np.exp(1j * rows)[:, None, :]) @ q.conj().transpose(0, 2, 1)
+    assert np.max(np.abs(unitary_angles(mats) - rows)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6, 9, 30])
+def test_cayley_angles_match_eigvals_on_haar_blocks(dim):
+    for seed in range(5):
+        mats = _haar(dim, seed, 400)
+        got = unitary_angles(mats)
+        assert np.all(got > -np.pi) and np.all(got <= np.pi)
+        assert np.max(np.abs(got - _eigvals_route(mats))) <= 1e-12
+        spec = GroupSpec(GroupKind.Unitary, dim)
+        assert np.array_equal(eigenangles_batch(spec, mats), got)
+
+
+@pytest.mark.parametrize("kind,n", [(GroupKind.SOEven, 10), (GroupKind.SOOdd, 10), (GroupKind.USp, 10)])
+def test_cayley_angles_take_any_unitary_stack(kind, n):
+    # real orthogonal and symplectic stacks go through the same solver
+    mats = sample_batch(GroupSpec(kind, n), 9, 0, 300)
+    assert np.max(np.abs(unitary_angles(mats) - _eigvals_route(mats))) <= 1e-12
+
+
+def test_exactly_singular_i_plus_a():
+    # np.linalg.solve fails a whole stack on one singular I + A
+    lone = np.diag([-1.0, 1.0, 1.0]).astype(complex)
+    assert _circle_gap(unitary_angles(lone[None]), [[0.0, 0.0, np.pi]]) <= 1e-15
+    assert _circle_gap(unitary_angles(-np.eye(4)[None]), np.full((1, 4), np.pi)) <= 1e-15
+    mats = _haar(3, 4, 50)
+    mats[17] = lone
+    got = unitary_angles(mats)
+    assert _circle_gap(got[17], [0.0, 0.0, np.pi]) <= 1e-15
+    rest = np.arange(50) != 17
+    assert np.max(np.abs(got[rest] - _eigvals_route(mats[rest]))) <= 1e-12
+
+
+def test_non_unitary_input_raises():
+    mats = _haar(30, 2, 4)
+    with pytest.raises(SpectralError):
+        unitary_angles(1.001 * mats)
+    bumped = mats.copy()
+    bumped[2, 3, 4] += 1e-4
+    with pytest.raises(SpectralError):
+        eigenangles_batch(GroupSpec(GroupKind.Unitary, 30), bumped)
+    broken = mats.copy()
+    broken[1, 0, 0] = np.nan
+    with pytest.raises(SpectralError):
+        unitary_angles(broken)
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_char_poly_dual_route_agrees(kind):

@@ -27,6 +27,7 @@ from excised_rmt.theory import (
     scaled_density_expansion,
     small_value_prob,
     u_pair_corr,
+    u_pair_corr_exact,
     vanishing_count,
 )
 
@@ -208,6 +209,29 @@ def test_u_pair_corr_reduces_at_half_integers():
     assert u_pair_corr(0.5, n) == pytest.approx(montgomery_r2(0.5) - 1.0 / (3 * n * n))
     assert u_pair_corr(1.0, n) == pytest.approx(montgomery_r2(1.0))
 
+
+def test_u_pair_corr_exact_against_its_expansion():
+    # u_pair_corr is the exact form to order 1/N^2; the next term is 1/N^4,
+    # so doubling N shrinks the gap about 16-fold
+    x = np.linspace(0.0, 3.0, 301)
+    gap30 = np.max(np.abs(u_pair_corr_exact(x, 30) - u_pair_corr(x, 30)))
+    gap60 = np.max(np.abs(u_pair_corr_exact(x, 60) - u_pair_corr(x, 60)))
+    assert 14.0 < gap30 / gap60 < 18.0
+    n = 2000
+    limit = np.max(np.abs(u_pair_corr_exact(x, n) - montgomery_r2(x)))
+    assert 0.0 < limit <= 1.0 / (3 * n * n) * 1.01
+
+
+def test_u_pair_corr_exact_values():
+    # zero at multiples of N, period N, and identically zero for U(1)
+    assert u_pair_corr_exact(0.0, 7) == 0.0
+    assert u_pair_corr_exact(7.0, 7) == pytest.approx(0.0, abs=1e-12)
+    assert u_pair_corr_exact(2.3, 7) == pytest.approx(u_pair_corr_exact(9.3, 7), abs=1e-12)
+    assert u_pair_corr_exact(0.5, 2) == pytest.approx(1.0 - (1.0 / (2 * math.sin(math.pi / 4))) ** 2)
+    assert np.all(u_pair_corr_exact(np.array([0.0, 0.3, 1.7]), 1) == 0.0)
+    for bad in (0, -3, 2.5):
+        with pytest.raises(ValueError):
+            u_pair_corr_exact(0.5, bad)
 
 def test_pair_corr_expansion_limits():
     e = PairCorrCoefficients(e1=0.5, e2=1.5, e3=2.0)
