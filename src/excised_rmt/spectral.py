@@ -21,6 +21,10 @@ _MODULUS_TOL = 1e-6
 # 5e-14 up to max|t| = 100, 9.4e-14 up to 150 and 1.2e-13 up to 200.
 _CAYLEY_T_MAX = 100.0
 _CAYLEY_PASSES = 6
+# A row above _CAYLEY_T_MAX is still kept when its max|t| is within this
+# factor of cot(g / 4), the least any rotation reaches with widest gap g:
+# for U(N) with N above about 150 that least value can exceed _CAYLEY_T_MAX.
+_CAYLEY_GAP_SLACK = 1.25
 # det(I - A) by LU against the product over (1 - e^{i theta_j})
 _CHARPOLY_REL_TOL = 1e-6
 _CHARPOLY_ABS_TOL = 1e-9
@@ -124,15 +128,16 @@ def _cayley(a: np.ndarray):
     return h, np.linalg.norm(skew, axis=(1, 2)), solved
 
 
-def _gap_centre(theta: np.ndarray) -> np.ndarray:
-    """Middle of the largest gap between the angles of each row, going round the circle."""
+def _widest_gap(theta: np.ndarray):
+    """Middle and width of the largest gap between the angles of each row, going round the circle."""
     theta = np.sort(theta, axis=1)
     gaps = np.empty_like(theta)
     gaps[:, :-1] = np.diff(theta, axis=1)
     gaps[:, -1] = theta[:, 0] + 2.0 * np.pi - theta[:, -1]
     widest = gaps.argmax(axis=1)
     pick = np.arange(len(theta))
-    return theta[pick, widest] + 0.5 * gaps[pick, widest]
+    width = gaps[pick, widest]
+    return theta[pick, widest] + 0.5 * width, width
 
 
 def unitary_angles(mats: np.ndarray) -> np.ndarray:
@@ -143,10 +148,11 @@ def unitary_angles(mats: np.ndarray) -> np.ndarray:
     t = tan((theta - psi) / 2), so `eigvalsh(H)` gives the angles.  Their
     error grows like eps * max|t|**2, so a row whose max|t| exceeds
     _CAYLEY_T_MAX is solved again with psi moving -1 to the middle of the
-    largest gap between its latest angles, until every row is under it.
-    A row is kept only when its H is Hermitian within _MODULUS_TOL; one that
-    is not within _CAYLEY_PASSES passes, such as a non-unitary input,
-    raises SpectralError.
+    largest gap between its latest angles.  No rotation gets max|t| below
+    cot(g / 4) for a widest gap g, so a row within _CAYLEY_GAP_SLACK of that
+    is kept too.  A row is kept only when its H is Hermitian within
+    _MODULUS_TOL; one that is not within _CAYLEY_PASSES passes, such as a
+    non-unitary input, raises SpectralError.
     """
     count, dim = mats.shape[:2]
     theta = np.empty((count, dim))
@@ -159,23 +165,27 @@ def unitary_angles(mats: np.ndarray) -> np.ndarray:
             raise SpectralError("matrix with non-finite entries")
         t = np.linalg.eigvalsh(h)
         theta[rows] = _wrap(psi[:, None] + 2.0 * np.arctan(t))
+        t_max = np.abs(t).max(axis=1)
         # the defect of a unitary row stays near eps * max|t|**2, far below
         # _MODULUS_TOL, except when I + A' is nearly singular
-        far = ~solved | (np.abs(t).max(axis=1) > _CAYLEY_T_MAX) | (defect > _MODULUS_TOL)
+        far = ~solved | (t_max > _CAYLEY_T_MAX) | (defect > _MODULUS_TOL)
         if not far.any():
             theta.sort(axis=1)
             return theta
-        rows, psi, solved, defect = rows[far], psi[far], solved[far], defect[far]
+        rows, psi, solved, defect, t_max = rows[far], psi[far], solved[far], defect[far], t_max[far]
+        centre, width = _widest_gap(theta[rows])
+        far = ~solved | (t_max > _CAYLEY_GAP_SLACK / np.tan(0.25 * width)) | (defect > _MODULUS_TOL)
+        rows, psi, solved, defect, centre = rows[far], psi[far], solved[far], defect[far], centre[far]
+        if not len(rows):
+            theta.sort(axis=1)
+            return theta
         # an exactly singular I + A' has -1 as an eigenvalue: turn it by
         # half the mean spacing and let the next pass find the gap
-        psi[~solved] += np.pi / dim
-        if solved.any():
-            psi[solved] = _gap_centre(theta[rows[solved]]) - np.pi
-        psi = _wrap(psi)
+        psi = _wrap(np.where(solved, centre - np.pi, psi + np.pi / dim))
         a = mats[rows] * np.exp(-1j * psi)[:, None, None]
     raise SpectralError(
         f"no Cayley pass of {len(rows)} matrices was Hermitian within {_MODULUS_TOL} "
-        f"(largest defect {np.max(defect):.3e}) with max|t| <= {_CAYLEY_T_MAX}: "
+        f"(largest defect {np.max(defect):.3e}) with max|t| near its least: "
         "input not unitary"
     )
 

@@ -73,6 +73,18 @@ def test_criterion_02_so_odd_char_poly_vanishes():
     _report(2, ok, f"max |det(I-A)| over 1000 SO(21) samples = {worst:.2e} (< 1e-10)")
 
 
+def _max_bin_z(hist, f) -> float:
+    """Largest per-bin |MC - exact| / se against the bin averages of f."""
+    exact = np.array(
+        [
+            adaptive_simpson(lambda x: f(float(x)), float(a), float(b)) / (b - a)
+            for a, b in zip(hist.edges[:-1], hist.edges[1:])
+        ]
+    )
+    se = np.sqrt(np.maximum(hist.counts, 1)) / (hist.events * hist.widths)
+    return float(np.max(np.abs(hist.values() - exact) / se))
+
+
 @pytest.mark.parametrize(
     "kind,n",
     [
@@ -86,30 +98,9 @@ def test_criterion_03_one_level_density(kind, n):
     spec = GroupSpec(kind, n)
     count = 200_000
     hist = one_level_density_mc(spec, count, 42, bins=100)
-    exact = np.array(
-        [
-            adaptive_simpson(lambda t: finite_n_density(kind, n, float(t)), float(a), float(b))
-            / (b - a)
-            for a, b in zip(hist.edges[:-1], hist.edges[1:])
-        ]
-    )
-    se = np.sqrt(np.maximum(hist.counts, 1)) / (hist.events * hist.widths)
-    dev = np.abs(hist.values() - exact) / se
-    worst = float(np.max(dev))
+    worst = _max_bin_z(hist, lambda t: finite_n_density(kind, n, t))
     ok = worst <= 4.0
     _report(3, ok, f"{kind.name} N={n}: max per-bin |MC - exact|/se = {worst:.2f} over 100 bins (<= 4)")
-
-
-def _pair_corr_z(hist, n: int) -> float:
-    """Largest per-bin |MC - exact| / se against the bin-averaged exact U(N) form."""
-    exact = np.array(
-        [
-            adaptive_simpson(lambda x: u_pair_corr_exact(float(x), n), float(a), float(b)) / (b - a)
-            for a, b in zip(hist.edges[:-1], hist.edges[1:])
-        ]
-    )
-    se = np.sqrt(np.maximum(hist.counts, 1)) / (hist.events * hist.widths)
-    return float(np.max(np.abs(hist.values() - exact) / se))
 
 
 def test_criterion_04_pair_correlation():
@@ -133,8 +124,8 @@ def test_criterion_04_pair_correlation():
     cond_b = l1_with < l1_without
 
     # both histograms against the exact finite-N form, bin by bin
-    z30 = _pair_corr_z(hist, 30)
-    z6 = _pair_corr_z(hist6, 6)
+    z30 = _max_bin_z(hist, lambda x: u_pair_corr_exact(x, 30))
+    z6 = _max_bin_z(hist6, lambda x: u_pair_corr_exact(x, 6))
     cond_c = max(z30, z6) <= 4.0
     ok = cond_a and cond_b and cond_c
     _report(

@@ -118,6 +118,26 @@ def test_exactly_singular_i_plus_a():
     assert np.max(np.abs(got[rest] - _eigvals_route(mats[rest]))) <= 1e-12
 
 
+@pytest.mark.parametrize("dim", [158, 200, 201])
+def test_cyclic_shift_with_every_gap_narrow(dim):
+    # eigenvalues e^{2 pi i k / dim}: no rotation brings max|t| under
+    # cot(pi / (2 dim)), which is above 100 from dim = 158 on; -1 is an
+    # eigenvalue for even dim and sits mid-gap for odd dim
+    shift = np.roll(np.eye(dim), 1, axis=0).astype(complex)[None]
+    got = unitary_angles(shift)[0]
+    want = np.exp(2j * np.pi * np.arange(dim) / dim)
+    # each angle within 1e-13 on the circle of a distinct eigenvalue
+    gaps = np.abs(np.exp(1j * got)[:, None] - want[None, :])
+    assert np.max(gaps.min(axis=1)) <= 1e-13
+    assert len(set(gaps.argmin(axis=1))) == dim
+
+
+def test_cayley_angles_match_eigvals_at_large_n():
+    # at U(400) most rows keep a max|t| above 100 because their widest gap is narrow
+    mats = _haar(400, 1, 6)
+    assert np.max(np.abs(unitary_angles(mats) - _eigvals_route(mats))) <= 1e-12
+
+
 def test_non_unitary_input_raises():
     mats = _haar(30, 2, 4)
     with pytest.raises(SpectralError):
