@@ -6,27 +6,34 @@ Sampling recipes:
   of the matching R diagonal entry so R has positive real diagonal.
 - SO(n): real Ginibre -> QR with sign correction; if det = -1 the last
   column is negated to land on the det = +1 component.
-- USp(2N): quaternionic Ginibre -> quaternionic modified Gram-Schmidt
-  (quaternions stored as pairs of complex numbers, i.e. 2x2 complex
-  blocks), embedded as a 2Nx2N complex matrix preserving the skew form
-  J = [[0, I], [-I, 0]].
+- USp(2N): quaternionic Ginibre (x + y j, x and y complex N x N) -> one
+  complex QR of the 2N x 2N matrix that interleaves each column
+  c_k = [x_k; -conj(y_k)] with its partner [y_k; conj(x_k)].  The partner
+  is orthogonal to c_k and to every earlier pair, so complex Gram-Schmidt
+  in that order is quaternionic Gram-Schmidt (Mezzadri, Notices AMS 54,
+  2007).  The phase-corrected even columns give the first N columns of U,
+  and the last N are built from them, so U = [[x, y], [-conj(y), conj(x)]]
+  preserves J = [[0, I], [-I, 0]] by construction.
 
 All randomness is a pure function of (master_seed, sample_index): each
 sample owns a counter-based Philox stream and Gaussians come from
 Box-Muller, so results are identical regardless of scheduling or worker
-count.
+count.  A batch is built in chunks of about _CHUNK_WORDS Gaussians, each
+drawn, orthogonalized and written into the output before the next, so
+its temporaries stay cache-sized whatever the batch size.
 """
 
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-# raw Philox words put through Box-Muller at a time (256 KiB); a chunk
-# this size stays in cache and keeps the block's memory near its output's
+# Gaussians drawn and orthogonalized per chunk of a batch (256 KiB); a
+# chunk this size stays in cache and keeps a batch's memory near its output's
 _CHUNK_WORDS = 2**15
 
 
@@ -47,7 +54,10 @@ class GroupSpec:
     def __post_init__(self):
         if not isinstance(self.group, GroupKind):
             raise TypeError("group must be a GroupKind")
-        if int(self.n) < 1 or int(self.n) != self.n:
+        # bool is an Integral; 2.0 would fail later inside numpy shapes
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise TypeError(f"half-size N must be an integer, got {self.n!r}")
+        if self.n < 1:
             raise ValueError("half-size N must be a positive integer")
 
     @property
@@ -73,15 +83,15 @@ def symplectic_form(n: int) -> np.ndarray:
     return j
 
 
-def _gaussian_block(master_seed: int, start: int, count: int, need: int) -> np.ndarray:
-    """Standard normals for sample indices start..start+count-1, shape (count, need).
+def _gaussian_block(master_seed: int, start: int, out: np.ndarray) -> None:
+    """Fills out, shape (count, need), with normals for indices start..start+count-1.
 
     Row i is drawn from the Philox stream keyed by (master_seed, start + i)
     from counter 0.  One generator is reset per row through its state, and
-    the raw words of up to _CHUNK_WORDS at a time go through Box-Muller
-    together, so the block costs one output array and a small buffer.
+    the raw words of all rows go through Box-Muller together.
     """
     start = int(start)
+    count, need = out.shape
     pairs = (need + 1) // 2
     bitgen = np.random.Philox(0)
     key = [int(master_seed) & _MASK64, 0]
@@ -93,18 +103,12 @@ def _gaussian_block(master_seed: int, start: int, count: int, need: int) -> np.n
         "has_uint32": 0,
         "uinteger": 0,
     }
-    z = np.empty((count, need))
-    rows = min(count, max(1, _CHUNK_WORDS // (2 * pairs)))
-    buffer = np.empty((rows, 2 * pairs), dtype=np.uint64)
-    for lo in range(0, count, rows):
-        out = z[lo : lo + rows]
-        bits = buffer[: len(out)]
-        for row, index in zip(bits, range(start + lo, start + count)):
-            key[1] = index & _MASK64
-            bitgen.state = state
-            row[...] = bitgen.random_raw(2 * pairs)
-        _box_muller(bits, out)
-    return z
+    bits = np.empty((count, 2 * pairs), dtype=np.uint64)
+    for row, index in zip(bits, range(start, start + count)):
+        key[1] = index & _MASK64
+        bitgen.state = state
+        row[...] = bitgen.random_raw(2 * pairs)
+    _box_muller(bits, out)
 
 
 def _box_muller(bits: np.ndarray, out: np.ndarray) -> None:
@@ -169,45 +173,37 @@ def _so_batch(dim: int, g: np.ndarray) -> np.ndarray:
     return q
 
 
-def _quaternion_mgs(x: np.ndarray, y: np.ndarray) -> None:
-    """In-place quaternionic modified Gram-Schmidt over columns.
-
-    A quaternion q = a + b j is stored as the complex pair (a, b); column c
-    of the quaternionic matrix is (x[:, :, c], y[:, :, c]).  The diagonal
-    of the implicit R is real and positive, which is exactly the phase
-    convention that makes the QR map Haar-distributed.
-    """
-    ncols = x.shape[-1]
-    for c in range(ncols):
-        a = x[:, :, c]
-        b = y[:, :, c]
-        for _ in range(2):  # one re-orthogonalization pass for tight tolerance
-            for d in range(c):
-                u = x[:, :, d]
-                v = y[:, :, d]
-                # quaternionic inner product <u, w> accumulated per entry:
-                # conj(u_i) * w_i = (conj(u)a + v conj(b), conj(u)b - v conj(a))
-                sa = np.sum(np.conj(u) * a + v * np.conj(b), axis=1)
-                sb = np.sum(np.conj(u) * b - v * np.conj(a), axis=1)
-                a -= u * sa[:, None] - v * np.conj(sb)[:, None]
-                b -= u * sb[:, None] + v * np.conj(sa)[:, None]
-        norm = np.sqrt(np.sum(np.abs(a) ** 2 + np.abs(b) ** 2, axis=1))
-        a /= norm[:, None]
-        b /= norm[:, None]
-
-
 def _usp_batch(n: int, g: np.ndarray) -> np.ndarray:
-    batch = g.shape[0]
-    g = g.reshape(batch, 4, n, n)
-    x = (g[:, 0] + 1j * g[:, 1]).copy()
-    y = (g[:, 2] + 1j * g[:, 3]).copy()
-    _quaternion_mgs(x, y)
-    u = np.empty((batch, 2 * n, 2 * n), dtype=np.complex128)
-    u[:, :n, :n] = x
-    u[:, :n, n:] = y
-    u[:, n:, :n] = -np.conj(y)
-    u[:, n:, n:] = np.conj(x)
+    # columns 2k and 2k + 1 of z are c_k and its partner (module docstring)
+    g = g.reshape(-1, 4, n, n)
+    x = g[:, 0] + 1j * g[:, 1]
+    y = g[:, 2] + 1j * g[:, 3]
+    z = np.empty((len(g), 2 * n, 2 * n), dtype=np.complex128)
+    z[:, :n, 0::2] = x
+    z[:, n:, 0::2] = -np.conj(y)
+    z[:, :n, 1::2] = y
+    z[:, n:, 1::2] = np.conj(x)
+    q, phases = _qr_phases(z)
+    c = q[:, :, 0::2] * np.conj(phases[:, None, 0::2])
+    u = np.empty_like(z)
+    u[:, :, :n] = c
+    u[:, :n, n:] = -np.conj(c[:, n:])
+    u[:, n:, n:] = np.conj(c[:, :n])
     return u
+
+
+def _unitary_batch(d: int, g: np.ndarray) -> np.ndarray:
+    q, phases = _qr_phases((g[:, : d * d] + 1j * g[:, d * d :]).reshape(-1, d, d))
+    return q * np.conj(phases)[:, None, :]
+
+
+def _orthogonalize(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
+    """Haar matrices from rows of Gaussians, one matrix per row."""
+    if spec.group in (GroupKind.SOEven, GroupKind.SOOdd):
+        return _so_batch(spec.dim, g)
+    if spec.group is GroupKind.Unitary:
+        return _unitary_batch(spec.dim, g)
+    return _usp_batch(spec.n, g)
 
 
 def sample_batch(spec: GroupSpec, master_seed: int, start: int, count: int) -> np.ndarray:
@@ -219,15 +215,17 @@ def sample_batch(spec: GroupSpec, master_seed: int, start: int, count: int) -> n
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    raw = _gaussian_block(master_seed, start, count, _gaussian_count(spec))
     d = spec.dim
-    if spec.group in (GroupKind.SOEven, GroupKind.SOOdd):
-        return _so_batch(d, raw)
-    if spec.group is GroupKind.Unitary:
-        z = raw[:, : d * d] + 1j * raw[:, d * d :]
-        q, phases = _qr_phases(z.reshape(count, d, d))
-        return q * np.conj(phases)[:, None, :]
-    return _usp_batch(spec.n, raw)
+    real = spec.group in (GroupKind.SOEven, GroupKind.SOOdd)
+    out = np.empty((count, d, d), dtype=np.float64 if real else np.complex128)
+    need = _gaussian_count(spec)
+    rows = max(1, _CHUNK_WORDS // need)
+    g = np.empty((min(rows, count), need))
+    for lo in range(0, count, rows):
+        chunk = g[: count - lo]
+        _gaussian_block(master_seed, start + lo, chunk)
+        out[lo : lo + len(chunk)] = _orthogonalize(spec, chunk)
+    return out
 
 
 def sample(spec: GroupSpec, master_seed: int, sample_index: int) -> np.ndarray:

@@ -62,6 +62,8 @@ class Histogram:
 
     @classmethod
     def uniform(cls, lo: float, hi: float, bins: int = DEFAULT_BINS, **kw) -> "Histogram":
+        if bins < 1:
+            raise ValueError("bins must be >= 1")
         return cls(np.linspace(lo, hi, bins + 1), **kw)
 
     def add(self, values) -> None:

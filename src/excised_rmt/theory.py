@@ -141,6 +141,54 @@ def exact_scaled_density(group: GroupKind, n: int, tau) -> np.ndarray:
     return out
 
 
+# Gauss-Legendre nodes of the Nystrom discretization, and the basis
+# values computed per batch of angles (about 1 MB per batch)
+_CDF_NODES = 40
+_CDF_CHUNK_WORDS = 2**17
+
+
+def first_angle_cdf(group: GroupKind, n: int, theta) -> np.ndarray:
+    """Exact law of the smallest eigenangle in (0, pi] on USp(2N) or SO(2N).
+
+    P(theta_1 <= theta) = 1 - det(I - K_N) with K_N restricted to
+    (0, theta), by a Gauss-Legendre Nystrom method (Bornemann, Math. Comp.
+    79, 2010).  With S_M(z) = sin(M z / 2) / (2 pi sin(z / 2)), the kernel
+    is S_{2N+1}(x - y) - S_{2N+1}(x + y) for USp(2N) and
+    S_{2N-1}(x - y) + S_{2N-1}(x + y) for SO(2N).  Both have rank N,
+    K_N(x, y) = sum_k phi_k(x) phi_k(y) with phi_k = sqrt(2/pi) sin(k x),
+    k = 1..N, for USp(2N) and phi_0 = 1/sqrt(pi), phi_k = sqrt(2/pi)
+    cos(k x), k = 1..N-1, for SO(2N).  So with B = W^(1/2) Phi on the
+    nodes, the Nystrom determinant det(I - B B^T) is computed as the equal
+    N x N determinant det(I - B^T B).  theta may be an array; it is
+    evaluated in batches, so memory is bounded for any number of angles.
+    """
+    GroupSpec(group, n)  # validates n
+    if group is GroupKind.USp:
+        basis, freq = np.sin, np.arange(1, n + 1)
+    elif group is GroupKind.SOEven:
+        basis, freq = np.cos, np.arange(n)
+    else:
+        raise ValueError("first_angle_cdf covers USp(2N) and SO(2N) only")
+    scale = np.sqrt(np.where(freq == 0, 1.0, 2.0) / _PI)
+    theta = np.asarray(theta, dtype=float)
+    if not np.all((theta >= 0.0) & (theta <= _PI)):
+        raise ValueError("theta must lie in [0, pi]")
+    t, w = np.polynomial.legendre.leggauss(_CDF_NODES)
+    flat = theta.ravel()
+    out = np.empty(flat.shape)
+    rows = max(1, _CDF_CHUNK_WORDS // (_CDF_NODES * n))
+    for lo in range(0, flat.size, rows):
+        half = 0.5 * flat[lo : lo + rows, None]
+        x = half * (1.0 + t)  # the nodes on (0, theta)
+        b = basis(x[:, :, None] * freq) * scale
+        b *= np.sqrt(half * w)[:, :, None]
+        gram = np.matmul(b.transpose(0, 2, 1), b)
+        out[lo : lo + rows] = 1.0 - np.linalg.det(np.eye(n) - gram)
+    if theta.ndim == 0:
+        return float(out[0])
+    return out.reshape(theta.shape)
+
+
 def scaled_density_expansion(group: GroupKind, n, tau, order: int = 2):
     """Partial sums of the large-size expansion of the scaled density.
 

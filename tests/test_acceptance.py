@@ -28,6 +28,7 @@ from excised_rmt.stats import (
 from excised_rmt.theory import (
     SymmetryCase,
     finite_n_density,
+    first_angle_cdf,
     h_asymp,
     montgomery_r2,
     n_eff_l2_optimize,
@@ -265,6 +266,13 @@ def test_criterion_10_symplectic_first_eigenvalue(tmp_path):
     b = first_eigenangle_samples(spec, 100_000, 2)
     ks = ks_distance(mean_normalize(a), mean_normalize(b))
     cond_ks = ks <= 0.01
+    # each seed's raw first angles against the exact finite-N law, at the
+    # 1% critical value of the one-sample KS statistic
+    exact_bound = 1.63 / math.sqrt(a.size)
+    ks_exact = [
+        ks_distance(angles, lambda x: first_angle_cdf(GroupKind.USp, 10, x)) for angles in (a, b)
+    ]
+    cond_exact = max(ks_exact) <= exact_bound
     hist = mean_one_histogram(a, bins=100)
     path = tmp_path / "usp_first.csv"
     hist.to_csv(path)
@@ -283,8 +291,14 @@ def test_criterion_10_symplectic_first_eigenvalue(tmp_path):
     cond_csv = cond_csv and all(
         parsed[i][1] == parsed[i + 1][0] for i in range(len(parsed) - 1)
     )
-    ok = cond_ks and bool(cond_csv)
-    _report(10, ok, f"USp(20) first-eigenvalue KS across seeds = {ks:.4f} (<= 0.01); CSV contract holds: {bool(cond_csv)}")
+    ok = cond_ks and cond_exact and bool(cond_csv)
+    _report(
+        10,
+        ok,
+        f"USp(20) first-eigenvalue KS across seeds = {ks:.4f} (<= 0.01); "
+        f"KS against the exact law = {ks_exact[0]:.4f}, {ks_exact[1]:.4f} (<= {exact_bound:.4f}); "
+        f"CSV contract holds: {bool(cond_csv)}",
+    )
 
 
 def test_criterion_11_cli_worker_determinism(tmp_path):

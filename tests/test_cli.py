@@ -34,6 +34,19 @@ def test_negative_count_is_a_count_error(capsys):
     assert code == 0 and out == SAMPLE_HEADER + "\n"
 
 
+@pytest.mark.parametrize("bins", ["0", "-2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["onelevel", "--group", "usp", "--n", "3", "--count", "5"],
+        ["paircorr", "--group", "unitary", "--n", "3", "--count", "5"],
+    ],
+)
+def test_bins_below_one_is_a_data_error(argv, bins, capsys):
+    code, out, err = run(capsys, *argv, "--bins", bins)
+    assert code == 1 and out == "" and err == "error: bins must be >= 1\n"
+
+
 def test_sample_table_text_formats_every_value():
     table = np.array(
         [(0, 0.1, -0.0, 1e-300, 2.5), (2**40, np.nan, np.inf, -np.inf, 1 / 3)],

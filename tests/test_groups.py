@@ -1,5 +1,7 @@
 """Haar sampling: group membership, determinism, and distributional checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,19 +107,61 @@ GAUSSIAN_NEEDS = sorted(
 )
 
 
-@pytest.mark.parametrize("chunk_words", [groups._CHUNK_WORDS, 8])
+@pytest.mark.parametrize("count", [1, 5])
 @pytest.mark.parametrize("need", GAUSSIAN_NEEDS)
 @pytest.mark.parametrize("start", [0, 2**64 - 3])
 @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1, 7])
-def test_gaussian_block_matches_per_sample_recipe(seed, start, need, chunk_words, monkeypatch):
-    # bit for bit, including the wrap of the sample index past 2**64 - 1;
-    # 8-word chunks split a block into several, the last one short
-    monkeypatch.setattr(groups, "_CHUNK_WORDS", chunk_words)
-    for count in (1, 5):
-        block = _gaussian_block(seed, start, count, need)
-        assert block.shape == (count, need) and block.flags.c_contiguous
-        expected = np.stack([_reference_gaussians(seed, start + i, need) for i in range(count)])
-        assert np.array_equal(block.view(np.uint64), expected.view(np.uint64))
+def test_gaussian_block_matches_per_sample_recipe(seed, start, need, count):
+    # bit for bit, including the wrap of the sample index past 2**64 - 1
+    block = np.full((count, need), np.nan)
+    _gaussian_block(seed, start, block)
+    expected = np.stack([_reference_gaussians(seed, start + i, need) for i in range(count)])
+    assert np.array_equal(block.view(np.uint64), expected.view(np.uint64))
+
+
+def _chunk_words_splitting_unevenly(spec, count):
+    # chunks of 3 matrices, so a count that is not a multiple of 3 ends short
+    assert count % 3 != 0
+    return 3 * _gaussian_count(spec) + 1
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_sample_batch_does_not_depend_on_the_chunk_size(kind, monkeypatch):
+    # SO(2N+1) has an odd Gaussian count; the starts wrap past 2**64 - 1
+    spec = GroupSpec(kind, 4)
+    count = 11
+    for start in (0, 2**64 - 5):
+        whole = sample_batch(spec, 3, start, count)
+        for words in (8, _chunk_words_splitting_unevenly(spec, count)):
+            monkeypatch.setattr(groups, "_CHUNK_WORDS", words)
+            chunked = sample_batch(spec, 3, start, count)
+            monkeypatch.undo()
+            assert chunked.dtype == whole.dtype
+            assert np.array_equal(chunked.view(np.uint8), whole.view(np.uint8))
+        single = np.stack([sample_batch(spec, 3, start + i, 1)[0] for i in range(count)])
+        assert np.array_equal(single.view(np.uint8), whole.view(np.uint8))
+
+
+@pytest.mark.parametrize(
+    "kind, n, count",
+    [
+        (GroupKind.SOEven, 10, 655),
+        (GroupKind.USp, 10, 655),
+        (GroupKind.Unitary, 30, 291),
+        (GroupKind.USp, 30, 72),
+    ],
+)
+def test_sample_batch_memory_stays_near_its_output(kind, n, count):
+    # block sizes of the Monte Carlo driver; every temporary is per chunk
+    spec = GroupSpec(kind, n)
+    sample_batch(spec, 1, 0, 1)  # first-call allocations are not the batch's
+    tracemalloc.start()
+    try:
+        out = sample_batch(spec, 1, 0, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes, (peak, out.nbytes)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -152,7 +196,8 @@ def test_so_determinant_sign_comes_from_the_qr(dim):
     # _so_batch reads det(q) = (-1)^(dim - 1) * prod(sign R_ii) off its QR;
     # the matrices must equal those of a flip on the determinant's sign
     for seed in range(20):
-        g = _gaussian_block(seed, 0, 200, dim * dim)
+        g = np.empty((200, dim * dim))
+        _gaussian_block(seed, 0, g)
         q, signs = groups._qr_phases(g.reshape(-1, dim, dim))
         q *= signs[:, None, :]
         rule = (-1.0) ** (dim - 1) * np.prod(signs, axis=1)
@@ -160,6 +205,50 @@ def test_so_determinant_sign_comes_from_the_qr(dim):
         assert np.array_equal(rule, det_sign)
         q[det_sign < 0, :, -1] *= -1.0
         assert np.array_equal(groups._so_batch(dim, g), q)
+
+def _reference_usp(n, g):
+    """USp(2N) by quaternionic modified Gram-Schmidt, with one re-pass.
+
+    A quaternion a + b j is stored as the complex pair (a, b); column c of
+    the quaternionic Ginibre matrix is (x[:, :, c], y[:, :, c]).
+    """
+    g = g.reshape(-1, 4, n, n)
+    x = g[:, 0] + 1j * g[:, 1]
+    y = g[:, 2] + 1j * g[:, 3]
+    for c in range(n):
+        a = x[:, :, c]
+        b = y[:, :, c]
+        for _ in range(2):
+            for d in range(c):
+                u = x[:, :, d]
+                v = y[:, :, d]
+                # quaternionic inner product: conj(u_i) w_i summed over i
+                sa = np.sum(np.conj(u) * a + v * np.conj(b), axis=1)
+                sb = np.sum(np.conj(u) * b - v * np.conj(a), axis=1)
+                a -= u * sa[:, None] - v * np.conj(sb)[:, None]
+                b -= u * sb[:, None] + v * np.conj(sa)[:, None]
+        norm = np.sqrt(np.sum(np.abs(a) ** 2 + np.abs(b) ** 2, axis=1))
+        a /= norm[:, None]
+        b /= norm[:, None]
+    return np.block([[x, y], [-np.conj(y), np.conj(x)]])
+
+
+@pytest.mark.parametrize("n", [1, 5, 10, 30])
+def test_usp_qr_matches_quaternionic_gram_schmidt(n):
+    spec = GroupSpec(GroupKind.USp, n)
+    count = 40 if n < 30 else 12
+    for seed, start in ((0, 0), (5, 1000), (-1, 2**64 - 7), (2**40 + 3, 77)):
+        u = sample_batch(spec, seed, start, count)
+        g = np.empty((count, _gaussian_count(spec)))
+        _gaussian_block(seed, start, g)
+        assert np.max(np.abs(u - _reference_usp(n, g))) <= 1e-13
+        # the lower blocks are built from the upper ones, so the
+        # quaternionic structure holds exactly
+        assert np.array_equal(u[:, n:, n:], np.conj(u[:, :n, :n]))
+        assert np.array_equal(u[:, n:, :n], -np.conj(u[:, :n, n:]))
+        for a in u:
+            verify_invariants(spec, a)
+
 
 def test_symplectic_form_preserved():
     n = 5
@@ -222,3 +311,16 @@ def test_invalid_spec_rejected():
         GroupSpec(GroupKind.Unitary, 0)
     with pytest.raises(ValueError):
         GroupSpec(GroupKind.SOEven, -3)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", [2.0, 2.5, True, False, "3", None])
+def test_non_integer_half_size_rejected(kind, n):
+    # a float or bool N used to pass and fail later inside numpy
+    with pytest.raises(TypeError, match="must be an integer"):
+        GroupSpec(kind, n)
+
+
+def test_numpy_integer_half_size_accepted():
+    spec = GroupSpec(GroupKind.USp, np.int64(3))
+    assert spec.dim == 6 and sample_batch(spec, 1, 0, 2).shape == (2, 6, 6)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from excised_rmt.groups import GroupKind
-from excised_rmt.special import EULER_GAMMA, STIELTJES_GAMMA1, adaptive_simpson
+from excised_rmt import theory
+from excised_rmt.special import EULER_GAMMA, STIELTJES_GAMMA1, adaptive_simpson, sin_ratio
 from excised_rmt.theory import (
     CoefficientInputs,
     PairCorrCoefficients,
@@ -17,6 +18,7 @@ from excised_rmt.theory import (
     coefficient_assembly,
     exact_scaled_density,
     finite_n_density,
+    first_angle_cdf,
     h_asymp,
     montgomery_r2,
     n_eff,
@@ -232,6 +234,102 @@ def test_u_pair_corr_exact_values():
     for bad in (0, -3, 2.5):
         with pytest.raises(ValueError):
             u_pair_corr_exact(0.5, bad)
+
+# --- first eigenangle -------------------------------------------------------
+
+FIRST_ANGLE_GROUPS = [GroupKind.USp, GroupKind.SOEven]
+
+
+def _gram_cdf(group, n, theta):
+    """1 - det(I - G) with G the exact Gram matrix of the kernel's basis on (0, theta)."""
+    k = np.arange(1, n + 1) if group is GroupKind.USp else np.arange(n)
+    diff = (k[:, None] - k[None, :]).astype(float)
+    add = (k[:, None] + k[None, :]).astype(float)
+
+    def integral_of_cos(a):  # int_0^theta cos(a x) dx
+        safe = np.where(a == 0.0, 1.0, a)
+        return np.where(a == 0.0, theta, np.sin(a * theta) / safe)
+
+    if group is GroupKind.USp:  # 2 sin(kx) sin(lx) = cos((k-l)x) - cos((k+l)x)
+        gram = (integral_of_cos(diff) - integral_of_cos(add)) / math.pi
+    else:  # 2 cos(kx) cos(lx) = cos((k-l)x) + cos((k+l)x), and phi_0 = 1/sqrt(pi)
+        gram = (integral_of_cos(diff) + integral_of_cos(add)) / math.pi
+        gram[0, :] /= math.sqrt(2.0)
+        gram[:, 0] /= math.sqrt(2.0)
+    return 1.0 - np.linalg.det(np.eye(n) - gram)
+
+
+def _nystrom_cdf(group, n, theta, nodes=40):
+    """The Nystrom determinant on the S_M kernel as stated, at nodes x nodes."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    x = 0.5 * theta * (1.0 + t)
+    root_w = np.sqrt(0.5 * theta * w)
+    m, sign = (2 * n + 1, -1.0) if group is GroupKind.USp else (2 * n - 1, 1.0)
+
+    def s_m(z):  # sin(m z / 2) / (2 pi sin(z / 2))
+        return sin_ratio(m, 0.5 * z) / (2.0 * math.pi)
+
+    kernel = s_m(x[:, None] - x[None, :]) + sign * s_m(x[:, None] + x[None, :])
+    return 1.0 - np.linalg.det(np.eye(nodes) - root_w[:, None] * kernel * root_w[None, :])
+
+
+def test_first_angle_cdf_of_the_rank_one_groups():
+    # USp(2) = SU(2) has angle density (2/pi) sin^2; SO(2) is uniform on [0, pi]
+    theta = np.linspace(0.0, math.pi, 33)
+    usp = (theta - np.sin(theta) * np.cos(theta)) / math.pi
+    assert np.max(np.abs(first_angle_cdf(GroupKind.USp, 1, theta) - usp)) < 1e-14
+    assert np.max(np.abs(first_angle_cdf(GroupKind.SOEven, 1, theta) - theta / math.pi)) < 1e-14
+
+
+@pytest.mark.parametrize("group", FIRST_ANGLE_GROUPS)
+@pytest.mark.parametrize("n", [2, 5, 10, 30])
+def test_first_angle_cdf_matches_exact_gram_and_stated_kernel(group, n):
+    theta = np.concatenate([np.geomspace(1e-4, 0.2, 12), np.linspace(0.25, math.pi, 12)])
+    cdf = first_angle_cdf(group, n, theta)
+    gram = np.array([_gram_cdf(group, n, th) for th in theta])
+    stated = np.array([_nystrom_cdf(group, n, th) for th in theta])
+    assert np.max(np.abs(cdf - gram)) < 1e-13
+    assert np.max(np.abs(cdf - stated)) < 1e-13
+
+
+@pytest.mark.parametrize("group", FIRST_ANGLE_GROUPS)
+def test_first_angle_cdf_is_a_distribution(group, monkeypatch):
+    n = 10
+    theta = np.linspace(0.0, math.pi, 2001)
+    cdf = first_angle_cdf(group, n, theta)
+    assert cdf[0] == 0.0 and abs(cdf[-1] - 1.0) < 1e-12
+    assert np.all(np.diff(cdf) >= -1e-15)
+    # the quadrature has converged: 20 and 60 nodes agree with 40
+    at40 = first_angle_cdf(group, n, 0.5)
+    for nodes in (20, 60):
+        monkeypatch.setattr(theory, "_CDF_NODES", nodes)
+        assert abs(first_angle_cdf(group, n, 0.5) - at40) < 1e-14
+
+
+@pytest.mark.parametrize("group", FIRST_ANGLE_GROUPS)
+def test_first_angle_cdf_batches_match_scalars(group, monkeypatch):
+    theta = np.random.default_rng(3).uniform(0.0, math.pi, (7, 5))
+    whole = first_angle_cdf(group, 6, theta)
+    assert whole.shape == theta.shape
+    scalars = np.array([[first_angle_cdf(group, 6, float(th)) for th in row] for row in theta])
+    assert np.array_equal(whole, scalars)
+    monkeypatch.setattr(theory, "_CDF_CHUNK_WORDS", 3 * 40 * 6 + 1)  # batches of 3
+    assert np.array_equal(first_angle_cdf(group, 6, theta), whole)
+    assert isinstance(first_angle_cdf(group, 6, 1.0), float)
+
+
+def test_first_angle_cdf_rejects_what_it_does_not_cover():
+    for group in (GroupKind.SOOdd, GroupKind.Unitary):
+        with pytest.raises(ValueError, match="USp"):
+            first_angle_cdf(group, 5, 0.5)
+    for theta in (-1e-9, math.pi + 1e-9, float("nan"), [0.1, 4.0]):
+        with pytest.raises(ValueError, match="theta"):
+            first_angle_cdf(GroupKind.USp, 5, theta)
+    with pytest.raises(ValueError):
+        first_angle_cdf(GroupKind.USp, 0, 0.5)
+    with pytest.raises(TypeError):
+        first_angle_cdf(GroupKind.SOEven, 2.0, 0.5)
+
 
 def test_pair_corr_expansion_limits():
     e = PairCorrCoefficients(e1=0.5, e2=1.5, e3=2.0)
