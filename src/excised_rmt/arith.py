@@ -16,8 +16,9 @@ import cmath
 import csv
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -70,17 +71,6 @@ def is_prime(n: int) -> bool:
             return False
         i += 2
     return True
-
-
-def _squarefree_mask(n: int) -> np.ndarray:
-    mask = np.ones(n + 1, dtype=bool)
-    if n >= 0:
-        mask[0] = False
-    for i in range(2, int(math.isqrt(n)) + 1):
-        # multiples of i*i for a non-squarefree i are cleared by a smaller square
-        if mask[i]:
-            mask[i * i :: i * i] = False
-    return mask
 
 
 def is_fundamental_discriminant(d: int) -> bool:
@@ -148,6 +138,12 @@ class FamilySpec:
     residue_u: int = 1
 
     def __post_init__(self):
+        # bool is an Integral; M = 11.0 or X = 1e5 would fail later inside
+        # numpy, and residue_u = 2.5 would select an empty residue class
+        for name in ("M", "X", "k", "residue_u"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.M % 2 == 0 or not is_prime(self.M):
             raise ValueError("level M must be an odd prime")
         if self.k < 2:
@@ -160,16 +156,42 @@ class FamilySpec:
             raise ValueError("residue class U must satisfy 0 < U < M")
 
 
-def _fundamental_mask(X: int) -> np.ndarray:
-    """Boolean array of length X + 1, true exactly at the positive
-    fundamental discriminants d <= X (d = 1 included)."""
-    fd = np.zeros(X + 1, dtype=bool)
-    fd[1::4] = _squarefree_mask(X)[1::4]
-    # d = 4m with m squarefree: d = 8 (mod 16) is m = 2 (mod 4), 12 is m = 3
-    sfq = _squarefree_mask(X // 4)
-    fd[8::16] = sfq[2::4]
-    fd[12::16] = sfq[3::4]
-    return fd
+# Integers per window of the family sieve: its masks and members stay in
+# cache (2**20 measured slower).  primes() keeps its own, longer segment,
+# which measured faster there.
+_WINDOW = 1 << 18
+
+
+def _sieve_windows(X: int, keep: np.ndarray) -> Iterator[np.ndarray]:
+    """Fundamental discriminants 2 <= d <= X with keep[d % keep.size], as
+    sorted int64 arrays, one window of _WINDOW integers at a time.
+
+    d is fundamental iff d = 1, 5, 9, 13, 8 or 12 (mod 16) and no odd
+    prime square divides d: for d = 4m with m = 2, 3 (mod 4), an odd p^2
+    divides m iff it divides d.  So each window starts from the tiled
+    mod-16 and residue patterns and strikes the multiples of every odd
+    p^2 <= X, by a strided slice for p^2 below the window length and by
+    one index write for the larger squares, which have at most one
+    multiple per window.
+    """
+    window = _WINDOW
+    admissible = np.isin(np.arange(16), (1, 5, 9, 13, 8, 12))
+    mod16 = np.tile(admissible, window // 16 + 2)
+    period = keep.size
+    residues = np.tile(keep, window // period + 2)
+    odd = primes(math.isqrt(X))[1:]
+    squares = odd * odd
+    small = squares[squares < window].tolist()
+    large = squares[squares >= window]
+    # the first window starts at 2, so d = 0 and d = 1 are never members
+    for lo in range(2, X + 1, window):
+        n = min(window, X + 1 - lo)
+        mask = np.logical_and(mod16[lo % 16 : lo % 16 + n], residues[lo % period : lo % period + n])
+        for sq in small:
+            mask[-lo % sq :: sq] = False
+        first = -(-lo // large) * large
+        mask[first[first < lo + n] - lo] = False
+        yield np.flatnonzero(mask) + lo
 
 
 def fundamental_discriminants_up_to(X: int) -> np.ndarray:
@@ -177,7 +199,7 @@ def fundamental_discriminants_up_to(X: int) -> np.ndarray:
     X = int(X)
     if X < 1:
         return np.empty(0, dtype=np.int64)
-    return np.flatnonzero(_fundamental_mask(X)).astype(np.int64, copy=False)
+    return np.concatenate([np.ones(1, dtype=np.int64), *_sieve_windows(X, np.ones(1, dtype=bool))])
 
 
 def _legendre_table(M: int) -> np.ndarray:
@@ -187,8 +209,9 @@ def _legendre_table(M: int) -> np.ndarray:
     return table
 
 
-def enumerate_family(spec: FamilySpec) -> np.ndarray:
-    """All admissible fundamental discriminants 0 < d <= X, sorted.
+def family_windows(spec: FamilySpec) -> Iterator[np.ndarray]:
+    """The admissible fundamental discriminants 1 < d <= X, sorted, as one
+    int64 array per sieve window.
 
     Case conditions on psi_d(-M) (equal to kronecker(d, M) for positive d):
     +epsilon_f for even principal twists, -epsilon_f for odd ones, Delta
@@ -197,9 +220,7 @@ def enumerate_family(spec: FamilySpec) -> np.ndarray:
     Each condition depends on d mod M only, so it is one length-M mask of
     residues, tiled over the sieve.
     """
-    X, M = spec.X, spec.M
-    mask = _fundamental_mask(X)
-    mask[1] = False
+    M = int(spec.M)
     if spec.case is SymmetryCase.Generic:
         keep = np.arange(M) == spec.residue_u
     elif spec.case is SymmetryCase.PrincipalEven:
@@ -208,8 +229,12 @@ def enumerate_family(spec: FamilySpec) -> np.ndarray:
         keep = _legendre_table(M) == -spec.epsilon_f
     else:
         keep = _legendre_table(M) == spec.Delta
-    mask &= np.tile(keep, -(-(X + 1) // M))[: X + 1]
-    return np.flatnonzero(mask).astype(np.int64, copy=False)
+    return _sieve_windows(int(spec.X), keep)
+
+
+def enumerate_family(spec: FamilySpec) -> np.ndarray:
+    """All admissible fundamental discriminants 1 < d <= X, sorted."""
+    return np.concatenate(list(family_windows(spec)))
 
 
 def cardinality_estimate(spec: FamilySpec) -> float:

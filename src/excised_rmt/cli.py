@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -50,17 +51,29 @@ def _group_spec(args) -> GroupSpec:
 
 
 def _write_text(path, text) -> None:
-    """Writes a str or bytes output to path, or to stdout if path is None."""
-    binary = isinstance(text, bytes)
+    """Writes a str, a bytes or an iterable of bytes chunks to path, or to
+    stdout if path is None; chunks are written as they come."""
+    binary = not isinstance(text, str)
+    chunks = [text] if isinstance(text, (str, bytes)) else text
     if path is None:
         if binary:
             sys.stdout.flush()
-            sys.stdout.buffer.write(text)
+            sys.stdout.buffer.writelines(chunks)
         else:
             sys.stdout.write(text)
         return
     with (open(path, "wb") if binary else open(path, "w", newline="\n")) as fh:
-        fh.write(text)
+        fh.writelines(chunks)
+
+
+@functools.cache
+def _digits4() -> np.ndarray:
+    """_digits4()[j][r] is the ASCII code of the j-th of the four
+    zero-padded decimal digits of r, for 0 <= r < 10**4."""
+    r = np.arange(10**4)
+    table = np.stack([ord("0") + r // 10 ** (3 - j) % 10 for j in range(4)]).astype(np.uint8)
+    table.flags.writeable = False
+    return table
 
 
 def _decimal_lines(values: np.ndarray) -> bytes:
@@ -68,8 +81,11 @@ def _decimal_lines(values: np.ndarray) -> bytes:
     one per LF-terminated line.
 
     Values with the same number of digits w are contiguous, so each such
-    slice is written as a (k, w + 1) byte array, one digit column at a time.
+    slice is written as a (k, w + 1) byte array.  One division by 10**4
+    splits off four digits at a time, whose columns are read from
+    _digits4().
     """
+    digits = _digits4()
     chunks = []
     start = 0
     for width in range(1, 20):
@@ -79,14 +95,17 @@ def _decimal_lines(values: np.ndarray) -> bytes:
             rest = values[start:stop].copy()
             quot = np.empty_like(rest)
             lines = np.empty((stop - start, width + 1), dtype=np.uint8)
-            for column in range(width - 1, -1, -1):
-                # numpy divides by a scalar far faster than it takes remainders
-                np.floor_divide(rest, 10, out=quot)
-                rest -= 10 * quot
-                lines[:, column] = rest
-                rest, quot = quot, rest
-            lines += ord("0")
             lines[:, width] = ord("\n")
+            # end is one past the last column of the group of up to four
+            # digits that rest holds once the quotient is split off
+            for end in range(width, 0, -4):
+                if end > 4:
+                    # numpy divides by a scalar far faster than it takes remainders
+                    np.floor_divide(rest, 10**4, out=quot)
+                    rest -= 10**4 * quot
+                for j in range(max(0, 4 - end), 4):
+                    lines[:, end - 4 + j] = digits[j][rest]
+                rest, quot = quot, rest
             chunks.append(lines.tobytes())
             start = stop
     return b"".join(chunks)
@@ -178,10 +197,17 @@ def cmd_discriminants(args) -> int:
         Delta=args.delta,
         residue_u=args.residue,
     )
-    family = arith.enumerate_family(spec)
-    _write_text(args.out, _decimal_lines(family))
+    count = 0
+
+    def lines():
+        nonlocal count
+        for members in arith.family_windows(spec):
+            count += members.size
+            yield _decimal_lines(members)
+
+    _write_text(args.out, lines())
     estimate = arith.cardinality_estimate(spec)
-    sys.stderr.write(f"count {family.size} estimate {estimate:.17g}\n")
+    sys.stderr.write(f"count {count} estimate {estimate:.17g}\n")
     return 0
 
 

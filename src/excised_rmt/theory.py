@@ -487,6 +487,27 @@ def h_asymp(n: float, group: GroupKind = GroupKind.SOEven) -> float:
     raise ValueError("no small-value prefactor for this group")
 
 
+def h_exact(n: int) -> float:
+    """Exact SO(2N) small-value prefactor h(N), the residue at s = -1/2 of
+    the Keating-Snaith Mellin transform E|det(I - A)|^s (Comm. Math. Phys.
+    214, 2000):
+
+        h(N) = 2^(-N) prod_{j=1}^{N} Gamma(N + j - 1)
+               / (Gamma(j - 1/2) Gamma(j + N - 3/2)) * prod_{j=2}^{N} Gamma(j - 1),
+
+    evaluated in lgamma.  So P(|det(I - A)| <= rho) = 2 h(N) sqrt(rho) up
+    to the order rho^(3/2) log rho of the double pole at s = -3/2, and
+    h_asymp is its large-N form.
+    """
+    GroupSpec(GroupKind.SOEven, n)  # validates n
+    log_h = -n * math.log(2.0)
+    for j in range(1, n + 1):
+        log_h += math.lgamma(n + j - 1) - math.lgamma(j - 0.5) - math.lgamma(j + n - 1.5)
+    for j in range(2, n + 1):
+        log_h += math.lgamma(j - 1)
+    return math.exp(log_h)
+
+
 def small_value_prob(rho: float, n: float) -> float:
     """SO(2N) small-value law: P(0 <= |char poly at 1| <= rho) ~ 2 h(N) sqrt(rho).
 

@@ -6,6 +6,7 @@ L-function side of the model is an external input by design.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
@@ -27,8 +28,8 @@ class ZeroRecord:
 def ingest_zero_list(path) -> List[ZeroRecord]:
     """Parse CSV rows `d,gamma1,gamma2,...` with variable width.
 
-    Ordinates must be nonnegative and strictly increasing; errors carry
-    the offending 1-based line number.
+    Ordinates must be finite, nonnegative and strictly increasing;
+    errors carry the offending 1-based line number.
     """
     records: List[ZeroRecord] = []
     with open(path, newline="") as fh:
@@ -44,7 +45,10 @@ def ingest_zero_list(path) -> List[ZeroRecord]:
                 raise ZeroDataError(f"line {lineno}: cannot parse: {exc}") from None
             if not ordinates:
                 raise ZeroDataError(f"line {lineno}: record has no ordinates")
-            # plain float comparisons, so a NaN ordinate fails neither check
+            # a NaN would fail neither check below, and an infinite one would
+            # make every statistic of the comparison NaN
+            if not all(math.isfinite(x) for x in ordinates):
+                raise ZeroDataError(f"line {lineno}: non-finite ordinate")
             if any(x < 0 for x in ordinates):
                 raise ZeroDataError(f"line {lineno}: negative ordinate")
             if any(b <= a for a, b in zip(ordinates, ordinates[1:])):

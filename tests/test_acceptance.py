@@ -30,6 +30,7 @@ from excised_rmt.theory import (
     finite_n_density,
     first_angle_cdf,
     h_asymp,
+    h_exact,
     montgomery_r2,
     n_eff_l2_optimize,
     u_pair_corr,
@@ -209,12 +210,24 @@ def test_criterion_07_small_value_law():
     target = 2.0 * h_asymp(n, GroupKind.SOEven)
     cond_slope = abs(slope - 0.5) <= 0.05
     cond_pref = abs(prefactor - target) <= 0.2 * target
-    ok = cond_slope and cond_pref
+    # counts against the exact law 2 h(N) sqrt(rho) at the binomial standard
+    # error; at rho = 1e-2 the next order of the law shows (z about -12)
+    exact = 2.0 * h_exact(n)
+    z = []
+    for r in (1e-6, 1e-5, 1e-4, 1e-3):
+        p = exact * math.sqrt(r)
+        hits = int(np.searchsorted(mags, r, side="right"))
+        z.append((hits - mags.size * p) / math.sqrt(mags.size * p * (1.0 - p)))
+    cond_exact = max(abs(v) for v in z) <= 4.0
+    ok = cond_slope and cond_pref and cond_exact
     _report(
         7,
         ok,
         f"SO(24) |det(I-A)| CDF slope {slope:.3f} (0.50 +/- 0.05), "
-        f"prefactor {prefactor:.3f} vs 2h(12)={target:.3f} (within 20%)",
+        f"prefactor {prefactor:.3f} vs 2h(12)={target:.3f} (within 20%); "
+        f"counts vs exact 2h(12)={exact:.7f} at rho=1e-6..1e-3: z "
+        + " ".join(f"{v:.2f}" for v in z)
+        + " (|z| <= 4)",
     )
 
 

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from excised_rmt import arith
 from excised_rmt.arith import (
     FamilySpec,
     NewformLocalData,
@@ -17,6 +18,7 @@ from excised_rmt.arith import (
     e_coefficients_from_inputs,
     e_factor,
     enumerate_family,
+    family_windows,
     fundamental_discriminants_up_to,
     is_fundamental_discriminant,
     is_prime,
@@ -89,6 +91,24 @@ def test_fundamental_discriminants_every_small_bound():
         assert ours.tolist() == [d for d in ref if d <= X], X
 
 
+@pytest.mark.parametrize("window", [16, 64, 1000])
+def test_fundamental_discriminants_at_every_window(monkeypatch, window):
+    # windows shorter than 3^2, 7^2 and 31^2 take squares through both the
+    # strided slice and the single index write, and end at every residue
+    monkeypatch.setattr(arith, "_WINDOW", window)
+    X = 5000
+    ref = [d for d in range(1, X + 1) if is_fundamental_discriminant(d)]
+    assert fundamental_discriminants_up_to(X).tolist() == ref
+    spec = FamilySpec(M=7, case=SymmetryCase.SelfCM, X=X, Delta=-1)
+    windows = list(family_windows(spec))
+    assert len(windows) == -(-(X - 1) // window)  # d = 2..X
+    for i, members in enumerate(windows):
+        assert members.dtype == np.int64
+        lo = 2 + i * window
+        assert members.size == 0 or lo <= members[0] <= members[-1] < lo + window
+    assert np.array_equal(np.concatenate(windows), _family_brute(spec))
+
+
 # --- Kronecker symbol ------------------------------------------------------
 
 @given(st.integers(min_value=-500, max_value=500), st.integers(min_value=-500, max_value=500))
@@ -144,6 +164,48 @@ def test_enumerate_family_matches_brute_force(M, case, epsilon_f, Delta, residue
     assert np.array_equal(enumerate_family(spec), _family_brute(spec))
 
 
+def _family_whole_mask(spec: FamilySpec) -> np.ndarray:
+    """The recipe the windowed sieve replaced: one squarefree mask of
+    length X + 1, one of length X // 4 + 1, and the residue table tiled
+    over the whole range."""
+
+    def squarefree(n):
+        mask = np.ones(n + 1, dtype=bool)
+        mask[0] = False
+        for i in range(2, math.isqrt(n) + 1):
+            if mask[i]:
+                mask[i * i :: i * i] = False
+        return mask
+
+    X, M = spec.X, spec.M
+    fd = np.zeros(X + 1, dtype=bool)
+    fd[1::4] = squarefree(X)[1::4]
+    quarter = squarefree(X // 4)
+    fd[8::16] = quarter[2::4]
+    fd[12::16] = quarter[3::4]
+    fd[1] = False
+    chi = np.array([sympy.legendre_symbol(r, M) if r else 0 for r in range(M)])
+    if spec.case is SymmetryCase.Generic:
+        keep = np.arange(M) == spec.residue_u
+    elif spec.case is SymmetryCase.PrincipalEven:
+        keep = chi == spec.epsilon_f
+    elif spec.case is SymmetryCase.PrincipalOdd:
+        keep = chi == -spec.epsilon_f
+    else:
+        keep = chi == spec.Delta
+    fd &= np.tile(keep, -(-(X + 1) // M))[: X + 1]
+    return np.flatnonzero(fd)
+
+
+@pytest.mark.parametrize("X", [2**18 - 1, 2**18, 2**18 + 1, 2**18 + 2, 2**18 + 8, 2**18 + 12])
+@pytest.mark.parametrize("M, epsilon_f, Delta, residue_u", [(3, 1, 1, 1), (11, -1, -1, 2)])
+@pytest.mark.parametrize("case", list(SymmetryCase))
+def test_enumerate_family_across_the_first_window_end(case, M, epsilon_f, Delta, residue_u, X):
+    # the first window holds d = 2 .. 2**18 + 1
+    spec = FamilySpec(M=M, case=case, X=X, epsilon_f=epsilon_f, Delta=Delta, residue_u=residue_u)
+    assert np.array_equal(enumerate_family(spec), _family_whole_mask(spec))
+
+
 def test_enumerate_family_epsilon_flip():
     even = enumerate_family(FamilySpec(M=11, case=SymmetryCase.PrincipalEven, X=2000, epsilon_f=-1))
     odd = enumerate_family(FamilySpec(M=11, case=SymmetryCase.PrincipalOdd, X=2000, epsilon_f=1))
@@ -167,6 +229,25 @@ def test_family_spec_validation():
         FamilySpec(M=11, case=SymmetryCase.PrincipalEven, X=100, epsilon_f=2)
     with pytest.raises(ValueError):
         FamilySpec(M=11, case=SymmetryCase.Generic, X=100, residue_u=11)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("M", 11.0), ("M", True), ("X", 1e5), ("X", False), ("k", 2.0), ("residue_u", 2.5),
+     ("residue_u", True)],
+)
+def test_family_spec_rejects_non_integers(field, value):
+    kwargs = {"M": 11, "case": SymmetryCase.Generic, "X": 10**5, "residue_u": 2, field: value}
+    with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+        FamilySpec(**kwargs)
+
+
+def test_family_spec_accepts_numpy_integers():
+    spec = FamilySpec(M=np.int64(11), case=SymmetryCase.Generic, X=np.int32(3000),
+                      k=np.int16(2), residue_u=np.int64(2))
+    plain = FamilySpec(M=11, case=SymmetryCase.Generic, X=3000, residue_u=2)
+    assert np.array_equal(enumerate_family(spec), enumerate_family(plain))
+    assert cardinality_estimate(spec) == cardinality_estimate(plain)
 
 
 # --- root numbers ----------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from excised_rmt import stats
 from excised_rmt.cli import SAMPLE_HEADER, _decimal_lines, _sample_table_text, main
@@ -123,9 +126,10 @@ def _decimal_reference(values) -> bytes:
 
 
 def test_decimal_lines_at_every_width_boundary():
+    # 10**(4k) - 1, 10**(4k) and 10**(4k) + 1 also end a group of four digits
     values = [0]
     for k in range(1, 19):
-        values += [10**k - 1, 10**k]
+        values += [10**k - 1, 10**k, 10**k + 1]
     values.append(2**63 - 1)
     array = np.array(values, dtype=np.int64)
     assert _decimal_lines(array) == _decimal_reference(values)
@@ -138,6 +142,32 @@ def test_decimal_lines_at_every_width_boundary():
 @pytest.mark.parametrize("value", [0, 7, 10, 123456789, 10**18, 2**63 - 1])
 def test_decimal_lines_single_value(value):
     assert _decimal_lines(np.array([value], dtype=np.int64)) == f"{value}\n".encode()
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_decimal_lines_matches_python_formatting(values):
+    values = sorted(values)
+    assert _decimal_lines(np.array(values, dtype=np.int64)) == _decimal_reference(values)
+
+
+def _discriminants_peak_bytes(tmp_path, X):
+    argv = ["discriminants", "--M", "3", "--case", "principal_even", "--X", str(X),
+            "--out", str(tmp_path / "d.txt")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_discriminants_memory_does_not_grow_with_x(tmp_path, capsys):
+    _discriminants_peak_bytes(tmp_path, 1000)  # first-call allocations
+    small = _discriminants_peak_bytes(tmp_path, 10**6)
+    large = _discriminants_peak_bytes(tmp_path, 10**7)
+    assert large <= 4 * 2**20, large
+    assert large <= 1.1 * small, (small, large)
 
 
 def test_decimal_lines_empty():
@@ -178,6 +208,21 @@ def test_compare_report(tmp_path, capsys):
     rep = json.loads(out_path.read_text())
     assert rep["n_left"] == 60 and rep["n_right"] == 300
     assert len(rep["bins"]) == 12
+
+
+@pytest.mark.parametrize("ordinate", ["nan", "inf"])
+def test_compare_rejects_non_finite_ordinates(tmp_path, capsys, ordinate):
+    samples = tmp_path / "s.csv"
+    run(capsys, "sample", "--group", "usp", "--n", "2", "--count", "20", "--seed", "4", "--out", str(samples))
+    zpath = tmp_path / "z.csv"
+    zpath.write_text(f"5,0.5,1.5\n8,0.25,{ordinate}\n")
+    out_path = tmp_path / "rep.json"
+    code, _, err = run(
+        capsys, "compare", "--zeros", str(zpath), "--samples", str(samples), "--out", str(out_path),
+    )
+    assert code == 1
+    assert err == "error: line 2: non-finite ordinate\n"
+    assert not out_path.exists()
 
 
 def test_config_provides_defaults_flags_override(tmp_path, capsys):

@@ -20,6 +20,7 @@ from excised_rmt.theory import (
     finite_n_density,
     first_angle_cdf,
     h_asymp,
+    h_exact,
     montgomery_r2,
     n_eff,
     n_eff_l2_optimize,
@@ -362,6 +363,34 @@ def test_h_asymp_forms():
     assert h_asymp(12, GroupKind.Unitary) == pytest.approx(g**2 * 12**0.25)
     with pytest.raises(ValueError):
         h_asymp(12, GroupKind.SOOdd)
+
+
+def test_h_exact_closed_forms():
+    # SO(2): |det(I - A)| = 4 sin^2(theta / 2) <= rho iff |theta| <~ sqrt(rho)
+    assert 2 * h_exact(1) == pytest.approx(1 / math.pi, rel=1e-14)
+    assert 2 * h_exact(12) == pytest.approx(1.2247577, abs=5e-8)
+    assert 2 * h_asymp(12, GroupKind.SOEven) == pytest.approx(1.25466, abs=5e-6)
+    for n in (2, 7, 30):
+        half = mpmath.mpf(1) / 2
+        product = mpmath.mpf(2) ** -n
+        for j in range(1, n + 1):
+            product *= mpmath.gamma(n + j - 1) / (mpmath.gamma(j - half) * mpmath.gamma(j + n - 3 * half))
+        for j in range(2, n + 1):
+            product *= mpmath.gamma(j - 1)
+        assert h_exact(n) == pytest.approx(float(product), rel=1e-12)
+
+
+def test_h_exact_approaches_h_asymp():
+    ratios = [h_exact(n) / h_asymp(n, GroupKind.SOEven) for n in (12, 100, 1000)]
+    assert ratios[1] == pytest.approx(0.9972, abs=5e-5)
+    assert ratios[0] < ratios[1] < ratios[2] < 1.0
+    assert ratios[2] == pytest.approx(1.0, abs=5e-4)
+
+
+@pytest.mark.parametrize("n, error", [(True, TypeError), (12.0, TypeError), (0, ValueError), (-3, ValueError)])
+def test_h_exact_rejects_bad_n(n, error):
+    with pytest.raises(error):
+        h_exact(n)
 
 
 def test_small_value_prob_scaling():

@@ -42,11 +42,11 @@ def test_ingest_rejects_bad_rows(tmp_path):
 
 
 def test_ingest_records_exactly(tmp_path):
-    # NaN fails neither the sign nor the ordering check; -0.0 is not negative
-    p = _write(tmp_path, "# d,gamma...\n\n 12 , 0.5,2.75\n7,nan,0.25\n9,0.5,nan,0.25\n-3,-0.0,inf\n")
+    # -0.0 is not negative
+    p = _write(tmp_path, "# d,gamma...\n\n 12 , 0.5,2.75\n-3,-0.0,1e300\n")
     recs = ingest_zero_list(p)
-    assert [r.d for r in recs] == [12, 7, 9, -3]
-    expected = [[0.5, 2.75], [np.nan, 0.25], [0.5, np.nan, 0.25], [-0.0, np.inf]]
+    assert [r.d for r in recs] == [12, -3]
+    expected = [[0.5, 2.75], [-0.0, 1e300]]
     for rec, ords in zip(recs, expected):
         assert rec.ordinates.dtype == np.float64
         assert np.array_equal(rec.ordinates.view(np.uint64), np.array(ords).view(np.uint64))
@@ -61,7 +61,11 @@ def test_ingest_records_exactly(tmp_path):
         ("5,0.5,-1", "negative ordinate"),
         ("5,-1,-0.5", "negative ordinate"),
         ("5,0.5,0.75,0.75", "ordinates not strictly increasing"),
-        ("5,nan,2,1", "ordinates not strictly increasing"),
+        ("5,nan,2,1", "non-finite ordinate"),
+        ("7,nan,0.25", "non-finite ordinate"),
+        ("9,0.5,nan,0.25", "non-finite ordinate"),
+        ("-3,-0.0,inf", "non-finite ordinate"),
+        ("5,-1,-inf", "non-finite ordinate"),
     ],
 )
 def test_ingest_error_names_its_line(tmp_path, row, message):
