@@ -93,8 +93,8 @@ def test_fundamental_discriminants_every_small_bound():
 
 @pytest.mark.parametrize("window", [16, 64, 1000])
 def test_fundamental_discriminants_at_every_window(monkeypatch, window):
-    # windows shorter than 3^2, 7^2 and 31^2 take squares through both the
-    # strided slice and the single index write, and end at every residue
+    # the largest squares struck by a slice are 3^2, 7^2 and 31^2 for these
+    # windows; every larger one goes through the index write
     monkeypatch.setattr(arith, "_WINDOW", window)
     X = 5000
     ref = [d for d in range(1, X + 1) if is_fundamental_discriminant(d)]
