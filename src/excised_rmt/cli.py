@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from excised_rmt import arith, config as cfgmod, stats, theory, zeros
+from excised_rmt import arith, stats, theory, zeros
 from excised_rmt.groups import GroupSpec, group_from_name
 from excised_rmt.spectral import ExcisionRule, excise_mask
 
@@ -211,6 +211,47 @@ def cmd_discriminants(args) -> int:
     return 0
 
 
+def _load_json_object(path, what: str) -> dict:
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise DataError(f"{what} root must be a JSON object")
+    return data
+
+
+# What a JSON value of a flag's or field's type must be; None types a
+# string.  bool is an int subclass, but true/false is never a count or a size.
+_JSON_TYPES = {
+    int: ("an integer", int),
+    float: ("a number", (int, float)),
+    None: ("a string", str),
+}
+
+
+def _check_json_value(what: str, key: str, value, type_) -> None:
+    name, accepts = _JSON_TYPES[type_]
+    if isinstance(value, bool) or not isinstance(value, accepts):
+        raise DataError(f"{what} field {key!r} must be {name}, got {value!r}")
+
+
+def _coefficient_inputs(path) -> theory.CoefficientInputs:
+    """The raw coefficient inputs of a JSON file; a null value keeps the
+    default.  The assembled a1..d1, which default to None, are not inputs."""
+    data = _load_json_object(path, "coeffs")
+    types = {f.name: type(f.default) for f in dataclasses.fields(theory.CoefficientInputs)
+             if f.default is not None}
+    unknown = set(data) - set(types)
+    if unknown:
+        raise DataError(f"unknown coefficient keys: {sorted(unknown)}")
+    given = {key: value for key, value in data.items() if value is not None}
+    for key, value in given.items():
+        _check_json_value("coeffs", key, value, types[key])
+    return theory.CoefficientInputs(**given)
+
+
 def cmd_neff(args) -> int:
     case = _symmetry_case(args.case)
     if case is theory.SymmetryCase.Generic:
@@ -221,15 +262,7 @@ def cmd_neff(args) -> int:
     else:
         if args.M is None or args.X is None:
             raise DataError("this case requires --M and --X")
-        raw = theory.CoefficientInputs()
-        if args.coeffs:
-            with open(args.coeffs) as fh:
-                data = json.load(fh)
-            known = {f.name for f in theory.CoefficientInputs.__dataclass_fields__.values()}
-            unknown = set(data) - known
-            if unknown:
-                raise DataError(f"unknown coefficient keys: {sorted(unknown)}")
-            raw = theory.CoefficientInputs(**data)
+        raw = _coefficient_inputs(args.coeffs) if args.coeffs else theory.CoefficientInputs()
         coeffs = theory.coefficient_assembly(case, raw)
         value = theory.n_eff(case, args.M, args.X, coeffs=coeffs)
         payload = {
@@ -243,7 +276,7 @@ def cmd_neff(args) -> int:
                 if getattr(coeffs, name) is not None
             },
         }
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return 0
 
 
@@ -256,7 +289,7 @@ def cmd_compare(args) -> int:
     ensemble = table["first_angle"]
     ensemble = ensemble[np.isfinite(ensemble)]
     report = zeros.compare_report(zero_samples, ensemble, bins=args.bins)
-    _write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_text(args.out, json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return 0
 
 
@@ -365,32 +398,49 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, monte_carlo=False, bins=True)
 
     for p in sub.choices.values():
-        p.set_defaults(flags=frozenset(action.dest for action in p._actions))
+        p.set_defaults(flags={action.dest: action for action in p._actions
+                              if action.dest not in ("help", "config")})
     return parser
+
+
+def _read_config(args) -> dict:
+    """The non-null values of args.config, each checked against its flag's
+    type and choices."""
+    data = _load_json_object(args.config, "config")
+    if "kind" not in data:
+        raise DataError("config must declare an experiment kind")
+    kind = data.pop("kind")
+    if kind != args.command:
+        raise DataError(f"config kind {kind!r} does not match subcommand {args.command!r}")
+    foreign = sorted(set(data) - set(args.flags))
+    if foreign:
+        raise DataError(
+            f"config sets {', '.join(map(repr, foreign))}, "
+            f"which {args.command!r} has no flag for"
+        )
+    given = {key: value for key, value in data.items() if value is not None}
+    for key, value in given.items():
+        action = args.flags[key]
+        _check_json_value("config", key, value, action.type)
+        if action.choices is not None and value not in action.choices:
+            raise DataError(
+                f"config field {key!r} must be one of "
+                f"{', '.join(map(repr, action.choices))}, got {value!r}"
+            )
+    return given
 
 
 def _resolve_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Fills each flag absent from the command line from the config, then
     from _DEFAULTS, and exits with a usage error if a required one is
-    still unset.  A config field that the subcommand has no flag for is a
-    data error."""
+    still unset.  A config key that the subcommand has no flag for, or a
+    value that its flag would not accept, is a data error."""
     values = vars(args)
     if values.get("config"):
-        cfg = cfgmod.load_config(args.config)
-        if cfg.kind != args.command:
-            raise DataError(f"config kind {cfg.kind!r} does not match subcommand {args.command!r}")
-        given = {key: value for key, value in vars(cfg).items()
-                 if key != "kind" and value is not None}
-        foreign = sorted(set(given) - args.flags)
-        if foreign:
-            raise DataError(
-                f"config sets {', '.join(map(repr, foreign))}, "
-                f"which {args.command!r} has no flag for"
-            )
-        for key, value in given.items():
+        for key, value in _read_config(args).items():
             values.setdefault(key, value)
-    for field in dataclasses.fields(cfgmod.RunConfig):
-        values.setdefault(field.name, _DEFAULTS.get(field.name))
+    for key in args.flags:
+        values.setdefault(key, _DEFAULTS.get(key))
     missing = [f"--{key}" for key in args.required if values[key] is None]
     if missing:
         parser.error(f"{args.command}: the following arguments are required: {', '.join(missing)}")
@@ -402,7 +452,7 @@ def main(argv=None) -> int:
     try:
         _resolve_args(args, parser)
         return args.func(args)
-    except (DataError, cfgmod.ConfigError, zeros.ZeroDataError, ValueError, OSError) as exc:
+    except (DataError, zeros.ZeroDataError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -43,6 +43,8 @@ class ExcisionRule:
     n_std: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.c) and math.isfinite(self.n_std)):
+            raise ValueError("cutoff constant c and n_std must be finite")
         if self.c < 0:
             raise ValueError("cutoff constant c must be nonnegative")
         if int(self.k) != self.k or self.k < 1:

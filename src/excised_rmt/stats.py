@@ -49,6 +49,10 @@ class Histogram:
 
     def __init__(self, edges, events: Optional[int] = None):
         edges = np.asarray(edges, dtype=float)
+        # a NaN edge fails no comparison, and an infinite one makes a bin
+        # of infinite width
+        if not np.all(np.isfinite(edges)):
+            raise ValueError("edges must be finite")
         if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
             raise ValueError("edges must be strictly increasing with >= 2 entries")
         if events is not None and events <= 0:
@@ -258,8 +262,8 @@ def pair_correlation_mc(
     ordered pairs i != j contribute and the histogram is normalized per
     matrix, so it converges to the two-point correlation density.
     """
-    if count < 1 or window <= 0:
-        raise ValueError("need count >= 1 and window > 0")
+    if count < 1 or not 0 < window < np.inf:
+        raise ValueError("need count >= 1 and a finite window > 0")
     dim = spec.dim
     hist = Histogram.uniform(0.0, window, bins, events=count * dim)
     scale = dim / (2.0 * np.pi)

@@ -351,6 +351,10 @@ def n_eff(
     if case is SymmetryCase.Generic:
         if e1 is None or e2 is None or R is None:
             raise ValueError("generic case requires e1, e2, and R")
+        if not all(map(math.isfinite, (e1, e2, R))):
+            raise ValueError("e1, e2 and R must be finite")
+        if R <= 0:
+            raise ValueError("R must be positive")
         disc = 3.0 * e2 - 4.0 * e1
         if disc <= 0:
             raise ValueError("3<e2> - 4<e1> must be positive for the generic case")

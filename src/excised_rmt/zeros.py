@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -55,13 +55,6 @@ def ingest_zero_list(path) -> List[ZeroRecord]:
                 raise ZeroDataError(f"line {lineno}: ordinates not strictly increasing")
             records.append(ZeroRecord(d=d, ordinates=np.array(ordinates)))
     return records
-
-
-def write_zero_list(path, records: Iterable[ZeroRecord]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        for rec in records:
-            ords = ",".join(f"{g:.17g}" for g in rec.ordinates)
-            fh.write(f"{rec.d},{ords}\n")
 
 
 def lowest_zero_statistic(

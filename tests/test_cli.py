@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excised_rmt import stats
+from excised_rmt import stats, theory
 from excised_rmt.cli import SAMPLE_HEADER, _decimal_lines, _sample_table_text, main
 
 
@@ -189,6 +189,69 @@ def test_neff_principal_json(capsys):
     assert data["n_eff"] > 0
 
 
+def _neff_principal(capsys, *extra):
+    return run(capsys, "neff", "--case", "principal_even", "--M", "11", "--X", "9960", *extra)
+
+
+def test_neff_coeffs_file(tmp_path, capsys):
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps({"k": 4, "Lp_sym": 0.5, "A1_00": None}))
+    code, out, _ = _neff_principal(capsys, "--coeffs", str(coeffs))
+    assert code == 0
+    raw = theory.CoefficientInputs(k=4, Lp_sym=0.5)
+    cs = theory.coefficient_assembly(theory.SymmetryCase.PrincipalEven, raw)
+    data = json.loads(out)
+    assert data["coefficients"] == {"a1": cs.a1, "a2": cs.a2}
+    assert data["n_eff"] == theory.n_eff(theory.SymmetryCase.PrincipalEven, 11, 9960, coeffs=cs)
+    # a null value keeps the default
+    coeffs.write_text(json.dumps({"A1_00": None}))
+    assert _neff_principal(capsys, "--coeffs", str(coeffs)) == _neff_principal(capsys)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "invalid JSON in "),
+        ("[1, 2]", "coeffs root must be a JSON object"),
+        ('{"k": "x"}', "coeffs field 'k' must be an integer, got 'x'"),
+        ('{"k": 2.5}', "coeffs field 'k' must be an integer, got 2.5"),
+        ('{"k": true}', "coeffs field 'k' must be an integer, got True"),
+        ('{"A1_00": "0.1"}', "coeffs field 'A1_00' must be a number, got '0.1'"),
+        ('{"b1": 7}', "unknown coefficient keys: ['b1']"),
+        ('{"a1": 1.5, "kappa": 0}', "unknown coefficient keys: ['a1', 'kappa']"),
+    ],
+)
+def test_neff_bad_coeffs_file_is_data_error(text, message, tmp_path, capsys):
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(text)
+    code, out, err = _neff_principal(capsys, "--coeffs", str(coeffs))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("neff", "--case", "generic", "--e1", "nan", "--e2", "2", "--R", "8"),
+        ("neff", "--case", "generic", "--e1", "0.02", "--e2", "inf", "--R", "8"),
+        ("neff", "--case", "generic", "--e1", "0.02", "--e2", "2", "--R", "-8.5"),
+        ("neff", "--case", "principal_even", "--M", "11", "--X", "9960", "--coeffs", "nan.json"),
+        ("paircorr", "--group", "unitary", "--n", "3", "--count", "5", "--window", "inf"),
+        ("paircorr", "--group", "unitary", "--n", "3", "--count", "5", "--window", "nan"),
+        ("excise", "--c", "nan", "--k", "1", "--nstd", "5", "--input", "s.csv"),
+        ("excise", "--c", "0.5", "--k", "2", "--nstd", "inf", "--input", "s.csv"),
+    ],
+)
+def test_non_finite_parameter_is_data_error(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "sample", "--group", "so_even", "--n", "3", "--count", "5", "--out", "s.csv")
+    (tmp_path / "nan.json").write_text('{"A1_00": NaN}')
+    code, out, err = run(capsys, *argv, "--out", "result")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+    assert not (tmp_path / "result").exists()
+
+
 def test_compare_report(tmp_path, capsys):
     samples = tmp_path / "s.csv"
     run(capsys, "sample", "--group", "usp", "--n", "4", "--count", "300", "--seed", "4", "--out", str(samples))
@@ -285,15 +348,59 @@ def test_workers_only_on_monte_carlo_commands(argv, capsys):
 @pytest.mark.parametrize(
     "field, value",
     [("count", 2.5), ("bins", 8.0), ("n", True), ("seed", "7"), ("group", 3),
-     ("out", ["o.csv"])],
+     ("out", ["o.csv"]), ("window", False), ("window", "5"), ("workers", "2")],
 )
 def test_config_value_of_wrong_type_is_data_error(field, value, tmp_path, capsys):
-    data = {"kind": "onelevel", "group": "unitary", "n": 3, "count": 2, field: value}
+    data = {"kind": "paircorr", "group": "unitary", "n": 3, "count": 2, field: value}
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(data))
-    code, out, err = run(capsys, "onelevel", "--config", str(cfg))
+    code, out, err = run(capsys, "paircorr", "--config", str(cfg))
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and repr(field) in err
+    assert err.startswith(f"error: config field {field!r} must be ")
+
+
+@pytest.mark.parametrize(
+    "data, argv",
+    [({"kind": "compare", "which": "highest"}, ["--zeros", "z.csv", "--samples", "s.csv"]),
+     ({"kind": "discriminants", "epsilon": 2}, ["--M", "5", "--case", "generic", "--X", "50"])],
+)
+def test_config_value_out_of_choices_is_data_error(data, argv, tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(data))
+    code, out, err = run(capsys, data["kind"], *argv, "--config", str(cfg))
+    field = next(key for key in data if key != "kind")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: config field {field!r} must be one of ")
+
+
+def test_config_integer_for_a_float_flag(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"kind": "paircorr", "window": 5}))
+    argv = ["paircorr", "--group", "unitary", "--n", "3", "--count", "4", "--bins", "5"]
+    code, out, _ = run(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    assert out == run(capsys, *argv, "--window", "5")[1]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "invalid JSON in "),
+        ("[1, 2]", "config root must be a JSON object"),
+        ('{"group": "usp"}', "config must declare an experiment kind"),
+        ('{"kind": "frobnicate"}', "config kind 'frobnicate' does not match subcommand 'sample'"),
+        ('{"kind": "sample", "grupo": "usp"}', "config sets 'grupo', which 'sample' has no flag for"),
+        ('{"kind": "sample", "help": true}', "config sets 'help', which 'sample' has no flag for"),
+        ('{"kind": "sample", "config": "c.json"}',
+         "config sets 'config', which 'sample' has no flag for"),
+    ],
+)
+def test_malformed_config_is_data_error(text, message, tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "sample", "--group", "usp", "--n", "2", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}")
 
 
 def test_config_field_without_a_flag_is_data_error(tmp_path, capsys):

@@ -198,6 +198,14 @@ def test_excision_rule_threshold():
         ExcisionRule(c=1.0, k=0, n_std=8.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_excision_rule_rejects_non_finite_parameters(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ExcisionRule(c=bad, k=1, n_std=8.0)
+    with pytest.raises(ValueError, match="finite"):
+        ExcisionRule(c=0.5, k=2, n_std=bad)
+
+
 @given(
     mags=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=50),
     c=st.floats(min_value=0.0, max_value=5.0),

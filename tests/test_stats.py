@@ -47,6 +47,14 @@ def test_histogram_counts_nan():
     assert h.nan == 3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_histogram_rejects_non_finite_edges(bad):
+    edges = [0.0, 0.5, 1.0]
+    for i in range(len(edges)):
+        with pytest.raises(ValueError, match="finite"):
+            Histogram(edges[:i] + [bad] + edges[i + 1:])
+
+
 def test_histogram_per_event_density():
     # with an event count the density is per event, not per binned value
     h = Histogram.uniform(0.0, 1.0, 2, events=4)

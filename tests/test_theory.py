@@ -187,6 +187,16 @@ def test_n_eff_generic_closed_form_and_errors():
         n_eff(SymmetryCase.Generic, 0, 0, e1=1.0, e2=1.0, R=7.0)
 
 
+@pytest.mark.parametrize(
+    "e1, e2, R",
+    [(0.1, 1.0, -8.5), (0.1, 1.0, 0.0), (math.nan, 1.0, 7.0), (0.1, math.inf, 7.0),
+     (0.1, 1.0, math.inf), (0.1, 1.0, math.nan)],
+)
+def test_n_eff_generic_rejects_non_finite_or_non_positive_R(e1, e2, R):
+    with pytest.raises(ValueError):
+        n_eff(SymmetryCase.Generic, 0, 0, e1=e1, e2=e2, R=R)
+
+
 def test_l2_optimizer_matches_closed_form():
     for e1, e2, R in [(0.024, 2.0, 8.5), (0.0, 1.0, 5.0), (0.3, 3.0, 12.0)]:
         closed = R / math.sqrt(3 * e2 - 4 * e1)

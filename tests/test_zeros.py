@@ -11,7 +11,6 @@ from excised_rmt.zeros import (
     compare_report,
     ingest_zero_list,
     lowest_zero_statistic,
-    write_zero_list,
 )
 
 
@@ -76,15 +75,11 @@ def test_ingest_error_names_its_line(tmp_path, row, message):
 
 
 def test_round_trip(tmp_path):
-    recs = [
-        ZeroRecord(d=5, ordinates=np.array([0.1234567890123456, 2.5])),
-        ZeroRecord(d=8, ordinates=np.array([0.7])),
-    ]
-    p = tmp_path / "out.csv"
-    write_zero_list(p, recs)
-    back = ingest_zero_list(p)
+    # 17 significant digits name one double exactly
+    back = ingest_zero_list(_write(tmp_path, "5,0.12345678901234560,2.5\n8,0.7\n"))
     assert [r.d for r in back] == [5, 8]
-    assert np.array_equal(back[0].ordinates, recs[0].ordinates)
+    assert back[0].ordinates.tolist() == [0.1234567890123456, 2.5]
+    assert back[1].ordinates.tolist() == [0.7]
 
 
 def test_lowest_zero_statistic_variants():
