@@ -23,10 +23,10 @@ from excised_rmt.groups import (
 )
 from excised_rmt.stats import _blocks, ks_distance
 
-ALL_KINDS = list(GroupKind)
+ALL_GROUPS = list(GroupKind)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", ALL_GROUPS)
 def test_invariants_hold(kind):
     spec = GroupSpec(kind, 6)
     for idx in range(5):
@@ -47,7 +47,7 @@ def test_verify_invariants_rejects_non_members():
 
 
 @given(
-    kind=st.sampled_from(ALL_KINDS),
+    kind=st.sampled_from(ALL_GROUPS),
     n=st.integers(min_value=1, max_value=12),
     seed=st.integers(min_value=0, max_value=2**63 - 1),
     idx=st.integers(min_value=0, max_value=2**31),
@@ -58,7 +58,7 @@ def test_invariants_hold_property(kind, n, seed, idx):
     verify_invariants(spec, sample_batch(spec, seed, idx, 1)[0])
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", ALL_GROUPS)
 def test_sample_is_deterministic(kind):
     spec = GroupSpec(kind, 4)
     a = sample(spec, 7, 3)
@@ -67,7 +67,7 @@ def test_sample_is_deterministic(kind):
     assert np.array_equal(a, sample_batch(spec, 7, 0, 4)[3])
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", ALL_GROUPS)
 def test_batches_are_offset_invariant(kind):
     # sample i must not depend on the batch it was generated in
     spec = GroupSpec(kind, 3)
@@ -76,7 +76,7 @@ def test_batches_are_offset_invariant(kind):
     assert np.array_equal(whole, parts)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", ALL_GROUPS)
 def test_stream_matches_batch(kind, monkeypatch):
     # the block stream every Monte Carlo statistic reduces over, split here
     # into one near-equal block per thread, concatenates to one whole batch
@@ -103,7 +103,7 @@ def _reference_gaussians(master_seed, sample_index, need):
 
 
 GAUSSIAN_NEEDS = sorted(
-    {1, 3, 400, 441, 1800} | {_gaussian_count(GroupSpec(kind, 5)) for kind in ALL_KINDS}
+    {1, 3, 400, 441, 1800} | {_gaussian_count(GroupSpec(kind, 5)) for kind in ALL_GROUPS}
 )
 
 
@@ -125,7 +125,7 @@ def _chunk_words_splitting_unevenly(spec, count):
     return 3 * _gaussian_count(spec) + 1
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", ALL_GROUPS)
 def test_sample_batch_does_not_depend_on_the_chunk_size(kind, monkeypatch):
     # SO(2N+1) has an odd Gaussian count; the starts wrap past 2**64 - 1
     spec = GroupSpec(kind, 4)
@@ -164,7 +164,7 @@ def test_sample_batch_memory_stays_near_its_output(kind, n, count):
     assert peak <= 2 * out.nbytes, (peak, out.nbytes)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", ALL_GROUPS)
 def test_sample_index_wraps_past_2_64(kind):
     # sample index 2**64 under master seed -1 is index 0 under 2**64 - 1;
     # SO(2N+1) is the only group with an odd Gaussian count
@@ -313,7 +313,7 @@ def test_invalid_spec_rejected():
         GroupSpec(GroupKind.SOEven, -3)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", ALL_GROUPS)
 @pytest.mark.parametrize("n", [2.0, 2.5, True, False, "3", None])
 def test_non_integer_half_size_rejected(kind, n):
     # a float or bool N used to pass and fail later inside numpy

@@ -17,10 +17,10 @@ from excised_rmt.spectral import (
     unitary_angles,
 )
 
-ALL_KINDS = list(GroupKind)
+ALL_GROUPS = list(GroupKind)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", ALL_GROUPS)
 def test_angles_sorted_and_in_range(kind):
     spec = GroupSpec(kind, 6)
     angles = eigenangles_batch(spec, sample_batch(spec, 3, 0, 1))[0]
@@ -151,7 +151,7 @@ def test_non_unitary_input_raises():
     with pytest.raises(SpectralError):
         unitary_angles(broken)
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", ALL_GROUPS)
 def test_char_poly_dual_route_agrees(kind):
     spec = GroupSpec(kind, 5)
     mats = sample_batch(spec, 6, 0, 100)
