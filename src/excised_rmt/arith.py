@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import cmath
 import csv
-import enum
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -26,36 +25,19 @@ from excised_rmt.special import EULER_GAMMA, STIELTJES_GAMMA1
 from excised_rmt.theory import SymmetryCase
 
 _PI = math.pi
-_SEGMENT = 1 << 20
 
 
 def primes(limit: int) -> np.ndarray:
-    """All primes <= limit via a segmented sieve of Eratosthenes."""
+    """All primes <= limit, as int64, by the sieve of Eratosthenes."""
     limit = int(limit)
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    root = int(math.isqrt(limit))
-    base = np.ones(root + 1, dtype=bool)
-    base[:2] = False
-    for p in range(2, int(math.isqrt(root)) + 1):
-        if base[p]:
-            base[p * p :: p] = False
-    small = np.flatnonzero(base)
-    if limit <= root:
-        return small[small <= limit].astype(np.int64)
-    chunks = [small.astype(np.int64)]
-    lo = root + 1
-    while lo <= limit:
-        hi = min(lo + _SEGMENT - 1, limit)
-        seg = np.ones(hi - lo + 1, dtype=bool)
-        for p in small:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start > hi:
-                continue
-            seg[start - lo :: p] = False
-        chunks.append((np.flatnonzero(seg) + lo).astype(np.int64))
-        lo = hi + 1
-    return np.concatenate(chunks)
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).astype(np.int64)
 
 
 def is_prime(n: int) -> bool:
@@ -157,8 +139,7 @@ class FamilySpec:
 
 
 # Integers per window of the family sieve: its masks and members stay in
-# cache (2**20 measured slower).  primes() keeps its own, longer segment,
-# which measured faster there.
+# cache (2**20 measured slower).
 _WINDOW = 1 << 18
 
 
@@ -334,7 +315,7 @@ def satake(lambda_p: complex, chi_p: complex) -> Tuple[complex, complex]:
 
 @dataclass
 class NewformLocalData:
-    """Hecke eigenvalue and nebentypus data at primes up to max_prime."""
+    """Hecke eigenvalue and nebentypus data at the primes of lam and chi."""
 
     M: int
     k: int
@@ -352,10 +333,6 @@ class NewformLocalData:
                     raise ValueError("chi must vanish at the level in the ramified convention")
             elif abs(abs(cp) - 1.0) > 1e-9:
                 raise ValueError(f"|chi({p})| must be 1 away from the level")
-
-    @property
-    def max_prime(self) -> int:
-        return max(self.lam) if self.lam else 0
 
     def chi_prime(self, p: int) -> complex:
         """Value of the primitive character inducing the nebentypus."""
@@ -435,40 +412,39 @@ def _y_local(data: NewformLocalData, p: int, alpha: complex, gamma: complex) -> 
     )
 
 
-def _v_unramified(
-    data: NewformLocalData, p: int, alpha: complex, gamma: complex, terms: int
-) -> complex:
+# Terms kept in each local Euler-factor series of A_f, the last-decade
+# drift up to which truncated_a_f reports convergence, and a1_00's
+# central-difference step
+_EULER_TERMS = 40
+_TAIL_TOL = 1e-3
+_DERIV_STEP = 1e-3
+
+
+def _v_unramified(data: NewformLocalData, p: int, alpha: complex, gamma: complex) -> complex:
+    terms = _EULER_TERMS
     lam_pows = [lambda_power(data, p, m) for m in range(2 * terms + 2)]
     x = p ** (-(1.0 + 2.0 * alpha))
     s1 = sum(lam_pows[2 * m] * x ** m for m in range(1, terms + 1))
     s2 = (data.lam[p] * p ** (-(1.0 + alpha + gamma))) * sum(
         lam_pows[2 * m + 1] * x ** m for m in range(0, terms + 1)
     )
-    chi_f_p = 1.0 if data.principal else data.chi[p]
-    s3 = (chi_f_p * p ** (-(1.0 + 2.0 * gamma))) * sum(
+    s3 = (data.chi_prime(p) * p ** (-(1.0 + 2.0 * gamma))) * sum(
         lam_pows[2 * m] * x ** m for m in range(0, terms + 1)
     )
     return 1.0 + p / (p + 1.0) * (s1 - s2 + s3)
 
 
-def _v_ramified(
-    data: NewformLocalData, e: float, alpha: complex, gamma: complex, terms: int
-) -> complex:
+def _v_ramified(data: NewformLocalData, e: float, alpha: complex, gamma: complex) -> complex:
     M = data.M
     lam = data.lam[M]
     x = lam * e * M ** (-(0.5 + alpha))
-    first = sum(x ** m for m in range(terms + 1))
-    second = (lam / M ** (0.5 + gamma)) * e * sum(x ** m for m in range(terms + 1))
+    first = sum(x ** m for m in range(_EULER_TERMS + 1))
+    second = (lam / M ** (0.5 + gamma)) * e * sum(x ** m for m in range(_EULER_TERMS + 1))
     return first - second
 
 
 def a_f_value(
-    data: NewformLocalData,
-    e: float,
-    alpha: complex,
-    gamma: complex,
-    P: int,
-    terms: int = 40,
+    data: NewformLocalData, e: float, alpha: complex, gamma: complex, P: int
 ) -> Tuple[complex, float]:
     """Truncated arithmetic factor A_f(alpha, gamma) over primes <= P.
 
@@ -486,9 +462,9 @@ def a_f_value(
     cutoff = P / 10.0
     for p in plist:
         if p == data.M:
-            factor = _v_ramified(data, e, alpha, gamma, terms) / _y_local(data, p, alpha, gamma)
+            factor = _v_ramified(data, e, alpha, gamma) / _y_local(data, p, alpha, gamma)
         else:
-            factor = _v_unramified(data, p, alpha, gamma, terms) / _y_local(data, p, alpha, gamma)
+            factor = _v_unramified(data, p, alpha, gamma) / _y_local(data, p, alpha, gamma)
         value *= factor
         if p > cutoff:
             last_decade *= factor
@@ -502,16 +478,13 @@ def truncated_a_f(
     P: int,
     epsilon_f: int = 1,
     Delta: int = 1,
-    terms: int = 40,
-    tol: Optional[float] = None,
 ) -> dict:
     """A_f(r, r) truncated at P, with tail estimate and convergence flag."""
     if abs(r.real if isinstance(r, complex) else r) >= 0.25:
         raise ValueError("need |Re r| < 1/4")
     e = e_factor(case, epsilon_f=epsilon_f, Delta=Delta)
-    value, tail = a_f_value(data, e, r, r, P, terms=terms)
-    converged = tail <= (tol if tol is not None else 1e-3)
-    return {"value": value, "tail_estimate": tail, "converged": converged}
+    value, tail = a_f_value(data, e, r, r, P)
+    return {"value": value, "tail_estimate": tail, "converged": tail <= _TAIL_TOL}
 
 
 def a1_00(
@@ -520,20 +493,18 @@ def a1_00(
     P: int,
     epsilon_f: int = 1,
     Delta: int = 1,
-    step: float = 1e-3,
-    terms: int = 40,
 ) -> complex:
     """d/d alpha at (0,0) of A_f, via central differences with Richardson
     extrapolation (steps h and 2h)."""
     e = e_factor(case, epsilon_f=epsilon_f, Delta=Delta)
 
     def deriv(h: float) -> complex:
-        plus, _ = a_f_value(data, e, h, 0.0, P, terms=terms)
-        minus, _ = a_f_value(data, e, -h, 0.0, P, terms=terms)
+        plus, _ = a_f_value(data, e, h, 0.0, P)
+        minus, _ = a_f_value(data, e, -h, 0.0, P)
         return (plus - minus) / (2.0 * h)
 
-    d1 = deriv(step)
-    d2 = deriv(2.0 * step)
+    d1 = deriv(_DERIV_STEP)
+    d2 = deriv(2.0 * _DERIV_STEP)
     return (4.0 * d1 - d2) / 3.0
 
 

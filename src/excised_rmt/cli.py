@@ -3,7 +3,9 @@
 Subcommands mirror the experiment kinds: sample, onelevel, paircorr,
 excise, discriminants, neff, compare.  Every run is a pure function of
 its flags and seed; outputs are byte-identical across reruns and worker
-counts (17-significant-digit decimals, LF line endings).
+counts (17-significant-digit decimals, LF line endings).  ``--workers``
+is the only source of the thread count; left unset, the stats drivers
+use every usable core.
 
 Exit codes: 0 success, 1 data error, 2 usage error.
 """
@@ -14,7 +16,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -28,22 +29,6 @@ SAMPLE_HEADER = ",".join(stats.SAMPLE_DTYPE.names)
 
 class DataError(RuntimeError):
     pass
-
-
-def _workers(args) -> int:
-    if args.workers is not None:
-        workers, source = args.workers, "--workers"
-    else:
-        env = os.environ.get("EXCISED_RMT_WORKERS")
-        if not env:
-            return 1
-        try:
-            workers, source = int(env), "EXCISED_RMT_WORKERS"
-        except ValueError:
-            raise DataError(f"EXCISED_RMT_WORKERS must be an integer, got {env!r}")
-    if workers < 1:
-        raise DataError(f"{source} must be >= 1, got {workers}")
-    return workers
 
 
 def _group_spec(args) -> GroupSpec:
@@ -145,7 +130,7 @@ def _read_sample_table(path) -> np.ndarray:
 
 def cmd_sample(args) -> int:
     spec = _group_spec(args)
-    table = stats.sample_summaries(spec, args.count, args.seed, workers=_workers(args))
+    table = stats.sample_summaries(spec, args.count, args.seed, workers=args.workers)
     _write_text(args.out, _sample_table_text(table))
     return 0
 
@@ -153,7 +138,7 @@ def cmd_sample(args) -> int:
 def cmd_onelevel(args) -> int:
     spec = _group_spec(args)
     hist = stats.one_level_density_mc(
-        spec, args.count, args.seed, bins=args.bins, workers=_workers(args)
+        spec, args.count, args.seed, bins=args.bins, workers=args.workers
     )
     _write_text(args.out, hist.to_csv_text())
     return 0
@@ -162,7 +147,7 @@ def cmd_onelevel(args) -> int:
 def cmd_paircorr(args) -> int:
     spec = _group_spec(args)
     hist = stats.pair_correlation_mc(
-        spec, args.count, args.seed, window=args.window, bins=args.bins, workers=_workers(args)
+        spec, args.count, args.seed, window=args.window, bins=args.bins, workers=args.workers
     )
     _write_text(args.out, hist.to_csv_text())
     return 0
@@ -317,7 +302,7 @@ def _add_common(p, *, monte_carlo=True, bins=False):
         p.add_argument("--count", type=int, help="number of samples")
         p.add_argument("--workers", type=int,
                        help="threads that sample blocks, capped at the usable cores "
-                            "(output bytes do not depend on it)")
+                            "(default: all usable cores; output bytes do not depend on it)")
     if bins:
         p.add_argument("--bins", type=int, help="histogram bin count")
     p.add_argument("--out", help="output path (default: stdout)")
@@ -433,8 +418,9 @@ def _read_config(args) -> dict:
 def _resolve_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Fills each flag absent from the command line from the config, then
     from _DEFAULTS, and exits with a usage error if a required one is
-    still unset.  A config key that the subcommand has no flag for, or a
-    value that its flag would not accept, is a data error."""
+    still unset.  A config key that the subcommand has no flag for, a
+    value that its flag would not accept, or workers below 1 is a data
+    error; workers left unset reaches the stats drivers as None."""
     values = vars(args)
     if values.get("config"):
         for key, value in _read_config(args).items():
@@ -444,6 +430,9 @@ def _resolve_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     missing = [f"--{key}" for key in args.required if values[key] is None]
     if missing:
         parser.error(f"{args.command}: the following arguments are required: {', '.join(missing)}")
+    workers = values.get("workers")
+    if workers is not None and workers < 1:
+        raise DataError(f"--workers must be >= 1, got {workers}")
 
 
 def main(argv=None) -> int:
@@ -452,7 +441,7 @@ def main(argv=None) -> int:
     try:
         _resolve_args(args, parser)
         return args.func(args)
-    except (DataError, zeros.ZeroDataError, ValueError, OSError) as exc:
+    except (DataError, zeros.ZeroDataError, ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

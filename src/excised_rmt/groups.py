@@ -35,6 +35,10 @@ _MASK64 = (1 << 64) - 1
 # Gaussians drawn and orthogonalized per chunk of a batch (256 KiB); a
 # chunk this size stays in cache and keeps a batch's memory near its output's
 _CHUNK_WORDS = 2**15
+# Round-off bounds of verify_invariants: max |A A^* - I| (and |A^T J A - J|
+# on USp) and |det A - 1| on SO
+_UNITARY_TOL = 1e-10
+_DET_TOL = 1e-8
 
 
 class GroupKind(enum.Enum):
@@ -239,9 +243,7 @@ def sample(spec: GroupSpec, master_seed: int, sample_index: int) -> np.ndarray:
     return a
 
 
-def verify_invariants(
-    spec: GroupSpec, a: np.ndarray, unitary_tol: float = 1e-10, det_tol: float = 1e-8
-) -> None:
+def verify_invariants(spec: GroupSpec, a: np.ndarray) -> None:
     """Checks unitarity, determinant, and symplectic-form invariants of one matrix.
 
     Raises GroupInvariantError on violation; such a failure indicates an
@@ -250,18 +252,18 @@ def verify_invariants(
     d = spec.dim
     gram = a @ a.conj().T
     err = np.max(np.abs(gram - np.eye(d)))
-    if err > unitary_tol:
+    if err > _UNITARY_TOL:
         raise GroupInvariantError(f"unitarity violated: max |A A^* - I| = {err:.3e}")
     if spec.group in (GroupKind.SOEven, GroupKind.SOOdd):
         if np.max(np.abs(a.imag)) != 0.0:
             raise GroupInvariantError("orthogonal sample has nonzero imaginary part")
         det = np.linalg.det(a.real)
-        if abs(det - 1.0) > det_tol:
-            raise GroupInvariantError(f"determinant {det} is not +1 within {det_tol}")
+        if abs(det - 1.0) > _DET_TOL:
+            raise GroupInvariantError(f"determinant {det} is not +1 within {_DET_TOL}")
     elif spec.group is GroupKind.USp:
         j = symplectic_form(spec.n)
         err = np.max(np.abs(a.T @ j @ a - j))
-        if err > unitary_tol:
+        if err > _UNITARY_TOL:
             raise GroupInvariantError(f"symplectic form violated: max |A^T J A - J| = {err:.3e}")
 
 

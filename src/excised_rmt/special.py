@@ -21,6 +21,9 @@ STIELTJES_GAMMA1 = -0.072815845483676724860586375874901319137736338334338
 GLAISHER = 1.28242712910062263687534256886979172776768892732500
 
 _PI = math.pi
+# adaptive_simpson's pre-split panels and recursion depth per panel
+_PANELS = 8
+_MAX_DEPTH = 48
 
 
 def digamma(x: float) -> float:
@@ -81,9 +84,7 @@ def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
     )
 
 
-def adaptive_simpson(
-    f, a: float, b: float, tol: float = 1e-10, max_depth: int = 48, panels: int = 8
-) -> float:
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive Simpson quadrature of f over [a, b] to absolute tolerance tol.
 
     The interval is pre-split into several panels before adapting: for
@@ -92,14 +93,14 @@ def adaptive_simpson(
     """
     if a == b:
         return 0.0
-    edges = [a + (b - a) * i / panels for i in range(panels + 1)]
+    edges = [a + (b - a) * i / _PANELS for i in range(_PANELS + 1)]
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         flo, fhi = f(lo), f(hi)
         m = 0.5 * (lo + hi)
         fm = f(m)
         whole = _simpson(f, lo, flo, hi, fhi, m, fm)
-        total += _adaptive(f, lo, flo, hi, fhi, m, fm, whole, tol / panels, max_depth)
+        total += _adaptive(f, lo, flo, hi, fhi, m, fm, whole, tol / _PANELS, _MAX_DEPTH)
     return total
 
 

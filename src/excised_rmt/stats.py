@@ -5,10 +5,10 @@ the sample-index range into near-equal blocks of Haar matrices and hands
 them back in index order; per-sample arrays are filled by ``_collect``.
 With more than one worker, blocks are sampled and reduced on a thread
 pool (numpy's LAPACK and ufunc loops release the GIL), and the blocks in
-flight share one memory budget.  The library default (workers=None) uses
-every usable core.  Each matrix is a pure function of (seed, index) and
-histogram counts are integer sums, so no output byte depends on the
-worker count or the block layout.
+flight share one memory budget.  workers=None, the default here and in
+the CLI when --workers is unset, uses every usable core.  Each matrix is
+a pure function of (seed, index) and histogram counts are integer sums,
+so no output byte depends on the worker count or the block layout.
 """
 
 from __future__ import annotations
@@ -121,11 +121,10 @@ def mean_normalize(samples) -> np.ndarray:
     return xs / m
 
 
-def mean_one_histogram(samples, bins: int = DEFAULT_BINS, hi: Optional[float] = None) -> Histogram:
+def mean_one_histogram(samples, bins: int = DEFAULT_BINS) -> Histogram:
+    """Density of the mean-normalized samples on [0, just above their max]."""
     scaled = mean_normalize(samples)
-    if hi is None:
-        hi = float(scaled.max()) * (1.0 + 1e-12)
-    hist = Histogram.uniform(0.0, hi, bins)
+    hist = Histogram.uniform(0.0, float(scaled.max()) * (1.0 + 1e-12), bins)
     hist.add(scaled)
     return hist
 

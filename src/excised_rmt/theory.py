@@ -45,7 +45,8 @@ class CoefficientInputs:
     """Raw L-function constants and the assembled one-level coefficients.
 
     Raw inputs default to 0 so toy evaluations work out of the box; the
-    assembled a1..d1 fields are populated by coefficient_assembly.
+    assembled a1..d1 fields are populated by coefficient_assembly, which
+    takes Euler's gamma and the Stieltjes gamma_1 as fixed constants.
     """
 
     k: int = 2
@@ -66,8 +67,6 @@ class CoefficientInputs:
     Btilde_p0: float = 0.0
     L1_sym: float = 0.0
     Lp_sym_value: float = 0.0
-    euler_gamma: float = EULER_GAMMA
-    stieltjes1: float = STIELTJES_GAMMA1
     a1: Optional[float] = None
     a2: Optional[float] = None
     a3: Optional[float] = None
@@ -88,11 +87,6 @@ class PairCorrCoefficients:
     e1: float = 0.0
     e2: float = 0.0
     e3: float = 0.0
-    App0: Optional[float] = None
-    Appp0: Optional[float] = None
-    Lp_ad_prime: Optional[float] = None
-    lambda_M_sq: Optional[float] = None
-    M: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -235,8 +229,8 @@ def coefficient_assembly(case: SymmetryCase, raw: CoefficientInputs) -> Coeffici
     symmetrization), so e.g. c1 collapses to a single set of constants.
     """
     psi = raw.digamma_k2
-    g = raw.euler_gamma
-    g1 = raw.stieltjes1
+    g = EULER_GAMMA
+    g1 = STIELTJES_GAMMA1
     if case is SymmetryCase.PrincipalEven:
         a1 = 1.0 - psi - raw.A1_00 + g - raw.Lp_sym
         a2 = (

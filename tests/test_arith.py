@@ -38,10 +38,11 @@ from excised_rmt.theory import SymmetryCase
 
 # --- primes and squarefree machinery ---------------------------------------
 
-def test_primes_against_sympy():
-    ours = primes(1000)
-    ref = np.array(list(sympy.primerange(2, 1001)))
-    assert np.array_equal(ours, ref)
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 1000, 2**20 - 1, 2**20, 2**20 + 1, 2 * 10**6])
+def test_primes_against_sympy(limit):
+    ours = primes(limit)
+    assert ours.dtype == np.int64
+    assert ours.tolist() == list(sympy.sieve.primerange(2, limit + 1))
 
 
 @given(st.integers(min_value=2, max_value=10**6))

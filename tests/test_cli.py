@@ -65,24 +65,16 @@ def test_sample_table_text_formats_every_value():
 
 def test_sample_deterministic_across_workers(tmp_path, capsys):
     outs = []
-    for workers in ("1", "3", "7"):
-        p = tmp_path / f"s{workers}.csv"
+    # no --workers flag: every usable core
+    for workers in ([], ["--workers", "1"], ["--workers", "3"], ["--workers", "7"]):
+        p = tmp_path / f"s{len(outs)}.csv"
         code, _, _ = run(
             capsys, "sample", "--group", "usp", "--n", "5", "--count", "50",
-            "--seed", "5", "--workers", workers, "--out", str(p),
+            "--seed", "5", *workers, "--out", str(p),
         )
         assert code == 0
         outs.append(p.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
-
-
-def test_workers_env_variable(tmp_path, capsys, monkeypatch):
-    p1 = tmp_path / "a.csv"
-    p2 = tmp_path / "b.csv"
-    run(capsys, "sample", "--group", "unitary", "--n", "3", "--count", "20", "--seed", "2", "--out", str(p1))
-    monkeypatch.setenv("EXCISED_RMT_WORKERS", "4")
-    run(capsys, "sample", "--group", "unitary", "--n", "3", "--count", "20", "--seed", "2", "--out", str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
+    assert outs[0] == outs[1] == outs[2] == outs[3]
 
 
 def test_onelevel_histogram_csv(capsys):
@@ -219,6 +211,8 @@ def test_neff_coeffs_file(tmp_path, capsys):
         ('{"A1_00": "0.1"}', "coeffs field 'A1_00' must be a number, got '0.1'"),
         ('{"b1": 7}', "unknown coefficient keys: ['b1']"),
         ('{"a1": 1.5, "kappa": 0}', "unknown coefficient keys: ['a1', 'kappa']"),
+        ('{"euler_gamma": 0.5}', "unknown coefficient keys: ['euler_gamma']"),
+        ('{"stieltjes1": null}', "unknown coefficient keys: ['stieltjes1']"),
     ],
 )
 def test_neff_bad_coeffs_file_is_data_error(text, message, tmp_path, capsys):
@@ -250,6 +244,72 @@ def test_non_finite_parameter_is_data_error(argv, tmp_path, capsys, monkeypatch)
     assert code == 1 and out == ""
     assert err.startswith("error: ")
     assert not (tmp_path / "result").exists()
+
+
+@pytest.mark.parametrize("kind", ["neff", "excise"])
+def test_integer_too_large_for_a_float_is_data_error(kind, tmp_path, capsys):
+    huge = 10**400
+    if kind == "neff":
+        argv = ["neff", "--case", "principal_even", "--M", "11", "--X", str(huge)]
+    else:
+        (tmp_path / "c.json").write_text(json.dumps({"kind": "excise", "c": huge}))
+        argv = ["excise", "--config", str(tmp_path / "c.json"), "--k", "1", "--nstd", "5",
+                "--input", str(tmp_path / "s.csv")]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "result"))
+    assert code == 1 and out == ""
+    assert err == "error: int too large to convert to float\n"
+    assert not (tmp_path / "result").exists()
+
+
+def _read_through(command, samples, tmp_path, capsys):
+    """Runs excise or compare on a sample CSV; (exit code, stdout, stderr)."""
+    if command == "excise":
+        return run(capsys, "excise", "--c", "0.5", "--k", "1", "--nstd", "5", "--input", str(samples))
+    zeros = tmp_path / "z.csv"
+    zeros.write_text("5,0.5,1.5\n8,0.25,2.0\n")
+    return run(capsys, "compare", "--zeros", str(zeros), "--samples", str(samples), "--bins", "4")
+
+
+@pytest.mark.parametrize("command", ["excise", "compare"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("wrong,header\n0,0.5,1,0,1\n", f"expected header {SAMPLE_HEADER!r}"),
+        ("", f"expected header {SAMPLE_HEADER!r}"),
+        (SAMPLE_HEADER + "\n0,0.5,1\n", "line 2: expected 5 fields"),
+        (SAMPLE_HEADER + "\n0,0.5,1,0,1\n1,0.5,1,0,1,2\n", "line 3: expected 5 fields"),
+        (SAMPLE_HEADER + "\n0,0.5,1,0,1\n\n1,0.5,x,0,1\n",
+         "line 4: could not convert string to float: 'x'"),
+        (SAMPLE_HEADER + "\n1.5,0.5,1,0,1\n", "line 2: invalid literal for int() with base 10: '1.5'"),
+    ],
+)
+def test_bad_sample_table_is_data_error(command, text, message, tmp_path, capsys):
+    samples = tmp_path / "bad.csv"
+    samples.write_text(text)
+    code, out, err = _read_through(command, samples, tmp_path, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {samples}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["excise", "compare"])
+def test_sample_table_blank_lines_are_skipped(command, tmp_path, capsys):
+    rows = ["0,0.5,1,0,1", "1,0.25,0.10000000000000001,0,0.10000000000000001"]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("\n".join([SAMPLE_HEADER, *rows]) + "\n")
+    blank = tmp_path / "blank.csv"
+    blank.write_text("\n".join([SAMPLE_HEADER, "", rows[0], "   ", rows[1], ""]) + "\n\n")
+    result = _read_through(command, blank, tmp_path, capsys)
+    assert result[0] == 0
+    assert result == _read_through(command, plain, tmp_path, capsys)
+    if command == "excise":
+        assert result[1:] == (SAMPLE_HEADER + "\n" + rows[0] + "\n", "kept 1 of 2 (threshold 0.5)\n")
+
+
+def test_excise_header_only_table(tmp_path, capsys):
+    samples = tmp_path / "empty.csv"
+    samples.write_text(SAMPLE_HEADER + "\n")
+    code, out, err = _read_through("excise", samples, tmp_path, capsys)
+    assert (code, out, err) == (0, SAMPLE_HEADER + "\n", "kept 0 of 0 (threshold 0.5)\n")
 
 
 def test_compare_report(tmp_path, capsys):
@@ -319,14 +379,14 @@ def test_config_supplies_required_flags(tmp_path, capsys):
     assert out == run(capsys, "sample", "--group", "usp", "--n", "2", "--count", "2")[1]
 
 
-@pytest.mark.parametrize("workers", ["0", "-4"])
-def test_workers_below_one_is_data_error(workers, capsys, monkeypatch):
+@pytest.mark.parametrize("workers", [0, -4])
+def test_workers_below_one_is_data_error(workers, tmp_path, capsys):
     argv = ["sample", "--group", "unitary", "--n", "3", "--count", "2"]
-    code, _, err = run(capsys, *argv, "--workers", workers)
-    assert code == 1 and "--workers" in err
-    monkeypatch.setenv("EXCISED_RMT_WORKERS", workers)
-    code, _, err = run(capsys, *argv)
-    assert code == 1 and "EXCISED_RMT_WORKERS" in err
+    code, out, err = run(capsys, *argv, "--workers", str(workers))
+    assert code == 1 and out == "" and err == f"error: --workers must be >= 1, got {workers}\n"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"kind": "sample", "workers": workers}))
+    assert run(capsys, *argv, "--config", str(cfg)) == (1, "", err)
 
 
 @pytest.mark.parametrize(

@@ -289,7 +289,7 @@ def test_haar_invariance_of_trace_statistic():
 def test_haar_shift_preserves_membership():
     spec = GroupSpec(GroupKind.Unitary, 4)
     shifted = sample(spec, 5, 0) @ sample(spec, 6, 1)
-    verify_invariants(spec, shifted, unitary_tol=1e-9)
+    verify_invariants(spec, shifted)
 
 
 def test_first_moment_of_trace_vanishes():
