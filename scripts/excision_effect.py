@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from excised_rmt.groups import GroupKind, GroupSpec
-from excised_rmt.spectral import ExcisionRule
+from excised_rmt.spectral import ExcisionRule, excise_mask
 from excised_rmt.stats import sample_summaries
 
 
@@ -27,7 +27,7 @@ def main() -> None:
     spec = GroupSpec(GroupKind.SOEven, args.n)
     table = sample_summaries(spec, args.count, args.seed)
     rule = ExcisionRule(c=args.c, k=args.k, n_std=args.nstd)
-    keep = table["charpoly_abs"] >= rule.threshold
+    keep = excise_mask(table["charpoly_abs"], rule)
     all_angles = table["first_angle"]
     kept_angles = all_angles[keep]
     decile = np.quantile(all_angles, 0.1)

@@ -21,7 +21,6 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from excised_rmt.special import EULER_GAMMA, STIELTJES_GAMMA1
 from excised_rmt.theory import SymmetryCase
 
 _PI = math.pi
@@ -360,20 +359,19 @@ class NewformLocalData:
         return cls(M=M, k=k, lam=lam, chi=chi, principal=principal)
 
 
-def lambda_power(data: NewformLocalData, p: int, m: int, cross_check: bool = False) -> complex:
-    """lambda(p^m) from the Hecke recurrence, optionally cross-checked
-    against the Satake power sum."""
+def _lambda_powers(data: NewformLocalData, p: int, top: int) -> list:
+    """lambda(p^0), ..., lambda(p^top) from the Hecke recurrence
+    lambda(p^(j+1)) = lambda(p) lambda(p^j) - chi(p) lambda(p^(j-1))."""
     lam, chi = data.lam[p], data.chi[p]
     values = [1.0 + 0j, lam]
-    for j in range(1, m):
+    for j in range(1, top):
         values.append(lam * values[j] - chi * values[j - 1])
-    out = values[m] if m >= 0 else 0.0
-    if cross_check:
-        alpha, beta = satake(lam, chi)
-        total = sum(alpha ** l * beta ** (m - l) for l in range(m + 1))
-        if abs(out - total) > 1e-10 * max(1.0, abs(out)):
-            raise ArithmeticError("Hecke recurrence and Satake sum disagree")
-    return out
+    return values
+
+
+def lambda_power(data: NewformLocalData, p: int, m: int) -> complex:
+    """lambda(p^m) from the Hecke recurrence; 0 for m < 0."""
+    return _lambda_powers(data, p, m)[m] if m >= 0 else 0.0
 
 
 def e_factor(case: SymmetryCase, epsilon_f: int = 1, Delta: int = 1, psi_d_M: int = 1) -> float:
@@ -422,7 +420,7 @@ _DERIV_STEP = 1e-3
 
 def _v_unramified(data: NewformLocalData, p: int, alpha: complex, gamma: complex) -> complex:
     terms = _EULER_TERMS
-    lam_pows = [lambda_power(data, p, m) for m in range(2 * terms + 2)]
+    lam_pows = _lambda_powers(data, p, 2 * terms + 1)
     x = p ** (-(1.0 + 2.0 * alpha))
     s1 = sum(lam_pows[2 * m] * x ** m for m in range(1, terms + 1))
     s2 = (data.lam[p] * p ** (-(1.0 + alpha + gamma))) * sum(
@@ -506,19 +504,3 @@ def a1_00(
     d1 = deriv(_DERIV_STEP)
     d2 = deriv(2.0 * _DERIV_STEP)
     return (4.0 * d1 - d2) / 3.0
-
-
-def e_coefficients_from_inputs(
-    M: int,
-    lambda_M_sq: float,
-    App0: float = 0.0,
-    Appp0: float = 0.0,
-    Lp_ad_prime: float = 0.0,
-) -> Tuple[float, float, float]:
-    """Pair-correlation coefficients (e1, e2, e3) from raw inputs."""
-    if lambda_M_sq <= 0:
-        raise ValueError("|lambda(M)|^2 must be positive")
-    e1 = 0.5 * math.log(M) ** 2 / (M / lambda_M_sq - 1.0)
-    e2 = -2.0 + EULER_GAMMA ** 2 + 2.0 * STIELTJES_GAMMA1 - App0 / 2.0 - Lp_ad_prime
-    e3 = (16.0 + Appp0) / 12.0
-    return e1, e2, e3

@@ -224,10 +224,9 @@ def _check_json_value(what: str, key: str, value, type_) -> None:
 
 def _coefficient_inputs(path) -> theory.CoefficientInputs:
     """The raw coefficient inputs of a JSON file; a null value keeps the
-    default.  The assembled a1..d1, which default to None, are not inputs."""
+    default."""
     data = _load_json_object(path, "coeffs")
-    types = {f.name: type(f.default) for f in dataclasses.fields(theory.CoefficientInputs)
-             if f.default is not None}
+    types = {f.name: type(f.default) for f in dataclasses.fields(theory.CoefficientInputs)}
     unknown = set(data) - set(types)
     if unknown:
         raise DataError(f"unknown coefficient keys: {sorted(unknown)}")
@@ -242,25 +241,16 @@ def cmd_neff(args) -> int:
     if case is theory.SymmetryCase.Generic:
         if args.e1 is None or args.e2 is None or args.R is None:
             raise DataError("generic case requires --e1, --e2, and --R")
-        value = theory.n_eff(case, 0.0, 0.0, e1=args.e1, e2=args.e2, R=args.R)
+        value = theory.n_eff_generic(args.e1, args.e2, args.R)
         payload = {"case": case.value, "n_eff": value, "e1": args.e1, "e2": args.e2, "R": args.R}
     else:
         if args.M is None or args.X is None:
             raise DataError("this case requires --M and --X")
         raw = _coefficient_inputs(args.coeffs) if args.coeffs else theory.CoefficientInputs()
         coeffs = theory.coefficient_assembly(case, raw)
-        value = theory.n_eff(case, args.M, args.X, coeffs=coeffs)
-        payload = {
-            "case": case.value,
-            "n_eff": value,
-            "M": args.M,
-            "X": args.X,
-            "coefficients": {
-                name: getattr(coeffs, name)
-                for name in ("a1", "a2", "a3", "a4", "b1", "b2", "c1", "c2", "d1")
-                if getattr(coeffs, name) is not None
-            },
-        }
+        value = theory.n_eff(case, args.M, args.X, coeffs)
+        payload = {"case": case.value, "n_eff": value, "M": args.M, "X": args.X,
+                   "coefficients": coeffs}
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return 0
 

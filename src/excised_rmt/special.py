@@ -65,7 +65,7 @@ def digamma(x: float) -> float:
     return result + math.log(x) - 0.5 / x - series
 
 
-def _simpson(f, a, fa, b, fb, m, fm):
+def _simpson(a, fa, b, fb, fm):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
@@ -74,8 +74,8 @@ def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
     rm = 0.5 * (m + b)
     flm = f(lm)
     frm = f(rm)
-    left = _simpson(f, a, fa, m, fm, lm, flm)
-    right = _simpson(f, m, fm, b, fb, rm, frm)
+    left = _simpson(a, fa, m, fm, flm)
+    right = _simpson(m, fm, b, fb, frm)
     delta = left + right - whole
     if depth <= 0 or abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
@@ -99,7 +99,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
         flo, fhi = f(lo), f(hi)
         m = 0.5 * (lo + hi)
         fm = f(m)
-        whole = _simpson(f, lo, flo, hi, fhi, m, fm)
+        whole = _simpson(lo, flo, hi, fhi, fm)
         total += _adaptive(f, lo, flo, hi, fhi, m, fm, whole, tol / _PANELS, _MAX_DEPTH)
     return total
 

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,11 +41,10 @@ class SymmetryCase(enum.Enum):
 
 @dataclass(frozen=True)
 class CoefficientInputs:
-    """Raw L-function constants and the assembled one-level coefficients.
+    """Raw L-function constants of the lower-order terms.
 
-    Raw inputs default to 0 so toy evaluations work out of the box; the
-    assembled a1..d1 fields are populated by coefficient_assembly, which
-    takes Euler's gamma and the Stieltjes gamma_1 as fixed constants.
+    They default to 0 (L1_ad to 1) so toy evaluations work out of the box;
+    coefficient_assembly turns them into each case's coefficients.
     """
 
     k: int = 2
@@ -67,26 +65,6 @@ class CoefficientInputs:
     Btilde_p0: float = 0.0
     L1_sym: float = 0.0
     Lp_sym_value: float = 0.0
-    a1: Optional[float] = None
-    a2: Optional[float] = None
-    a3: Optional[float] = None
-    a4: Optional[float] = None
-    b1: Optional[float] = None
-    b2: Optional[float] = None
-    c1: Optional[float] = None
-    c2: Optional[float] = None
-    d1: Optional[float] = None
-
-    @property
-    def digamma_k2(self) -> float:
-        return digamma(self.k / 2.0)
-
-
-@dataclass(frozen=True)
-class PairCorrCoefficients:
-    e1: float = 0.0
-    e2: float = 0.0
-    e3: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -108,6 +86,7 @@ def finite_n_density(group: GroupKind, n: int, theta) -> np.ndarray:
     [0, 2pi] for the odd orthogonal and unitary groups.  Removable
     singularities of sin(m*theta)/sin(theta) are evaluated by limit.
     """
+    GroupSpec(group, n)  # validates n
     theta = np.asarray(theta, dtype=float)
     if group is GroupKind.SOEven:
         out = (2 * n - 1) / (2 * _PI) + sin_ratio(2 * n - 1, theta) / (2 * _PI)
@@ -191,6 +170,8 @@ def scaled_density_expansion(group: GroupKind, n, tau, order: int = 2):
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
+    if n != math.inf:
+        GroupSpec(group, n)  # validates n
     tau = np.asarray(tau, dtype=float)
     s = sinc2pi(tau)
     two_pi_tau = 2.0 * _PI * tau
@@ -220,15 +201,16 @@ def scaled_density_expansion(group: GroupKind, n, tau, order: int = 2):
     return out
 
 
-def coefficient_assembly(case: SymmetryCase, raw: CoefficientInputs) -> CoefficientInputs:
-    """Assemble the lower-order-term coefficients for a symmetry case.
+def coefficient_assembly(case: SymmetryCase, raw: CoefficientInputs) -> dict:
+    """The lower-order-term coefficients of a symmetry case, by name.
 
-    The principal-nebentypus cases produce (a1, a2) or (a3, a4), the
-    self-CM case (b1, b2), and the generic case (c1, c2, d1).  Dual-form
-    inputs are treated as equal to the given form's inputs (real-valued
+    The principal-nebentypus cases have (a1, a2) or (a3, a4), the self-CM
+    case (b1, b2), and the generic case (c1, c2, d1).  Euler's gamma and
+    the Stieltjes gamma_1 are fixed constants.  Dual-form inputs are
+    treated as equal to the given form's inputs (real-valued
     symmetrization), so e.g. c1 collapses to a single set of constants.
     """
-    psi = raw.digamma_k2
+    psi = digamma(raw.k / 2.0)
     g = EULER_GAMMA
     g1 = STIELTJES_GAMMA1
     if case is SymmetryCase.PrincipalEven:
@@ -243,7 +225,7 @@ def coefficient_assembly(case: SymmetryCase, raw: CoefficientInputs) -> Coeffici
             + 0.25 * raw.Bpp0
             + 2.0 * raw.Lpp_sym
         )
-        return replace(raw, a1=a1, a2=a2)
+        return {"a1": a1, "a2": a2}
     if case is SymmetryCase.PrincipalOdd:
         a3 = 2.0 - 2.0 * psi + 2.0 * g1 - 2.0 * raw.Lp_sym - 2.0 * raw.A1_00
         a4 = (
@@ -255,10 +237,10 @@ def coefficient_assembly(case: SymmetryCase, raw: CoefficientInputs) -> Coeffici
             - 0.5 * raw.Bpp0
             - raw.Lpp_sym
         )
-        return replace(raw, a3=a3, a4=a4)
+        return {"a3": a3, "a4": a4}
+    if raw.L1_ad <= 0:
+        raise ValueError("L1_ad must be positive (appears as a denominator)")
     if case is SymmetryCase.SelfCM:
-        if raw.L1_ad <= 0:
-            raise ValueError("L1_ad must be positive (appears as a denominator)")
         ratio = raw.L1_chi / raw.L1_ad
         b1 = 1.0 - psi - raw.xi0 * ratio - raw.A1_00 + raw.Lp_chi
         b2 = (
@@ -270,10 +252,8 @@ def coefficient_assembly(case: SymmetryCase, raw: CoefficientInputs) -> Coeffici
             + raw.Lp_chi * (-2.0 * raw.xi0 + raw.Bp0 + 2.0 - 2.0 * psi)
             + ratio * (2.0 * psi * raw.xi0 - 2.0 * raw.xi0 + 2.0 * raw.xi1 - raw.xi0 * raw.Bp0)
         )
-        return replace(raw, b1=b1, b2=b2)
+        return {"b1": b1, "b2": b2}
     # generic
-    if raw.L1_ad <= 0:
-        raise ValueError("L1_ad must be positive (appears as a denominator)")
     c1 = psi + raw.A1_00 - raw.Lp_chi + raw.Lp_sym
     c2 = -raw.eta * raw.Atilde_00 * raw.L1_chi * raw.L1_sym / raw.L1_ad
     d1 = 2.0 * raw.eta * (
@@ -281,21 +261,33 @@ def coefficient_assembly(case: SymmetryCase, raw: CoefficientInputs) -> Coeffici
         * (-0.5 * raw.Btilde_p0 * raw.L1_chi + (psi - 1.0) * raw.Atilde_00 * raw.L1_chi)
         + (raw.Lp_sym_value / raw.L1_ad) * raw.Atilde_00 * raw.L1_chi
     )
-    return replace(raw, c1=c1, c2=c2, d1=d1)
+    return {"c1": c1, "c2": c2, "d1": d1}
 
 
-def _require(coeffs: CoefficientInputs, names) -> list:
-    values = []
-    for name in names:
-        v = getattr(coeffs, name)
-        if v is None:
-            raise ValueError(f"missing coefficient {name!r}; run coefficient_assembly first")
-        values.append(v)
-    return values
+def e_coefficients_from_inputs(
+    M: int,
+    lambda_M_sq: float,
+    App0: float = 0.0,
+    Appp0: float = 0.0,
+    Lp_ad_prime: float = 0.0,
+) -> tuple[float, float, float]:
+    """Pair-correlation coefficients (e1, e2, e3) from raw inputs.
+
+    App0, Appp0 and Lp_ad_prime are raw constants of the e2 and e3
+    formulas, like the fields of CoefficientInputs; at their default 0
+    their terms drop out.
+    """
+    if lambda_M_sq <= 0:
+        raise ValueError("|lambda(M)|^2 must be positive")
+    e1 = 0.5 * math.log(M) ** 2 / (M / lambda_M_sq - 1.0)
+    e2 = -2.0 + EULER_GAMMA ** 2 + 2.0 * STIELTJES_GAMMA1 - App0 / 2.0 - Lp_ad_prime
+    e3 = (16.0 + Appp0) / 12.0
+    return e1, e2, e3
 
 
-def q_lower_order(case: SymmetryCase, tau, R: float, coeffs: CoefficientInputs):
-    """Lower-order term Q(tau) of the scaled one-level density."""
+def q_lower_order(case: SymmetryCase, tau, R: float, coeffs: dict):
+    """Lower-order term Q(tau) of the scaled one-level density, from the
+    case's coefficients as coefficient_assembly names them."""
     if R <= 0:
         raise ValueError("R must be positive")
     tau = np.asarray(tau, dtype=float)
@@ -303,18 +295,16 @@ def q_lower_order(case: SymmetryCase, tau, R: float, coeffs: CoefficientInputs):
     cos2 = np.cos(2.0 * _PI * tau)
     sin2 = np.sin(2.0 * _PI * tau)
     if case is SymmetryCase.PrincipalEven:
-        a1, a2 = _require(coeffs, ("a1", "a2"))
-        out = s - a1 * (1.0 + cos2) / R - a2 * _PI * tau * sin2 / (R * R)
+        out = (s - coeffs["a1"] * (1.0 + cos2) / R
+               - coeffs["a2"] * _PI * tau * sin2 / (R * R))
     elif case is SymmetryCase.PrincipalOdd:
-        a3, a4 = _require(coeffs, ("a3", "a4"))
         denom = 2.0 * R + 1.0
-        out = -s - a3 * (1.0 - cos2) / denom + a4 * 2.0 * _PI * tau * sin2 / (denom * denom)
+        out = (-s - coeffs["a3"] * (1.0 - cos2) / denom
+               + coeffs["a4"] * 2.0 * _PI * tau * sin2 / (denom * denom))
     elif case is SymmetryCase.SelfCM:
-        b1, b2 = _require(coeffs, ("b1", "b2"))
-        out = -s + b1 * (1.0 - cos2) / R + b2 * _PI * tau * sin2 / (R * R)
+        out = -s + coeffs["b1"] * (1.0 - cos2) / R + coeffs["b2"] * _PI * tau * sin2 / (R * R)
     else:
-        c1, c2, d1 = _require(coeffs, ("c1", "c2", "d1"))
-        out = (c1 + c2 * cos2) / R + d1 * _PI * tau * sin2 / (R * R)
+        out = (coeffs["c1"] + coeffs["c2"] * cos2) / R + coeffs["d1"] * _PI * tau * sin2 / (R * R)
     if np.ndim(tau) == 0:
         return float(out)
     return out
@@ -322,54 +312,43 @@ def q_lower_order(case: SymmetryCase, tau, R: float, coeffs: CoefficientInputs):
 
 def n_std(M: float, d: float) -> float:
     """Standard matrix size from matching mean densities."""
-    if M <= 0 or d <= 0:
-        raise ValueError("level and discriminant must be positive")
+    if not (0.0 < M < math.inf and 0.0 < d < math.inf):
+        raise ValueError("level and discriminant must be positive and finite")
     return math.log(math.sqrt(M) * d / (2.0 * _PI))
 
 
-def n_eff(
-    case: SymmetryCase,
-    M: float,
-    X: float,
-    coeffs: Optional[CoefficientInputs] = None,
-    e1: Optional[float] = None,
-    e2: Optional[float] = None,
-    R: Optional[float] = None,
-) -> float:
-    """Effective matrix size for a symmetry case.
-
-    The principal/self-CM cases use the assembled a1/a3/b1 coefficient and
-    log(sqrt(M) X / (2 pi)); the generic case uses R / sqrt(3<e2> - 4<e1>)
-    with R supplied from the caller's scaling context.
-    """
-    if case is SymmetryCase.Generic:
-        if e1 is None or e2 is None or R is None:
-            raise ValueError("generic case requires e1, e2, and R")
-        if not all(map(math.isfinite, (e1, e2, R))):
-            raise ValueError("e1, e2 and R must be finite")
-        if R <= 0:
-            raise ValueError("R must be positive")
-        disc = 3.0 * e2 - 4.0 * e1
-        if disc <= 0:
-            raise ValueError("3<e2> - 4<e1> must be positive for the generic case")
-        return R / math.sqrt(disc)
-    if coeffs is None:
-        raise ValueError("coefficient inputs required")
-    logterm = math.log(math.sqrt(M) * X / (2.0 * _PI))
+def n_eff(case: SymmetryCase, M: float, X: float, coeffs: dict) -> float:
+    """Effective matrix size of a principal or self-CM family, from
+    n_std(M, X) = log(sqrt(M) X / (2 pi)) and the case's a1, a3 or b1 as
+    coefficient_assembly names them.  The generic case has no such form;
+    its size is n_eff_generic."""
+    logterm = n_std(M, X)
     if case is SymmetryCase.PrincipalEven:
-        (a1,) = _require(coeffs, ("a1",))
-        if a1 == 0:
+        if coeffs["a1"] == 0:
             raise ValueError("a1 must be nonzero")
-        return logterm / (2.0 * a1)
+        return logterm / (2.0 * coeffs["a1"])
     if case is SymmetryCase.PrincipalOdd:
-        (a3,) = _require(coeffs, ("a3",))
-        if a3 == 0:
+        if coeffs["a3"] == 0:
             raise ValueError("a3 must be nonzero")
-        return (logterm - 0.5) / a3 - 0.5
-    (b1,) = _require(coeffs, ("b1",))
-    if b1 == 0:
-        raise ValueError("b1 must be nonzero")
-    return logterm / b1
+        return (logterm - 0.5) / coeffs["a3"] - 0.5
+    if case is SymmetryCase.SelfCM:
+        if coeffs["b1"] == 0:
+            raise ValueError("b1 must be nonzero")
+        return logterm / coeffs["b1"]
+    raise ValueError("the generic case's effective size is n_eff_generic(e1, e2, R)")
+
+
+def n_eff_generic(e1: float, e2: float, R: float) -> float:
+    """Effective matrix size R / sqrt(3 e2 - 4 e1) of a generic family,
+    from its pair-correlation coefficients and the caller's scale R."""
+    if not all(map(math.isfinite, (e1, e2, R))):
+        raise ValueError("e1, e2 and R must be finite")
+    if R <= 0:
+        raise ValueError("R must be positive")
+    disc = 3.0 * e2 - 4.0 * e1
+    if disc <= 0:
+        raise ValueError("3<e2> - 4<e1> must be positive for the generic case")
+    return R / math.sqrt(disc)
 
 
 def _pair_corr_objective(e1: float, e2: float, R: float, n: float) -> float:
@@ -426,6 +405,7 @@ def montgomery_r2(y):
 
 def u_pair_corr(x, n: int):
     """Finite-size unitary pair correlation with the 1/N^2 correction."""
+    GroupSpec(GroupKind.Unitary, n)  # validates n
     x = np.asarray(x, dtype=float)
     out = montgomery_r2(x) - np.sin(_PI * x) ** 2 / (3.0 * n * n)
     if np.ndim(x) == 0:
@@ -449,7 +429,7 @@ def u_pair_corr_exact(x, n: int):
     return out
 
 
-def pair_corr_expansion(y, R: float, e: PairCorrCoefficients):
+def pair_corr_expansion(y, R: float, e1: float, e2: float, e3: float):
     """Pair-correlation integrand including the R^-2 and R^-3 terms."""
     if R <= 0:
         raise ValueError("R must be positive")
@@ -457,8 +437,8 @@ def pair_corr_expansion(y, R: float, e: PairCorrCoefficients):
     s2 = np.sin(_PI * y) ** 2
     out = (
         montgomery_r2(y)
-        + (e.e1 - e.e2 * s2) / (R * R)
-        - e.e3 * _PI * y * np.sin(2.0 * _PI * y) / (R ** 3)
+        + (e1 - e2 * s2) / (R * R)
+        - e3 * _PI * y * np.sin(2.0 * _PI * y) / (R ** 3)
     )
     if np.ndim(y) == 0:
         return float(out)

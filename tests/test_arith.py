@@ -15,7 +15,6 @@ from excised_rmt.arith import (
     a1_00,
     a_f_value,
     cardinality_estimate,
-    e_coefficients_from_inputs,
     e_factor,
     enumerate_family,
     family_windows,
@@ -32,7 +31,6 @@ from excised_rmt.arith import (
     truncated_a_f,
     twisted_root_number,
 )
-from excised_rmt.special import EULER_GAMMA, STIELTJES_GAMMA1
 from excised_rmt.theory import SymmetryCase
 
 
@@ -368,7 +366,11 @@ def test_lambda_power_satake_cross_check(p, m):
     lam[11] = 0.1
     chi[11] = 0.0
     data = NewformLocalData(M=11, k=2, lam=lam, chi=chi)
-    lambda_power(data, p, m, cross_check=True)  # raises if routes disagree
+    # the Hecke recurrence against the Satake power sum
+    # lambda(p^m) = sum_{l=0}^{m} alpha^l beta^(m-l)
+    alpha, beta = satake(0.5, 1.0)
+    total = sum(alpha**l * beta ** (m - l) for l in range(m + 1))
+    assert abs(lambda_power(data, p, m) - total) <= 1e-10 * max(1.0, abs(total))
 
 
 def test_ramanujan_bound_enforced():
@@ -436,22 +438,3 @@ def test_tail_estimate_shrinks_with_cutoff():
     t_small = truncated_a_f(data, SymmetryCase.PrincipalEven, 0.1, 200)["tail_estimate"]
     t_large = truncated_a_f(data, SymmetryCase.PrincipalEven, 0.1, 2000)["tail_estimate"]
     assert t_large <= t_small
-
-
-# --- pair-correlation coefficients -----------------------------------------
-
-def test_e1_reference_value():
-    e1, _, _ = e_coefficients_from_inputs(11, 1.0 / 11.0)
-    assert e1 == pytest.approx(0.5 * math.log(11) ** 2 / 120.0, rel=1e-12)
-    assert e1 == pytest.approx(0.02396, abs=5e-5)
-
-
-def test_e2_e3_structure():
-    _, e2, e3 = e_coefficients_from_inputs(11, 1.0 / 11.0, App0=0.0, Appp0=0.0, Lp_ad_prime=0.0)
-    assert e2 == pytest.approx(-2.0 + EULER_GAMMA**2 + 2.0 * STIELTJES_GAMMA1, rel=1e-12)
-    assert e3 == pytest.approx(16.0 / 12.0, rel=1e-12)
-
-
-def test_e_coefficients_reject_bad_lambda():
-    with pytest.raises(ValueError):
-        e_coefficients_from_inputs(11, 0.0)

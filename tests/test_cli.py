@@ -193,11 +193,55 @@ def test_neff_coeffs_file(tmp_path, capsys):
     raw = theory.CoefficientInputs(k=4, Lp_sym=0.5)
     cs = theory.coefficient_assembly(theory.SymmetryCase.PrincipalEven, raw)
     data = json.loads(out)
-    assert data["coefficients"] == {"a1": cs.a1, "a2": cs.a2}
-    assert data["n_eff"] == theory.n_eff(theory.SymmetryCase.PrincipalEven, 11, 9960, coeffs=cs)
+    assert data["coefficients"] == cs
+    assert data["n_eff"] == theory.n_eff(theory.SymmetryCase.PrincipalEven, 11, 9960, cs)
     # a null value keeps the default
     coeffs.write_text(json.dumps({"A1_00": None}))
     assert _neff_principal(capsys, "--coeffs", str(coeffs)) == _neff_principal(capsys)
+
+
+# A --coeffs file that moves every principal-case coefficient, and the
+# exact neff stdout with and without it.  The floats are the shortest
+# reprs that round-trip, so dumping a dict of them gives the exact bytes.
+NEFF_COEFFS = {"A1_00": 0.125, "Lp_sym": -0.375, "L1_chi": 0.75, "xi0": 0.5,
+               "eta": 1.5, "Atilde_00": 0.25, "L1_sym": 2.0}
+NEFF_STDOUT = {
+    ("principal_even", False): ({"a1": 2.154431329803065, "a2": 3.120850198188921},
+                                1.988321187603511),
+    ("principal_even", True): ({"a1": 2.404431329803065, "a2": 4.73667369554122},
+                               1.7815861102737744),
+    ("principal_odd", False): ({"a3": 3.008799638835711, "a4": -3.9328377367717104},
+                               2.1812695722372046),
+    ("principal_odd", True): ({"a3": 3.508799638835711, "a4": -7.164484731476308},
+                              1.7991916754886028),
+    ("self_cm", False): ({"b1": 1.5772156649015323, "b2": 1.1544313298030648},
+                         5.431979348939168),
+    ("self_cm", True): ({"b1": 1.0772156649015323, "b2": -0.0284804188730845},
+                        7.953284750414046),
+}
+
+
+@pytest.mark.parametrize("case, with_coeffs", list(NEFF_STDOUT))
+def test_neff_stdout_is_pinned(case, with_coeffs, tmp_path, capsys):
+    extra = []
+    if with_coeffs:
+        (tmp_path / "coeffs.json").write_text(json.dumps(NEFF_COEFFS))
+        extra = ["--coeffs", str(tmp_path / "coeffs.json")]
+    code, out, err = run(capsys, "neff", "--case", case, "--M", "11", "--X", "9960", *extra)
+    coefficients, n_eff = NEFF_STDOUT[case, with_coeffs]
+    expected = {"M": 11, "X": 9960, "case": case, "coefficients": coefficients, "n_eff": n_eff}
+    assert (code, err) == (0, "")
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_neff_generic_stdout_is_pinned(capsys):
+    code, out, err = run(capsys, "neff", "--case", "generic", "--e1", "0.024", "--e2", "2.0",
+                         "--R", "8.5")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{\n  "R": 8.5,\n  "case": "generic",\n  "e1": 0.024,\n  "e2": 2.0,\n'
+        '  "n_eff": 3.498208988133963\n}\n'
+    )
 
 
 @pytest.mark.parametrize(

@@ -11,11 +11,11 @@ from excised_rmt import theory
 from excised_rmt.special import EULER_GAMMA, STIELTJES_GAMMA1, adaptive_simpson, sin_ratio
 from excised_rmt.theory import (
     CoefficientInputs,
-    PairCorrCoefficients,
     SymmetryCase,
     VanishingModel,
     barnes_g_half,
     coefficient_assembly,
+    e_coefficients_from_inputs,
     exact_scaled_density,
     finite_n_density,
     first_angle_cdf,
@@ -23,6 +23,7 @@ from excised_rmt.theory import (
     h_exact,
     montgomery_r2,
     n_eff,
+    n_eff_generic,
     n_eff_l2_optimize,
     n_std,
     pair_corr_expansion,
@@ -108,29 +109,77 @@ def test_scaled_expansion_infinite_size_is_limit():
     assert scaled_density_expansion(GroupKind.Unitary, math.inf, 1.3, order=2) == 1.0
 
 
+# Each formula holds only for a positive integer N (and positive finite
+# level and discriminant); outside that range it must raise, not return a
+# plausible number
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: finite_n_density(GroupKind.SOEven, 0, 1.0),
+        lambda: scaled_density_expansion(GroupKind.SOEven, -3, 0.5),
+        lambda: u_pair_corr(1.0, 0),
+        lambda: n_std(math.nan, 3),
+        lambda: n_std(11, math.inf),
+        lambda: n_eff(SymmetryCase.PrincipalEven, math.inf, 9960, {"a1": 1.0}),
+        lambda: n_eff(SymmetryCase.SelfCM, 11, math.nan, {"b1": 1.0}),
+    ],
+    ids=["density-n0", "expansion-n-3", "u-pair-n0", "n-std-nan", "n-std-inf",
+         "n-eff-m-inf", "n-eff-x-nan"],
+)
+def test_outside_the_formula_range_raises(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_non_integer_n_is_a_type_error():
+    # N is checked by GroupSpec, for which a non-integer N is a type error,
+    # as for every sampler
+    with pytest.raises(TypeError):
+        finite_n_density(GroupKind.USp, 2.5, 1.0)
+    with pytest.raises(TypeError):
+        u_pair_corr(0.5, 2.5)
+
+
+def test_range_checks_keep_what_the_callers_pass():
+    x = np.linspace(0.0, 3.0, 7)
+    assert finite_n_density(GroupKind.USp, 10, x).shape == (7,)
+    assert u_pair_corr(x, 30).shape == (7,)
+    assert scaled_density_expansion(GroupKind.USp, math.inf, x).shape == (7,)
+
+
 # --- coefficient assembly --------------------------------------------------
+
+def test_coefficient_names_per_case():
+    names = {case: sorted(coefficient_assembly(case, CoefficientInputs())) for case in SymmetryCase}
+    assert names == {
+        SymmetryCase.PrincipalEven: ["a1", "a2"],
+        SymmetryCase.PrincipalOdd: ["a3", "a4"],
+        SymmetryCase.SelfCM: ["b1", "b2"],
+        SymmetryCase.Generic: ["c1", "c2", "d1"],
+    }
+
 
 def test_a1_with_toy_inputs():
     # with all L-function constants zeroed and weight 2,
     # a1 = 1 - psi(1) + gamma = 1 + 2 gamma
     cs = coefficient_assembly(SymmetryCase.PrincipalEven, CoefficientInputs())
-    assert cs.a1 == pytest.approx(1.0 + 2.0 * EULER_GAMMA, abs=1e-12)
+    assert cs["a1"] == pytest.approx(1.0 + 2.0 * EULER_GAMMA, abs=1e-12)
 
 
 def test_a3_with_toy_inputs():
     cs = coefficient_assembly(SymmetryCase.PrincipalOdd, CoefficientInputs())
-    assert cs.a3 == pytest.approx(2.0 + 2.0 * EULER_GAMMA + 2.0 * STIELTJES_GAMMA1, abs=1e-12)
+    assert cs["a3"] == pytest.approx(2.0 + 2.0 * EULER_GAMMA + 2.0 * STIELTJES_GAMMA1, abs=1e-12)
 
 
 def test_b1_with_toy_inputs():
     cs = coefficient_assembly(SymmetryCase.SelfCM, CoefficientInputs())
-    assert cs.b1 == pytest.approx(1.0 + EULER_GAMMA, abs=1e-12)
+    assert cs["b1"] == pytest.approx(1.0 + EULER_GAMMA, abs=1e-12)
 
 
 def test_c1_with_toy_inputs():
     cs = coefficient_assembly(SymmetryCase.Generic, CoefficientInputs())
-    assert cs.c1 == pytest.approx(-EULER_GAMMA, abs=1e-12)
-    assert cs.c2 == 0.0 and cs.d1 == 0.0
+    assert cs["c1"] == pytest.approx(-EULER_GAMMA, abs=1e-12)
+    assert cs["c2"] == 0.0 and cs["d1"] == 0.0
 
 
 def test_weight_enters_through_digamma():
@@ -138,12 +187,54 @@ def test_weight_enters_through_digamma():
     for k in (2, 4, 6):
         cs = coefficient_assembly(SymmetryCase.PrincipalEven, CoefficientInputs(k=k))
         expected = 1.0 - float(mpmath.digamma(k / 2)) + EULER_GAMMA
-        assert cs.a1 == pytest.approx(expected, abs=1e-11)
+        assert cs["a1"] == pytest.approx(expected, abs=1e-11)
+
+
+@pytest.mark.parametrize("case", [SymmetryCase.SelfCM, SymmetryCase.Generic])
+def test_l1_ad_must_be_positive_where_it_divides(case):
+    with pytest.raises(ValueError, match="L1_ad"):
+        coefficient_assembly(case, CoefficientInputs(L1_ad=0.0))
+    # the principal cases do not read it
+    coefficient_assembly(SymmetryCase.PrincipalEven, CoefficientInputs(L1_ad=0.0))
+
+
+def test_e1_reference_value():
+    e1, _, _ = e_coefficients_from_inputs(11, 1.0 / 11.0)
+    assert e1 == pytest.approx(0.5 * math.log(11) ** 2 / 120.0, rel=1e-12)
+    assert e1 == pytest.approx(0.02396, abs=5e-5)
+
+
+def test_e2_e3_structure():
+    _, e2, e3 = e_coefficients_from_inputs(11, 1.0 / 11.0, App0=0.0, Appp0=0.0, Lp_ad_prime=0.0)
+    assert e2 == pytest.approx(-2.0 + EULER_GAMMA**2 + 2.0 * STIELTJES_GAMMA1, rel=1e-12)
+    assert e3 == pytest.approx(16.0 / 12.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "term, e2_weight, e3_weight",
+    [("App0", -0.5, 0.0), ("Appp0", 0.0, 1.0 / 12.0), ("Lp_ad_prime", -1.0, 0.0)],
+)
+def test_e2_e3_term_signs_and_weights(term, e2_weight, e3_weight):
+    # e2 = ... - App0 / 2 - Lp_ad_prime and e3 = (16 + Appp0) / 12; e1 reads none of them
+    e1, e2, e3 = e_coefficients_from_inputs(11, 1.0 / 11.0)
+    f1, f2, f3 = e_coefficients_from_inputs(11, 1.0 / 11.0, **{term: 0.75})
+    assert f1 == e1
+    assert f2 - e2 == pytest.approx(0.75 * e2_weight, abs=1e-15)
+    assert f3 - e3 == pytest.approx(0.75 * e3_weight, abs=1e-15)
+
+
+def test_e_coefficients_reject_bad_lambda():
+    with pytest.raises(ValueError):
+        e_coefficients_from_inputs(11, 0.0)
 
 
 def test_q_lower_order_requires_assembled():
-    with pytest.raises(ValueError):
+    # the raw inputs are not coefficients, and another case's have other names
+    with pytest.raises(TypeError):
         q_lower_order(SymmetryCase.PrincipalEven, 0.5, 8.0, CoefficientInputs())
+    odd = coefficient_assembly(SymmetryCase.PrincipalOdd, CoefficientInputs())
+    with pytest.raises(KeyError, match="a1"):
+        q_lower_order(SymmetryCase.PrincipalEven, 0.5, 8.0, odd)
 
 
 def test_q_lower_order_limits():
@@ -168,23 +259,25 @@ def test_n_std_reference_value():
 def test_n_eff_closed_forms():
     cs = coefficient_assembly(SymmetryCase.PrincipalEven, CoefficientInputs())
     logterm = math.log(math.sqrt(11) * 9960 / (2 * math.pi))
-    assert n_eff(SymmetryCase.PrincipalEven, 11, 9960, coeffs=cs) == pytest.approx(
-        logterm / (2 * cs.a1)
+    assert n_eff(SymmetryCase.PrincipalEven, 11, 9960, cs) == pytest.approx(
+        logterm / (2 * cs["a1"])
     )
     cs_o = coefficient_assembly(SymmetryCase.PrincipalOdd, CoefficientInputs())
-    assert n_eff(SymmetryCase.PrincipalOdd, 11, 9960, coeffs=cs_o) == pytest.approx(
-        (logterm - 0.5) / cs_o.a3 - 0.5
+    assert n_eff(SymmetryCase.PrincipalOdd, 11, 9960, cs_o) == pytest.approx(
+        (logterm - 0.5) / cs_o["a3"] - 0.5
     )
     cs_b = coefficient_assembly(SymmetryCase.SelfCM, CoefficientInputs())
-    assert n_eff(SymmetryCase.SelfCM, 11, 9960, coeffs=cs_b) == pytest.approx(logterm / cs_b.b1)
+    assert n_eff(SymmetryCase.SelfCM, 11, 9960, cs_b) == pytest.approx(logterm / cs_b["b1"])
 
 
 def test_n_eff_generic_closed_form_and_errors():
-    assert n_eff(SymmetryCase.Generic, 0, 0, e1=0.1, e2=1.0, R=7.0) == pytest.approx(
-        7.0 / math.sqrt(3.0 - 0.4)
-    )
+    assert n_eff_generic(0.1, 1.0, 7.0) == pytest.approx(7.0 / math.sqrt(3.0 - 0.4))
     with pytest.raises(ValueError):
-        n_eff(SymmetryCase.Generic, 0, 0, e1=1.0, e2=1.0, R=7.0)
+        n_eff_generic(1.0, 1.0, 7.0)
+    # the generic case has no closed form in M and X
+    generic = coefficient_assembly(SymmetryCase.Generic, CoefficientInputs())
+    with pytest.raises(ValueError, match="n_eff_generic"):
+        n_eff(SymmetryCase.Generic, 11, 9960, generic)
 
 
 @pytest.mark.parametrize(
@@ -194,7 +287,7 @@ def test_n_eff_generic_closed_form_and_errors():
 )
 def test_n_eff_generic_rejects_non_finite_or_non_positive_R(e1, e2, R):
     with pytest.raises(ValueError):
-        n_eff(SymmetryCase.Generic, 0, 0, e1=e1, e2=e2, R=R)
+        n_eff_generic(e1, e2, R)
 
 
 def test_l2_optimizer_matches_closed_form():
@@ -343,17 +436,17 @@ def test_first_angle_cdf_rejects_what_it_does_not_cover():
 
 
 def test_pair_corr_expansion_limits():
-    e = PairCorrCoefficients(e1=0.5, e2=1.5, e3=2.0)
+    e1, e2, e3 = 0.5, 1.5, 2.0
     y = 0.77
-    assert pair_corr_expansion(y, 1e9, e) == pytest.approx(montgomery_r2(y), abs=1e-9)
+    assert pair_corr_expansion(y, 1e9, e1, e2, e3) == pytest.approx(montgomery_r2(y), abs=1e-9)
     # R^-2 term has the stated sign structure
     R = 10.0
     expected = (
         montgomery_r2(y)
-        + (e.e1 - e.e2 * math.sin(math.pi * y) ** 2) / R**2
-        - e.e3 * math.pi * y * math.sin(2 * math.pi * y) / R**3
+        + (e1 - e2 * math.sin(math.pi * y) ** 2) / R**2
+        - e3 * math.pi * y * math.sin(2 * math.pi * y) / R**3
     )
-    assert pair_corr_expansion(y, R, e) == pytest.approx(expected, rel=1e-12)
+    assert pair_corr_expansion(y, R, e1, e2, e3) == pytest.approx(expected, rel=1e-12)
 
 
 # --- small values and vanishing --------------------------------------------
