@@ -120,9 +120,7 @@ def _read_sample_table(path) -> np.ndarray:
             if len(parts) != len(fields):
                 raise DataError(f"{path}: line {lineno}: expected {len(fields)} fields")
             try:
-                rows.append(
-                    (int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]), float(parts[4]))
-                )
+                rows.append((int(parts[0]), *map(float, parts[1:])))
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from None
     return np.array(rows, dtype=stats.SAMPLE_DTYPE)
@@ -238,14 +236,20 @@ def _coefficient_inputs(path) -> theory.CoefficientInputs:
 
 def cmd_neff(args) -> int:
     case = _symmetry_case(args.case)
-    if case is theory.SymmetryCase.Generic:
-        if args.e1 is None or args.e2 is None or args.R is None:
-            raise DataError("generic case requires --e1, --e2, and --R")
+    generic = case is theory.SymmetryCase.Generic
+    needs, others = ("M", "X"), ("e1", "e2", "R")
+    if generic:
+        needs, others = others, ("M", "X", "coeffs")
+    for name in needs:
+        if getattr(args, name) is None:
+            raise DataError(f"--case {case.value} requires --{name}")
+    unused = [f"--{name}" for name in others if getattr(args, name) is not None]
+    if unused:
+        raise DataError(f"--case {case.value} does not use {', '.join(unused)}")
+    if generic:
         value = theory.n_eff_generic(args.e1, args.e2, args.R)
         payload = {"case": case.value, "n_eff": value, "e1": args.e1, "e2": args.e2, "R": args.R}
     else:
-        if args.M is None or args.X is None:
-            raise DataError("this case requires --M and --X")
         raw = _coefficient_inputs(args.coeffs) if args.coeffs else theory.CoefficientInputs()
         coeffs = theory.coefficient_assembly(case, raw)
         value = theory.n_eff(case, args.M, args.X, coeffs)

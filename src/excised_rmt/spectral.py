@@ -4,6 +4,7 @@ U(N) eigenangles come from a Hermitian eigen-solve of the Cayley
 transform, with rows that have an eigenvalue near -1 solved again after a
 rotation (`unitary_angles`).  SO and USp eigenangles come from `eigvals`,
 projected to the unit circle and paired as +/- theta (`_symmetrize`).
+det(I - A) comes from LU, checked against angles already solved (`char_poly_batch`).
 """
 
 from __future__ import annotations
@@ -201,21 +202,17 @@ def eigenangles_batch(spec: GroupSpec, mats: np.ndarray) -> np.ndarray:
     return _symmetrize(theta, forced_zero=spec.group is GroupKind.SOOdd)
 
 
-def char_poly_batch(mats: np.ndarray, check: bool = True) -> np.ndarray:
-    """det(I - A) for a stack of matrices, via LU with a product cross-check.
+def char_poly_batch(mats: np.ndarray, angles: np.ndarray | None = None) -> np.ndarray:
+    """det(I - A) for a stack of matrices by LU, checked against their eigenangles if given.
 
-    The LU value is authoritative; the spectral product over (1 - e^{i
-    theta_j}) must agree within relative _CHARPOLY_REL_TOL (plus the
-    absolute floor _CHARPOLY_ABS_TOL for the structurally singular odd
-    orthogonal case).
+    The LU value is authoritative.  Given the (B, dim) angle rows of
+    `eigenangles_batch`, the product over (1 - e^{i theta_j}) of each row
+    must agree within relative _CHARPOLY_REL_TOL, plus the absolute floor
+    _CHARPOLY_ABS_TOL for the structurally singular odd orthogonal case.
     """
-    dim = mats.shape[-1]
-    eye = np.eye(dim, dtype=mats.dtype)
-    lu = np.linalg.det(eye[None, :, :] - mats)
-    if check:
-        w = np.linalg.eigvals(mats)
-        w = w / np.abs(w)
-        prod = np.prod(1.0 - w, axis=1)
+    lu = np.linalg.det(np.eye(mats.shape[-1], dtype=mats.dtype) - mats)
+    if angles is not None:
+        prod = np.prod(1.0 - np.exp(1j * angles), axis=1)
         gap = np.abs(lu - prod)
         allow = _CHARPOLY_REL_TOL * np.maximum(np.abs(lu), np.abs(prod)) + _CHARPOLY_ABS_TOL
         if np.any(gap > allow):

@@ -319,7 +319,7 @@ def sample_summaries(
     master_seed: int,
     workers: Optional[int] = None,
 ) -> np.ndarray:
-    """Per-sample summary table: first angle and det(I - A).
+    """Per-sample summary table: first angle and det(I - A), checked against those angles.
 
     Returns a SAMPLE_DTYPE array in sample-index order; the backbone of
     the CLI ``sample`` output and the excision pipeline.
@@ -327,7 +327,7 @@ def sample_summaries(
 
     def reduce(mats):
         theta = eigenangles_batch(spec, mats)
-        cp = char_poly_batch(mats)
+        cp = char_poly_batch(mats, theta)
         rows = np.empty(len(mats), dtype=SAMPLE_DTYPE)
         rows["first_angle"] = first_angles_batch(theta)
         rows["charpoly_re"] = cp.real
@@ -343,9 +343,9 @@ def sample_summaries(
 def char_poly_magnitudes(
     spec: GroupSpec, count: int, master_seed: int, workers: Optional[int] = None
 ) -> np.ndarray:
-    """|det(I - A)| per sample, without the eigen cross-check (fast path)."""
+    """|det(I - A)| per sample by LU alone: no eigen-solve, no cross-check (fast path)."""
 
     def reduce(mats):
-        return np.abs(char_poly_batch(mats, check=False))
+        return np.abs(char_poly_batch(mats))
 
     return _collect(spec, count, master_seed, workers, reduce)

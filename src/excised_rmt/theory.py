@@ -320,22 +320,23 @@ def n_std(M: float, d: float) -> float:
 def n_eff(case: SymmetryCase, M: float, X: float, coeffs: dict) -> float:
     """Effective matrix size of a principal or self-CM family, from
     n_std(M, X) = log(sqrt(M) X / (2 pi)) and the case's a1, a3 or b1 as
-    coefficient_assembly names them.  The generic case has no such form;
-    its size is n_eff_generic."""
+    coefficient_assembly names them; a size that is not positive raises
+    ValueError.  The generic case has no such form; its size is n_eff_generic."""
     logterm = n_std(M, X)
-    if case is SymmetryCase.PrincipalEven:
-        if coeffs["a1"] == 0:
-            raise ValueError("a1 must be nonzero")
-        return logterm / (2.0 * coeffs["a1"])
-    if case is SymmetryCase.PrincipalOdd:
-        if coeffs["a3"] == 0:
-            raise ValueError("a3 must be nonzero")
-        return (logterm - 0.5) / coeffs["a3"] - 0.5
-    if case is SymmetryCase.SelfCM:
-        if coeffs["b1"] == 0:
-            raise ValueError("b1 must be nonzero")
-        return logterm / coeffs["b1"]
-    raise ValueError("the generic case's effective size is n_eff_generic(e1, e2, R)")
+    forms = {
+        SymmetryCase.PrincipalEven: ("a1", lambda c: logterm / (2.0 * c)),
+        SymmetryCase.PrincipalOdd: ("a3", lambda c: (logterm - 0.5) / c - 0.5),
+        SymmetryCase.SelfCM: ("b1", lambda c: logterm / c),
+    }
+    if case not in forms:
+        raise ValueError("the generic case's effective size is n_eff_generic(e1, e2, R)")
+    name, size_of = forms[case]
+    if coeffs[name] == 0:
+        raise ValueError(f"{name} must be nonzero")
+    size = size_of(coeffs[name])
+    if not size > 0:
+        raise ValueError(f"n_eff = {size!r} is not positive: the closed form does not hold here")
+    return size
 
 
 def n_eff_generic(e1: float, e2: float, R: float) -> float:
@@ -419,9 +420,7 @@ def u_pair_corr_exact(x, n: int):
     x is an eigenangle difference scaled to unit mean spacing; the
     function has period N and vanishes at multiples of N.
     """
-    if int(n) != n or n < 1:
-        raise ValueError("N must be a positive integer")
-    n = int(n)
+    GroupSpec(GroupKind.Unitary, n)  # validates n
     x = np.asarray(x, dtype=float)
     out = 1.0 - (sin_ratio(n, _PI * x / n) / n) ** 2
     if np.ndim(x) == 0:

@@ -69,7 +69,7 @@ def test_criterion_01_sampling_speed_and_invariants():
 def test_criterion_02_so_odd_char_poly_vanishes():
     spec = GroupSpec(GroupKind.SOOdd, 10)
     mats = sample_batch(spec, 7, 0, 1000)
-    vals = char_poly_batch(mats, check=False)
+    vals = char_poly_batch(mats)
     worst = float(np.max(np.abs(vals)))
     ok = worst < 1e-10
     _report(2, ok, f"max |det(I-A)| over 1000 SO(21) samples = {worst:.2e} (< 1e-10)")

@@ -268,6 +268,40 @@ def test_neff_bad_coeffs_file_is_data_error(text, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (("--case", "generic", "--e1", "0.024", "--e2", "2.0", "--R", "8.5", "--coeffs", "bad.json"),
+         "--coeffs"),
+        (("--case", "generic", "--e1", "0.024", "--e2", "2.0", "--R", "8.5", "--M", "11", "--X", "9960"),
+         "--M, --X"),
+        (("--case", "principal_even", "--M", "11", "--X", "9960", "--e1", "5", "--R", "-3"),
+         "--e1, --R"),
+        (("--case", "self_cm", "--M", "11", "--X", "9960", "--e2", "2.0"), "--e2"),
+    ],
+)
+def test_neff_rejects_the_other_branchs_flags(argv, unused, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text('{"k": "not read"}')
+    code, out, err = run(capsys, "neff", *argv, "--out", "result")
+    assert (code, out) == (1, "")
+    assert err == f"error: --case {argv[1]} does not use {unused}\n"
+    assert not (tmp_path / "result").exists()
+
+
+@pytest.mark.parametrize("argv, missing", [(("--case", "generic", "--e1", "0.1", "--R", "8"), "--e2"),
+                                           (("--case", "principal_odd", "--X", "9960"), "--M")])
+def test_neff_missing_flag_is_data_error(argv, missing, capsys):
+    code, out, err = run(capsys, "neff", *argv)
+    assert (code, out, err) == (1, "", f"error: --case {argv[1]} requires {missing}\n")
+
+
+def test_neff_that_is_not_positive_is_data_error(capsys):
+    code, out, err = run(capsys, "neff", "--case", "principal_even", "--M", "11", "--X", "1")
+    assert (code, out) == (1, "")
+    assert "not positive" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("neff", "--case", "generic", "--e1", "nan", "--e2", "2", "--R", "8"),

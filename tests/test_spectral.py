@@ -155,7 +155,37 @@ def test_non_unitary_input_raises():
 def test_char_poly_dual_route_agrees(kind):
     spec = GroupSpec(kind, 5)
     mats = sample_batch(spec, 6, 0, 100)
-    char_poly_batch(mats, check=True)  # raises on dual-route disagreement
+    # raises when LU and the product over the angles disagree
+    char_poly_batch(mats, eigenangles_batch(spec, mats))
+
+
+@pytest.mark.parametrize("kind", ALL_GROUPS)
+def test_char_poly_check_catches_shifted_angles(kind):
+    spec = GroupSpec(kind, 5)
+    mats = sample_batch(spec, 6, 0, 20)
+    angles = eigenangles_batch(spec, mats)
+    angles[7] += 1e-3
+    with pytest.raises(SpectralError, match="cross-check"):
+        char_poly_batch(mats, angles)
+
+
+# det(I - A) = 0 for every odd orthogonal matrix, so a swap there is invisible
+@pytest.mark.parametrize("kind", [GroupKind.SOEven, GroupKind.USp, GroupKind.Unitary])
+def test_char_poly_check_catches_a_replaced_matrix(kind):
+    spec = GroupSpec(kind, 5)
+    mats = sample_batch(spec, 6, 0, 20)
+    angles = eigenangles_batch(spec, mats)
+    mats[7] = sample_batch(spec, 7, 0, 1)[0]
+    with pytest.raises(SpectralError, match="cross-check"):
+        char_poly_batch(mats, angles)
+
+
+def test_char_poly_without_angles_is_the_lu_value():
+    spec = GroupSpec(GroupKind.USp, 4)
+    mats = sample_batch(spec, 6, 0, 20)
+    lu = np.linalg.det(np.eye(spec.dim) - mats)
+    assert np.array_equal(char_poly_batch(mats), lu)
+    assert np.array_equal(char_poly_batch(mats, eigenangles_batch(spec, mats)), lu)
 
 
 def test_char_poly_matches_eigen_product():

@@ -279,3 +279,31 @@ def test_first_eigenangle_samples_positive():
     xs = first_eigenangle_samples(spec, 200, 3)
     assert xs.size == 200
     assert np.all(xs > 0)
+
+
+def test_sample_summaries_checks_char_poly_against_its_angles(monkeypatch):
+    spec = GroupSpec(GroupKind.SOEven, 4)
+    solve = stats.eigenangles_batch
+
+    def shifted(spec, mats):
+        angles = solve(spec, mats)
+        angles[-1] += 1e-3
+        return angles
+
+    monkeypatch.setattr(stats, "eigenangles_batch", shifted)
+    with pytest.raises(SpectralError, match="cross-check"):
+        sample_summaries(spec, 50, 3, workers=1)
+
+
+def test_sample_summaries_solves_each_matrix_once(monkeypatch):
+    # det(I - A) is checked against the angles already solved, not a second eigvals
+    rows = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        rows.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    sample_summaries(GroupSpec(GroupKind.SOEven, 4), 300, 11, workers=1)
+    assert sum(rows) == 300

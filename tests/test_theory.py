@@ -136,8 +136,11 @@ def test_non_integer_n_is_a_type_error():
     # as for every sampler
     with pytest.raises(TypeError):
         finite_n_density(GroupKind.USp, 2.5, 1.0)
-    with pytest.raises(TypeError):
-        u_pair_corr(0.5, 2.5)
+    # a float N is a type error even when it is whole
+    for pair_corr in (u_pair_corr, u_pair_corr_exact):
+        for n in (2.5, 30.0):
+            with pytest.raises(TypeError):
+                pair_corr(0.5, n)
 
 
 def test_range_checks_keep_what_the_callers_pass():
@@ -270,6 +273,23 @@ def test_n_eff_closed_forms():
     assert n_eff(SymmetryCase.SelfCM, 11, 9960, cs_b) == pytest.approx(logterm / cs_b["b1"])
 
 
+@pytest.mark.parametrize(
+    "case, M, X, coeffs",
+    [
+        # log(sqrt(11) * 0.5 / (2 pi)) < 0
+        (SymmetryCase.PrincipalEven, 11, 0.5, None),
+        (SymmetryCase.SelfCM, 11, 0.5, None),
+        # (log - 0.5) / a3 - 0.5 < 0 when log < 0.5 + a3 / 2, here 0.75 < 2.0
+        (SymmetryCase.PrincipalOdd, 11, 4.0, None),
+        (SymmetryCase.PrincipalEven, 11, 9960, {"a1": -1.0}),
+    ],
+)
+def test_n_eff_that_is_not_positive_raises(case, M, X, coeffs):
+    coeffs = coeffs or coefficient_assembly(case, CoefficientInputs())
+    with pytest.raises(ValueError, match="not positive"):
+        n_eff(case, M, X, coeffs)
+
+
 def test_n_eff_generic_closed_form_and_errors():
     assert n_eff_generic(0.1, 1.0, 7.0) == pytest.approx(7.0 / math.sqrt(3.0 - 0.4))
     with pytest.raises(ValueError):
@@ -335,7 +355,7 @@ def test_u_pair_corr_exact_values():
     assert u_pair_corr_exact(2.3, 7) == pytest.approx(u_pair_corr_exact(9.3, 7), abs=1e-12)
     assert u_pair_corr_exact(0.5, 2) == pytest.approx(1.0 - (1.0 / (2 * math.sin(math.pi / 4))) ** 2)
     assert np.all(u_pair_corr_exact(np.array([0.0, 0.3, 1.7]), 1) == 0.0)
-    for bad in (0, -3, 2.5):
+    for bad in (0, -3):
         with pytest.raises(ValueError):
             u_pair_corr_exact(0.5, bad)
 
