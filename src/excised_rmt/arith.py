@@ -291,7 +291,7 @@ def oscillatory_family_sum(spec: FamilySpec, tau: float, R: float) -> dict:
     family cutoff by R = log(sqrt(M) X / (2 pi)) - 1; for other R the
     residual phase does not cancel and the gap grows with X.
     """
-    if R <= 0:
+    if not R > 0:
         raise ValueError("R must be positive")
     d = _log_scaled(enumerate_family(spec), spec.M)
     count = d.size

@@ -288,10 +288,12 @@ _DEFAULTS = {
 
 
 def _add_common(p, *, monte_carlo=True, bins=False):
-    """--config and --out, plus --seed, --count and --workers for the
-    subcommands that sample matrices."""
+    """--config and --out, plus --group, --n, --seed, --count and --workers
+    for the subcommands that sample matrices."""
     p.add_argument("--config", help="JSON config supplying defaults for flags")
     if monte_carlo:
+        p.add_argument("--group", help="so_even | so_odd | usp | unitary")
+        p.add_argument("--n", type=int, help="half-size N")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--count", type=int, help="number of samples")
         p.add_argument("--workers", type=int,
@@ -319,20 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sample", cmd_sample, ("group", "n"),
                 "sample matrices; write per-sample summaries")
-    p.add_argument("--group", help="so_even | so_odd | usp | unitary")
-    p.add_argument("--n", type=int, help="half-size N")
     _add_common(p)
 
     p = command("onelevel", cmd_onelevel, ("group", "n"),
                 "Monte Carlo one-level eigenangle density")
-    p.add_argument("--group")
-    p.add_argument("--n", type=int)
     _add_common(p, bins=True)
 
     p = command("paircorr", cmd_paircorr, ("group", "n"),
                 "Monte Carlo pair correlation of eigenangles")
-    p.add_argument("--group")
-    p.add_argument("--n", type=int)
     p.add_argument("--window", type=float, help="window in mean spacings")
     _add_common(p, bins=True)
 

@@ -1,13 +1,16 @@
 """In-house special functions and quadrature helpers.
 
-Kept dependency-free on purpose: digamma via recurrence plus asymptotic
-series, the Glaisher-Kinkelin constant as a stored high-precision literal,
-and adaptive Simpson quadrature.
+Digamma via recurrence plus asymptotic series, the Glaisher-Kinkelin
+constant as a stored high-precision literal, adaptive Simpson quadrature,
+two removable-singularity quotients on numpy arrays, and the rule by which
+the closed forms return a float for a scalar argument.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 # Euler-Mascheroni constant gamma.
 EULER_GAMMA = 0.57721566490153286060651209008240243104215933593992
@@ -77,6 +80,8 @@ def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
     left = _simpson(a, fa, m, fm, flm)
     right = _simpson(m, fm, b, fb, frm)
     delta = left + right - whole
+    if not math.isfinite(delta):
+        raise ValueError("adaptive_simpson: the integrand is not finite")
     if depth <= 0 or abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
     return _adaptive(f, a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1) + _adaptive(
@@ -90,6 +95,8 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
     The interval is pre-split into several panels before adapting: for
     oscillatory integrands a single coarse Simpson estimate can agree with
     its refinement by cancellation, which would stop the recursion early.
+    A non-finite integrand value raises ValueError, since no refinement
+    would ever meet the tolerance.
     """
     if a == b:
         return 0.0
@@ -104,20 +111,15 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
     return total
 
 
-def sinc2pi(tau):
-    """sin(2*pi*tau) / (2*pi*tau) with the removable singularity at 0."""
-    import numpy as np
+def float_or_array(out):
+    """out as a float if it is a scalar or 0-d, else as a float array."""
+    out = np.asarray(out, dtype=float)
+    return float(out) if out.ndim == 0 else out
 
-    t = np.asarray(tau, dtype=float)
-    x = 2.0 * _PI * t
-    small = np.abs(x) < 1e-4
-    with_series = 1.0 - x * x / 6.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.where(small, 1.0, np.sin(np.where(small, 1.0, x)) / np.where(small, 1.0, x))
-    out = np.where(small, with_series, direct)
-    if np.isscalar(tau) or getattr(tau, "ndim", 0) == 0:
-        return float(out)
-    return out
+
+def sinc2pi(tau):
+    """sin(2*pi*tau) / (2*pi*tau), with the removable singularity at 0: np.sinc(2 tau)."""
+    return float_or_array(np.sinc(2.0 * np.asarray(tau, dtype=float)))
 
 
 def sin_ratio(m: int, theta):
@@ -127,8 +129,6 @@ def sin_ratio(m: int, theta):
     (-1)^(s*(m-1)) * m; we shift to u = theta - s*pi where both sine
     evaluations are well conditioned.
     """
-    import numpy as np
-
     t = np.asarray(theta, dtype=float)
     s = np.rint(t / _PI)
     u = t - s * _PI
@@ -138,7 +138,4 @@ def sin_ratio(m: int, theta):
     den = np.where(tiny, 1.0, np.sin(u))
     direct = num / den
     series = m * (1.0 - (m * m - 1.0) * u * u / 6.0)
-    out = sign * np.where(tiny, series, direct)
-    if np.isscalar(theta) or getattr(theta, "ndim", 0) == 0:
-        return float(out)
-    return out
+    return float_or_array(sign * np.where(tiny, series, direct))

@@ -16,9 +16,11 @@ from excised_rmt.special import (
     STIELTJES_GAMMA1,
     adaptive_simpson,
     digamma,
+    float_or_array,
     sin_ratio,
     sinc2pi,
 )
+from excised_rmt.stats import one_level_range
 
 _PI = math.pi
 
@@ -75,43 +77,39 @@ class VanishingModel:
     a_f_half: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.delta_f, self.kappa_f, self.a_f_half))):
+            raise ValueError("delta_f, kappa_f and a_f_half must be finite")
         if self.delta_f < 0 or self.kappa_f < 0:
             raise ValueError("delta_f and kappa_f must be nonnegative")
 
 
 def finite_n_density(group: GroupKind, n: int, theta) -> np.ndarray:
-    """Exact eigenangle density per matrix per radian.
+    """Exact eigenangle density per matrix per radian,
+    (m + sign sin(m theta) / sin(theta)) / (2 pi).
 
-    Supports: [0, pi] for the even orthogonal and symplectic groups,
-    [0, 2pi] for the odd orthogonal and unitary groups.  Removable
+    Its support is stats.one_level_range: [0, pi] for the even orthogonal
+    and symplectic groups, [0, 2pi] for the odd orthogonal and unitary
+    groups; an angle outside it raises ValueError.  Removable
     singularities of sin(m*theta)/sin(theta) are evaluated by limit.
     """
-    GroupSpec(group, n)  # validates n
+    spec = GroupSpec(group, n)
     theta = np.asarray(theta, dtype=float)
-    if group is GroupKind.SOEven:
-        out = (2 * n - 1) / (2 * _PI) + sin_ratio(2 * n - 1, theta) / (2 * _PI)
-    elif group is GroupKind.SOOdd:
-        out = n / _PI - sin_ratio(2 * n, theta) / (2 * _PI)
-    elif group is GroupKind.USp:
-        out = (2 * n + 1) / (2 * _PI) - sin_ratio(2 * n + 1, theta) / (2 * _PI)
-    else:
-        out = np.full_like(theta, n / (2 * _PI))
-    out = np.asarray(out, dtype=float)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    if not np.all((theta >= 0.0) & (theta <= one_level_range(spec))):
+        raise ValueError("theta must lie in the support of the density")
+    m, sign = {
+        GroupKind.SOEven: (2 * n - 1, 1.0),
+        GroupKind.SOOdd: (2 * n, -1.0),
+        GroupKind.USp: (2 * n + 1, -1.0),
+        GroupKind.Unitary: (n, 0.0),
+    }[group]
+    return float_or_array((m + sign * sin_ratio(m, theta)) / (2 * _PI))
 
 
 def exact_scaled_density(group: GroupKind, n: int, tau) -> np.ndarray:
     """The finite-size kernel rescaled to unit mean eigenangle spacing."""
-    spec = GroupSpec(group, n)
-    dim = spec.dim
-    tau = np.asarray(tau, dtype=float)
-    theta = 2.0 * _PI * tau / dim
-    out = (2.0 * _PI / dim) * finite_n_density(group, n, theta)
-    if np.ndim(tau) == 0:
-        return float(out)
-    return out
+    dim = GroupSpec(group, n).dim
+    theta = 2.0 * _PI * np.asarray(tau, dtype=float) / dim
+    return (2.0 * _PI / dim) * finite_n_density(group, n, theta)
 
 
 # Gauss-Legendre nodes of the Nystrom discretization, and the basis
@@ -157,48 +155,36 @@ def first_angle_cdf(group: GroupKind, n: int, theta) -> np.ndarray:
         b *= np.sqrt(half * w)[:, :, None]
         gram = np.matmul(b.transpose(0, 2, 1), b)
         out[lo : lo + rows] = 1.0 - np.linalg.det(np.eye(n) - gram)
-    if theta.ndim == 0:
-        return float(out[0])
-    return out.reshape(theta.shape)
+    return float_or_array(out.reshape(theta.shape))
+
+
+# Each group's own lower-order coefficients, as q_lower_order names them
+# for the group's symmetry case: its scaled density is 1 + Q at R = N.
+_GROUP_COEFFS = {
+    GroupKind.SOEven: {"a1": 1.0 / 2.0, "a2": 1.0 / 6.0},
+    GroupKind.SOOdd: {"a3": 1.0, "a4": 1.0 / 3.0},
+    GroupKind.USp: {"b1": 1.0 / 2.0, "b2": 1.0 / 6.0},
+    GroupKind.Unitary: {"c1": 0.0, "c2": 0.0, "d1": 0.0},
+}
 
 
 def scaled_density_expansion(group: GroupKind, n, tau, order: int = 2):
-    """Partial sums of the large-size expansion of the scaled density.
+    """Partial sums of the large-size expansion of the scaled density,
+    1 + q_lower_order at R = n with the group's own coefficients.
 
     order 0 keeps the limiting kernel, order 1 adds the 1/size term,
-    order 2 adds the 1/size^2 term.  n may be math.inf for the limit.
+    order 2 adds the 1/size^2 term: order k keeps the first k
+    coefficients and zeroes the rest.  n may be math.inf for the limit,
+    where every 1/size term vanishes.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
     if n != math.inf:
         GroupSpec(group, n)  # validates n
-    tau = np.asarray(tau, dtype=float)
-    s = sinc2pi(tau)
-    two_pi_tau = 2.0 * _PI * tau
-    if group is GroupKind.Unitary:
-        out = np.ones_like(tau)
-    elif group is GroupKind.SOEven:
-        out = 1.0 + s
-        if order >= 1 and np.isfinite(n):
-            out = out - (1.0 + np.cos(two_pi_tau)) / (2.0 * n)
-        if order >= 2 and np.isfinite(n):
-            out = out - _PI * tau * np.sin(two_pi_tau) / (6.0 * n * n)
-    elif group is GroupKind.SOOdd:
-        size = 2.0 * n + 1.0 if np.isfinite(n) else math.inf
-        out = 1.0 - s
-        if order >= 1 and np.isfinite(n):
-            out = out - (1.0 - np.cos(two_pi_tau)) / size
-        if order >= 2 and np.isfinite(n):
-            out = out + 2.0 * _PI * tau * np.sin(two_pi_tau) / (3.0 * size * size)
-    else:  # USp
-        out = 1.0 - s
-        if order >= 1 and np.isfinite(n):
-            out = out + (1.0 - np.cos(two_pi_tau)) / (2.0 * n)
-        if order >= 2 and np.isfinite(n):
-            out = out + _PI * tau * np.sin(two_pi_tau) / (6.0 * n * n)
-    if np.ndim(tau) == 0:
-        return float(out)
-    return out
+    case = next(c for c in SymmetryCase if c.group is group)
+    coeffs = {name: value if i < order else 0.0
+              for i, (name, value) in enumerate(_GROUP_COEFFS[group].items())}
+    return 1.0 + q_lower_order(case, tau, n, coeffs)
 
 
 def coefficient_assembly(case: SymmetryCase, raw: CoefficientInputs) -> dict:
@@ -277,9 +263,12 @@ def e_coefficients_from_inputs(
     formulas, like the fields of CoefficientInputs; at their default 0
     their terms drop out.
     """
-    if lambda_M_sq <= 0:
+    if not lambda_M_sq > 0:
         raise ValueError("|lambda(M)|^2 must be positive")
-    e1 = 0.5 * math.log(M) ** 2 / (M / lambda_M_sq - 1.0)
+    ratio = M / lambda_M_sq
+    if not ratio > 1:
+        raise ValueError("M / |lambda(M)|^2 must exceed 1 (e1 divides by it minus 1)")
+    e1 = 0.5 * math.log(M) ** 2 / (ratio - 1.0)
     e2 = -2.0 + EULER_GAMMA ** 2 + 2.0 * STIELTJES_GAMMA1 - App0 / 2.0 - Lp_ad_prime
     e3 = (16.0 + Appp0) / 12.0
     return e1, e2, e3
@@ -287,8 +276,9 @@ def e_coefficients_from_inputs(
 
 def q_lower_order(case: SymmetryCase, tau, R: float, coeffs: dict):
     """Lower-order term Q(tau) of the scaled one-level density, from the
-    case's coefficients as coefficient_assembly names them."""
-    if R <= 0:
+    case's coefficients as coefficient_assembly names them.  R may be
+    math.inf, where Q is its limit."""
+    if not R > 0:
         raise ValueError("R must be positive")
     tau = np.asarray(tau, dtype=float)
     s = sinc2pi(tau)
@@ -305,9 +295,7 @@ def q_lower_order(case: SymmetryCase, tau, R: float, coeffs: dict):
         out = -s + coeffs["b1"] * (1.0 - cos2) / R + coeffs["b2"] * _PI * tau * sin2 / (R * R)
     else:
         out = (coeffs["c1"] + coeffs["c2"] * cos2) / R + coeffs["d1"] * _PI * tau * sin2 / (R * R)
-    if np.ndim(tau) == 0:
-        return float(out)
-    return out
+    return float_or_array(out)
 
 
 def n_std(M: float, d: float) -> float:
@@ -367,15 +355,12 @@ def n_eff_l2_optimize(e1: float, e2: float, R: float) -> float:
 
     Golden-section search over log N with adaptive Simpson quadrature of
     the unit-period integrand; agrees with the closed form
-    R / sqrt(3 e2 - 4 e1) to relative 1e-3.
+    n_eff_generic(e1, e2, R) to relative 1e-3.  That form is also the
+    starting guess, so the inputs it rejects raise ValueError here too.
     """
-    disc = 3.0 * e2 - 4.0 * e1
-    if disc <= 0:
-        raise ValueError("3 e2 - 4 e1 must be positive")
-    guess = math.log(R / math.sqrt(disc))
-    lo, hi = guess - 2.0, guess + 2.0
+    guess = math.log(n_eff_generic(e1, e2, R))
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = guess - 2.0, guess + 2.0
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc = _pair_corr_objective(e1, e2, R, math.exp(c))
@@ -396,22 +381,14 @@ def n_eff_l2_optimize(e1: float, e2: float, R: float) -> float:
 
 def montgomery_r2(y):
     """Montgomery's limiting pair correlation 1 - (sin pi y / pi y)^2."""
-    y = np.asarray(y, dtype=float)
-    s = sinc2pi(0.5 * y)  # sin(pi y)/(pi y)
-    out = 1.0 - np.asarray(s) ** 2
-    if np.ndim(y) == 0:
-        return float(out)
-    return out
+    return float_or_array(1.0 - np.sinc(y) ** 2)
 
 
 def u_pair_corr(x, n: int):
     """Finite-size unitary pair correlation with the 1/N^2 correction."""
     GroupSpec(GroupKind.Unitary, n)  # validates n
     x = np.asarray(x, dtype=float)
-    out = montgomery_r2(x) - np.sin(_PI * x) ** 2 / (3.0 * n * n)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return float_or_array(montgomery_r2(x) - np.sin(_PI * x) ** 2 / (3.0 * n * n))
 
 
 def u_pair_corr_exact(x, n: int):
@@ -422,26 +399,20 @@ def u_pair_corr_exact(x, n: int):
     """
     GroupSpec(GroupKind.Unitary, n)  # validates n
     x = np.asarray(x, dtype=float)
-    out = 1.0 - (sin_ratio(n, _PI * x / n) / n) ** 2
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return float_or_array(1.0 - (sin_ratio(n, _PI * x / n) / n) ** 2)
 
 
 def pair_corr_expansion(y, R: float, e1: float, e2: float, e3: float):
     """Pair-correlation integrand including the R^-2 and R^-3 terms."""
-    if R <= 0:
+    if not R > 0:
         raise ValueError("R must be positive")
     y = np.asarray(y, dtype=float)
     s2 = np.sin(_PI * y) ** 2
-    out = (
+    return float_or_array(
         montgomery_r2(y)
         + (e1 - e2 * s2) / (R * R)
         - e3 * _PI * y * np.sin(2.0 * _PI * y) / (R ** 3)
     )
-    if np.ndim(y) == 0:
-        return float(out)
-    return out
 
 
 def barnes_g_half() -> float:
@@ -452,7 +423,7 @@ def barnes_g_half() -> float:
 
 def h_asymp(n: float, group: GroupKind = GroupKind.SOEven) -> float:
     """Large-size residue prefactor h(N) of the small-value density."""
-    if n <= 0:
+    if not n > 0:
         raise ValueError("N must be positive")
     g_half = barnes_g_half()
     if group is GroupKind.SOEven:
@@ -491,7 +462,7 @@ def small_value_prob(rho: float, n: float) -> float:
     The square-root law is specific to SO(2N); USp(2N) and U(N) follow
     other powers of rho, so this function covers SO(2N) only.
     """
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError("rho must be nonnegative")
     return 2.0 * h_asymp(n, GroupKind.SOEven) * math.sqrt(rho)
 
@@ -500,27 +471,18 @@ def vanishing_count(X: float, model: VanishingModel) -> dict:
     """Predicted count of vanishing central values over prime twists up to X.
 
     Divergent (i.e. a growing count, hence discretization) iff the weight
-    k < 3; the leading term follows the small-value law with the
-    Barnes-G prefactor evaluated at N = log X.
+    k < 3; the leading term follows the small-value law with the SO(2N)
+    prefactor h_asymp evaluated at N = log X.
     """
     if model.k < 2:
         raise ValueError("weight must be at least 2")
-    if X <= 2:
-        raise ValueError("X must exceed 2")
+    if not 2 < X < math.inf:
+        raise ValueError("X must be finite and exceed 2")
     divergent = model.k < 3
     leading = 0.0
     if divergent:
         logx = math.log(X)
-        leading = (
-            (1.0 / (4.0 * logx))
-            * 2.0
-            * model.a_f_half
-            * math.sqrt(model.delta_f * model.kappa_f)
-            * 2.0 ** (-7.0 / 8.0)
-            * barnes_g_half()
-            * _PI ** (-0.25)
-            * logx ** (3.0 / 8.0)
-            * (4.0 / (5.0 - 2.0 * model.k))
-            * X ** ((5.0 - 2.0 * model.k) / 4.0)
-        )
+        leading = ((1.0 / (4.0 * logx)) * 2.0 * model.a_f_half
+                   * math.sqrt(model.delta_f * model.kappa_f) * h_asymp(logx, GroupKind.SOEven)
+                   * (4.0 / (5.0 - 2.0 * model.k)) * X ** ((5.0 - 2.0 * model.k) / 4.0))
     return {"divergent": divergent, "leading_term": leading}

@@ -329,8 +329,9 @@ def test_family_sums_match_the_plain_expression(M, case, tau):
 
 def test_oscillatory_family_sum_rejects_bad_r():
     spec = FamilySpec(M=11, case=SymmetryCase.PrincipalEven, X=1000)
-    with pytest.raises(ValueError):
-        oscillatory_family_sum(spec, 1.0, 0.0)
+    for R in (0.0, -2.0, math.nan):
+        with pytest.raises(ValueError):
+            oscillatory_family_sum(spec, 1.0, R)
 
 
 # --- Satake parameters and Hecke recursion ---------------------------------

@@ -1,14 +1,21 @@
 """Closed-form densities, coefficients, effective sizes, and small-value law."""
 
 import math
+import time
 
 import mpmath
 import numpy as np
 import pytest
 
-from excised_rmt.groups import GroupKind
+from excised_rmt.groups import GroupKind, GroupSpec
 from excised_rmt import theory
-from excised_rmt.special import EULER_GAMMA, STIELTJES_GAMMA1, adaptive_simpson, sin_ratio
+from excised_rmt.special import (
+    EULER_GAMMA,
+    STIELTJES_GAMMA1,
+    adaptive_simpson,
+    sin_ratio,
+    sinc2pi,
+)
 from excised_rmt.theory import (
     CoefficientInputs,
     SymmetryCase,
@@ -122,9 +129,27 @@ def test_scaled_expansion_infinite_size_is_limit():
         lambda: n_std(11, math.inf),
         lambda: n_eff(SymmetryCase.PrincipalEven, math.inf, 9960, {"a1": 1.0}),
         lambda: n_eff(SymmetryCase.SelfCM, 11, math.nan, {"b1": 1.0}),
+        lambda: h_asymp(math.nan),
+        lambda: small_value_prob(math.nan, 10),
+        lambda: small_value_prob(0.01, math.nan),
+        lambda: vanishing_count(math.nan, VanishingModel(k=2, delta_f=1.0, kappa_f=1.0)),
+        lambda: vanishing_count(math.inf, VanishingModel(k=2, delta_f=1.0, kappa_f=1.0)),
+        lambda: VanishingModel(k=2, delta_f=math.nan, kappa_f=1.0),
+        lambda: VanishingModel(k=2, delta_f=math.inf, kappa_f=1.0),
+        lambda: VanishingModel(k=2, delta_f=1.0, kappa_f=1.0, a_f_half=math.nan),
+        lambda: q_lower_order(SymmetryCase.PrincipalEven, 0.5, math.nan, {"a1": 1.0, "a2": 1.0}),
+        lambda: pair_corr_expansion(0.5, math.nan, 0.1, 1.0, 1.0),
+        # e1 divides by M / |lambda(M)|^2 - 1, which is 0 and then negative
+        lambda: e_coefficients_from_inputs(11, 11.0),
+        lambda: e_coefficients_from_inputs(11, 22.0),
+        lambda: n_eff_l2_optimize(0.1, 1.0, math.nan),
+        lambda: n_eff_l2_optimize(0.1, 1.0, -8.0),
     ],
     ids=["density-n0", "expansion-n-3", "u-pair-n0", "n-std-nan", "n-std-inf",
-         "n-eff-m-inf", "n-eff-x-nan"],
+         "n-eff-m-inf", "n-eff-x-nan", "h-asymp-nan", "small-value-rho-nan",
+         "small-value-n-nan", "vanishing-x-nan", "vanishing-x-inf", "vanishing-delta-nan",
+         "vanishing-delta-inf", "vanishing-a-nan", "q-r-nan",
+         "pair-corr-r-nan", "e1-ratio-1", "e1-ratio-half", "l2-r-nan", "l2-r-negative"],
 )
 def test_outside_the_formula_range_raises(call):
     with pytest.raises(ValueError):
@@ -143,11 +168,88 @@ def test_non_integer_n_is_a_type_error():
                 pair_corr(0.5, n)
 
 
-def test_range_checks_keep_what_the_callers_pass():
-    x = np.linspace(0.0, 3.0, 7)
-    assert finite_n_density(GroupKind.USp, 10, x).shape == (7,)
-    assert u_pair_corr(x, 30).shape == (7,)
-    assert scaled_density_expansion(GroupKind.USp, math.inf, x).shape == (7,)
+@pytest.mark.parametrize("group", list(GroupKind))
+@pytest.mark.parametrize("theta", [-1.0, 5.0, 7.0, math.nan, [0.5, -1e-12]])
+def test_density_outside_its_support_raises(group, theta):
+    # the support is [0, pi] or [0, 2pi]; 5.0 lies inside the latter
+    if theta == 5.0 and group in (GroupKind.SOOdd, GroupKind.Unitary):
+        assert finite_n_density(group, 10, theta) > 0.0
+        return
+    with pytest.raises(ValueError, match="support"):
+        finite_n_density(group, 10, theta)
+    dim = GroupSpec(group, 10).dim
+    with pytest.raises(ValueError, match="support"):
+        exact_scaled_density(group, 10, np.asarray(theta) * dim / (2 * math.pi))
+
+
+def test_a_non_finite_integrand_raises_at_once():
+    for call in (
+        lambda: adaptive_simpson(lambda t: math.nan, 0.0, 1.0),
+        lambda: adaptive_simpson(lambda t: 1.0 / t if t > 0.5 else math.inf, 0.0, 1.0),
+        lambda: n_eff_l2_optimize(0.1, 1.0, math.nan),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            call()
+        assert time.perf_counter() - start < 1.0
+
+
+# every function that returns a float for a scalar argument and keeps the
+# shape of an array one, each called with angles or distances in [0, 1]
+SCALAR_OR_ARRAY = {
+    "finite_n_density": lambda x: finite_n_density(GroupKind.USp, 10, x),
+    "exact_scaled_density": lambda x: exact_scaled_density(GroupKind.SOOdd, 4, x),
+    "first_angle_cdf": lambda x: first_angle_cdf(GroupKind.SOEven, 3, x),
+    "scaled_density_expansion": lambda x: scaled_density_expansion(GroupKind.USp, math.inf, x),
+    "q_lower_order": lambda x: q_lower_order(SymmetryCase.Generic, x, 8.0,
+                                             {"c1": 1.0, "c2": 0.5, "d1": 0.2}),
+    "montgomery_r2": montgomery_r2,
+    "u_pair_corr": lambda x: u_pair_corr(x, 30),
+    "u_pair_corr_exact": lambda x: u_pair_corr_exact(x, 30),
+    "pair_corr_expansion": lambda x: pair_corr_expansion(x, 8.0, 0.1, 1.0, 1.0),
+    "sinc2pi": sinc2pi,
+    "sin_ratio": lambda x: sin_ratio(7, x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_OR_ARRAY))
+def test_range_checks_keep_what_the_callers_pass(name):
+    f = SCALAR_OR_ARRAY[name]
+    for scalar in (0.375, np.float64(0.375), np.array(0.375)):
+        assert type(f(scalar)) is float
+    grid = np.linspace(0.0, 1.0, 12)
+    assert f(grid).shape == (12,)
+    assert f(grid.reshape(3, 4)).shape == (3, 4)
+    assert np.array_equal(f(grid.reshape(3, 4)), f(grid).reshape(3, 4))
+    assert f(grid)[5] == f(float(grid[5]))
+
+
+# The expansion as its terms were first written out, group by group; the
+# coefficient table of scaled_density_expansion must reproduce each order
+def _expansion_by_hand(group, n, tau, order):
+    s = np.sin(2 * np.pi * tau) / (2 * np.pi * tau)
+    cos2, sin2 = np.cos(2 * np.pi * tau), np.sin(2 * np.pi * tau)
+    if group is GroupKind.Unitary:
+        return np.ones_like(tau)
+    if n == math.inf:
+        order = 0
+    if group is GroupKind.SOEven:
+        terms = [1 + s, -(1 + cos2) / (2 * n), -np.pi * tau * sin2 / (6 * n * n)]
+    elif group is GroupKind.SOOdd:
+        size = 2 * n + 1
+        terms = [1 - s, -(1 - cos2) / size, 2 * np.pi * tau * sin2 / (3 * size * size)]
+    else:
+        terms = [1 - s, (1 - cos2) / (2 * n), np.pi * tau * sin2 / (6 * n * n)]
+    return sum(terms[: order + 1])
+
+
+@pytest.mark.parametrize("group", list(GroupKind))
+@pytest.mark.parametrize("n", [1, 5, 30, math.inf])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_scaled_expansion_coefficients_pinned(group, n, order):
+    tau = np.linspace(0.01, 4.0, 400)
+    got = scaled_density_expansion(group, n, tau, order)
+    assert np.max(np.abs(got - _expansion_by_hand(group, n, tau, order))) < 1e-13
 
 
 # --- coefficient assembly --------------------------------------------------
