@@ -13,14 +13,13 @@ Conventions documented once here:
 from __future__ import annotations
 
 import cmath
-import csv
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
+from excised_rmt.special import require_integer
 from excised_rmt.theory import SymmetryCase
 
 _PI = math.pi
@@ -113,22 +112,15 @@ class FamilySpec:
     M: int
     case: SymmetryCase
     X: int
-    k: int = 2
     epsilon_f: int = 1
     Delta: int = 1
     residue_u: int = 1
 
     def __post_init__(self):
-        # bool is an Integral; M = 11.0 or X = 1e5 would fail later inside
-        # numpy, and residue_u = 2.5 would select an empty residue class
-        for name in ("M", "X", "k", "residue_u"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+        for name in ("M", "X", "residue_u"):
+            require_integer(name, getattr(self, name))
         if self.M % 2 == 0 or not is_prime(self.M):
             raise ValueError("level M must be an odd prime")
-        if self.k < 2:
-            raise ValueError("weight k must be >= 2")
         if self.epsilon_f not in (1, -1) or self.Delta not in (1, -1):
             raise ValueError("epsilon_f and Delta must be +1 or -1")
         if self.X < 3:
@@ -317,7 +309,6 @@ class NewformLocalData:
     """Hecke eigenvalue and nebentypus data at the primes of lam and chi."""
 
     M: int
-    k: int
     lam: Dict[int, complex]
     chi: Dict[int, complex]
     principal: bool = True
@@ -339,25 +330,6 @@ class NewformLocalData:
             return 1.0
         return self.chi[p]
 
-    @classmethod
-    def from_csv(cls, path, M: int, k: int, principal: bool = True) -> "NewformLocalData":
-        lam: Dict[int, complex] = {}
-        chi: Dict[int, complex] = {}
-        last = 0
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            required = {"p", "re_lambda", "im_lambda", "re_chi", "im_chi"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise ValueError("newform data CSV must have header p,re_lambda,im_lambda,re_chi,im_chi")
-            for row in reader:
-                p = int(row["p"])
-                if p <= last:
-                    raise ValueError("primes must be ascending")
-                last = p
-                lam[p] = complex(float(row["re_lambda"]), float(row["im_lambda"]))
-                chi[p] = complex(float(row["re_chi"]), float(row["im_chi"]))
-        return cls(M=M, k=k, lam=lam, chi=chi, principal=principal)
-
 
 def _lambda_powers(data: NewformLocalData, p: int, top: int) -> list:
     """lambda(p^0), ..., lambda(p^top) from the Hecke recurrence
@@ -375,7 +347,10 @@ def lambda_power(data: NewformLocalData, p: int, m: int) -> complex:
 
 
 def e_factor(case: SymmetryCase, epsilon_f: int = 1, Delta: int = 1, psi_d_M: int = 1) -> float:
-    """The constant value of psi_d(M) over the family, per symmetry case."""
+    """The constant value of psi_d(M) over the family, per symmetry case.
+    Each sign must be +1 or -1, as FamilySpec requires of epsilon_f and Delta."""
+    if any(sign not in (1, -1) for sign in (epsilon_f, Delta, psi_d_M)):
+        raise ValueError("epsilon_f, Delta and psi_d_M must be +1 or -1")
     if case is SymmetryCase.PrincipalEven:
         return -epsilon_f
     if case is SymmetryCase.PrincipalOdd:
@@ -436,9 +411,8 @@ def _v_ramified(data: NewformLocalData, e: float, alpha: complex, gamma: complex
     M = data.M
     lam = data.lam[M]
     x = lam * e * M ** (-(0.5 + alpha))
-    first = sum(x ** m for m in range(_EULER_TERMS + 1))
-    second = (lam / M ** (0.5 + gamma)) * e * sum(x ** m for m in range(_EULER_TERMS + 1))
-    return first - second
+    series = sum(x ** m for m in range(_EULER_TERMS + 1))
+    return series - (lam / M ** (0.5 + gamma)) * e * series
 
 
 def a_f_value(

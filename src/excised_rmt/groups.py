@@ -26,10 +26,11 @@ its temporaries stay cache-sized whatever the batch size.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from excised_rmt.special import require_integer
 
 _MASK64 = (1 << 64) - 1
 # Gaussians drawn and orthogonalized per chunk of a batch (256 KiB); a
@@ -58,9 +59,7 @@ class GroupSpec:
     def __post_init__(self):
         if not isinstance(self.group, GroupKind):
             raise TypeError("group must be a GroupKind")
-        # bool is an Integral; 2.0 would fail later inside numpy shapes
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise TypeError(f"half-size N must be an integer, got {self.n!r}")
+        require_integer("half-size N", self.n)
         if self.n < 1:
             raise ValueError("half-size N must be a positive integer")
 

@@ -1,14 +1,16 @@
 """In-house special functions and quadrature helpers.
 
-Digamma via recurrence plus asymptotic series, the Glaisher-Kinkelin
-constant as a stored high-precision literal, adaptive Simpson quadrature,
-two removable-singularity quotients on numpy arrays, and the rule by which
+The integer rule of every count, size and weight, digamma at the
+half-integers k/2 in exact finite form, the Glaisher-Kinkelin constant as
+a stored high-precision literal, adaptive Simpson quadrature, two
+removable-singularity quotients on numpy arrays, and the rule by which
 the closed forms return a float for a scalar argument.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -29,43 +31,26 @@ _PANELS = 8
 _MAX_DEPTH = 48
 
 
-def digamma(x: float) -> float:
-    """Digamma function psi(x) = Gamma'(x)/Gamma(x) for real x > 0.
+def require_integer(name: str, value) -> None:
+    """Raise TypeError unless value is an integer.  bool is an Integral but
+    never a count, a size or a weight, and 2.0 would fail later inside
+    numpy or select nothing."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
-    Uses the recurrence psi(x) = psi(x+1) - 1/x to shift the argument
-    above 10, then the asymptotic series with Bernoulli-number
-    coefficients through B_14.  Accurate to ~1e-15 relative.
+
+def digamma_half(k: int) -> float:
+    """psi(k/2) for integer weight k >= 1, in its exact finite form:
+    -gamma + sum_{j < k/2} 1/j for even k and
+    -gamma - 2 log 2 + sum_{j <= (k-1)/2} 2/(2j - 1) for odd k.
     """
-    if not math.isfinite(x):
-        raise ValueError("digamma: argument must be finite")
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError("digamma: nonpositive integer argument")
-    result = 0.0
-    if x < 0.0:
-        # reflection: psi(1-x) - psi(x) = pi/tan(pi x)
-        return digamma(1.0 - x) - _PI / math.tan(_PI * x)
-    while x < 10.0:
-        result -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = inv2 * (
-        1.0 / 12.0
-        - inv2
-        * (
-            1.0 / 120.0
-            - inv2
-            * (
-                1.0 / 252.0
-                - inv2
-                * (
-                    1.0 / 240.0
-                    - inv2
-                    * (1.0 / 132.0 - inv2 * (691.0 / 32760.0 - inv2 * (1.0 / 12.0)))
-                )
-            )
-        )
-    )
-    return result + math.log(x) - 0.5 / x - series
+    require_integer("weight k", k)
+    if k < 1:
+        raise ValueError("weight k must be >= 1")
+    if k % 2 == 0:
+        return math.fsum([-EULER_GAMMA, *(1.0 / j for j in range(1, k // 2))])
+    return math.fsum([-EULER_GAMMA, -2.0 * math.log(2.0),
+                      *(2.0 / (2 * j - 1) for j in range(1, (k - 1) // 2 + 1))])
 
 
 def _simpson(a, fa, b, fb, fm):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from excised_rmt.groups import GroupKind, GroupSpec
+from excised_rmt.special import require_integer
 
 _MODULUS_TOL = 1e-6
 # Largest |tan(theta / 2)| a Cayley pass may keep, and the passes a row may
@@ -48,8 +49,9 @@ class ExcisionRule:
             raise ValueError("cutoff constant c and n_std must be finite")
         if self.c < 0:
             raise ValueError("cutoff constant c must be nonnegative")
-        if int(self.k) != self.k or self.k < 1:
-            raise ValueError("weight k must be an integer >= 1")
+        require_integer("weight k", self.k)
+        if self.k < 1:
+            raise ValueError("weight k must be >= 1")
 
     @property
     def threshold(self) -> float:

@@ -15,8 +15,9 @@ from excised_rmt.special import (
     GLAISHER,
     STIELTJES_GAMMA1,
     adaptive_simpson,
-    digamma,
+    digamma_half,
     float_or_array,
+    require_integer,
     sin_ratio,
     sinc2pi,
 )
@@ -77,6 +78,9 @@ class VanishingModel:
     a_f_half: float = 1.0
 
     def __post_init__(self):
+        require_integer("weight k", self.k)
+        if self.k < 2:
+            raise ValueError("weight k must be >= 2")
         if not all(map(math.isfinite, (self.delta_f, self.kappa_f, self.a_f_half))):
             raise ValueError("delta_f, kappa_f and a_f_half must be finite")
         if self.delta_f < 0 or self.kappa_f < 0:
@@ -196,7 +200,7 @@ def coefficient_assembly(case: SymmetryCase, raw: CoefficientInputs) -> dict:
     treated as equal to the given form's inputs (real-valued
     symmetrization), so e.g. c1 collapses to a single set of constants.
     """
-    psi = digamma(raw.k / 2.0)
+    psi = digamma_half(raw.k)
     g = EULER_GAMMA
     g1 = STIELTJES_GAMMA1
     if case is SymmetryCase.PrincipalEven:
@@ -459,12 +463,17 @@ def h_exact(n: int) -> float:
 def small_value_prob(rho: float, n: float) -> float:
     """SO(2N) small-value law: P(0 <= |char poly at 1| <= rho) ~ 2 h(N) sqrt(rho).
 
-    The square-root law is specific to SO(2N); USp(2N) and U(N) follow
-    other powers of rho, so this function covers SO(2N) only.
+    This is the small-rho leading term only, so a value above 1, which no
+    probability takes, raises ValueError.  The square-root law is specific
+    to SO(2N); USp(2N) and U(N) follow other powers of rho, so this
+    function covers SO(2N) only.
     """
     if not rho >= 0:
         raise ValueError("rho must be nonnegative")
-    return 2.0 * h_asymp(n, GroupKind.SOEven) * math.sqrt(rho)
+    leading = 2.0 * h_asymp(n, GroupKind.SOEven) * math.sqrt(rho)
+    if leading > 1.0:
+        raise ValueError(f"2 h(N) sqrt(rho) = {leading!r} exceeds 1: rho is not small")
+    return leading
 
 
 def vanishing_count(X: float, model: VanishingModel) -> dict:
@@ -474,8 +483,6 @@ def vanishing_count(X: float, model: VanishingModel) -> dict:
     k < 3; the leading term follows the small-value law with the SO(2N)
     prefactor h_asymp evaluated at N = log X.
     """
-    if model.k < 2:
-        raise ValueError("weight must be at least 2")
     if not 2 < X < math.inf:
         raise ValueError("X must be finite and exceed 2")
     divergent = model.k < 3

@@ -245,8 +245,7 @@ def test_family_spec_validation():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("M", 11.0), ("M", True), ("X", 1e5), ("X", False), ("k", 2.0), ("residue_u", 2.5),
-     ("residue_u", True)],
+    [("M", 11.0), ("M", True), ("X", 1e5), ("X", False), ("residue_u", 2.5), ("residue_u", True)],
 )
 def test_family_spec_rejects_non_integers(field, value):
     kwargs = {"M": 11, "case": SymmetryCase.Generic, "X": 10**5, "residue_u": 2, field: value}
@@ -256,7 +255,7 @@ def test_family_spec_rejects_non_integers(field, value):
 
 def test_family_spec_accepts_numpy_integers():
     spec = FamilySpec(M=np.int64(11), case=SymmetryCase.Generic, X=np.int32(3000),
-                      k=np.int16(2), residue_u=np.int64(2))
+                      residue_u=np.int64(2))
     plain = FamilySpec(M=11, case=SymmetryCase.Generic, X=3000, residue_u=2)
     assert np.array_equal(enumerate_family(spec), enumerate_family(plain))
     assert cardinality_estimate(spec) == cardinality_estimate(plain)
@@ -288,6 +287,16 @@ def test_e_factor_table():
     assert e_factor(SymmetryCase.PrincipalOdd, epsilon_f=1) == 1
     assert e_factor(SymmetryCase.SelfCM, Delta=1) == -1
     assert e_factor(SymmetryCase.Generic, psi_d_M=-1) == -1
+
+
+@pytest.mark.parametrize(
+    "case, signs",
+    [(SymmetryCase.PrincipalEven, {"epsilon_f": 3}), (SymmetryCase.PrincipalOdd, {"epsilon_f": 0}),
+     (SymmetryCase.SelfCM, {"Delta": -2}), (SymmetryCase.Generic, {"psi_d_M": 7})],
+)
+def test_e_factor_rejects_signs_other_than_plus_minus_one(case, signs):
+    with pytest.raises(ValueError, match=r"must be \+1 or -1"):
+        e_factor(case, **signs)
 
 
 # --- family sums -----------------------------------------------------------
@@ -347,7 +356,7 @@ def _toy_data(P=200, lam_M=None):
     chi = {p: 1.0 for p in primes(P)}
     lam[11] = lam_M if lam_M is not None else 1.0 / math.sqrt(11.0)
     chi[11] = 0.0
-    return NewformLocalData(M=11, k=2, lam=lam, chi=chi)
+    return NewformLocalData(M=11, lam=lam, chi=chi)
 
 
 def test_lambda_power_hecke_recursion():
@@ -366,7 +375,7 @@ def test_lambda_power_satake_cross_check(p, m):
     chi = {q: 1.0 for q in primes(50)}
     lam[11] = 0.1
     chi[11] = 0.0
-    data = NewformLocalData(M=11, k=2, lam=lam, chi=chi)
+    data = NewformLocalData(M=11, lam=lam, chi=chi)
     # the Hecke recurrence against the Satake power sum
     # lambda(p^m) = sum_{l=0}^{m} alpha^l beta^(m-l)
     alpha, beta = satake(0.5, 1.0)
@@ -378,23 +387,19 @@ def test_ramanujan_bound_enforced():
     lam = {2: 3.0, 11: 0.0}
     chi = {2: 1.0, 11: 0.0}
     with pytest.raises(ValueError):
-        NewformLocalData(M=11, k=2, lam=lam, chi=chi)
-
-
-def test_newform_csv_round_trip(tmp_path):
-    path = tmp_path / "nf.csv"
-    path.write_text(
-        "p,re_lambda,im_lambda,re_chi,im_chi\n"
-        "2,-1.4142135623730951,0,1,0\n"
-        "3,0.5,-0.25,0.6,0.8\n"
-        "11,0.30151134457776363,0,0,0\n"
-    )
-    back = NewformLocalData.from_csv(path, M=11, k=2)
-    assert back.lam == {2: -1.4142135623730951, 3: 0.5 - 0.25j, 11: 0.30151134457776363}
-    assert back.chi == {2: 1, 3: 0.6 + 0.8j, 11: 0}
+        NewformLocalData(M=11, lam=lam, chi=chi)
 
 
 # --- truncated Euler product -----------------------------------------------
+
+@pytest.mark.parametrize("signs", [{"epsilon_f": 7}, {"Delta": 0}])
+def test_a_f_readers_reject_signs_other_than_plus_minus_one(signs):
+    data = _toy_data(P=50)
+    with pytest.raises(ValueError, match=r"must be \+1 or -1"):
+        truncated_a_f(data, SymmetryCase.PrincipalEven, 0.1, 50, **signs)
+    with pytest.raises(ValueError, match=r"must be \+1 or -1"):
+        a1_00(data, SymmetryCase.SelfCM, 50, **signs)
+
 
 def test_a_f_diagonal_is_one():
     # the arithmetic factor is identically 1 on the diagonal alpha = gamma

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,18 +207,18 @@ def test_neff_coeffs_file(tmp_path, capsys):
 NEFF_COEFFS = {"A1_00": 0.125, "Lp_sym": -0.375, "L1_chi": 0.75, "xi0": 0.5,
                "eta": 1.5, "Atilde_00": 0.25, "L1_sym": 2.0}
 NEFF_STDOUT = {
-    ("principal_even", False): ({"a1": 2.154431329803065, "a2": 3.120850198188921},
-                                1.988321187603511),
-    ("principal_even", True): ({"a1": 2.404431329803065, "a2": 4.73667369554122},
-                               1.7815861102737744),
-    ("principal_odd", False): ({"a3": 3.008799638835711, "a4": -3.9328377367717104},
-                               2.1812695722372046),
-    ("principal_odd", True): ({"a3": 3.508799638835711, "a4": -7.164484731476308},
-                              1.7991916754886028),
-    ("self_cm", False): ({"b1": 1.5772156649015323, "b2": 1.1544313298030648},
-                         5.431979348939168),
-    ("self_cm", True): ({"b1": 1.0772156649015323, "b2": -0.0284804188730845},
-                        7.953284750414046),
+    ("principal_even", False): ({"a1": 2.1544313298030655, "a2": 3.120850198188922},
+                                1.9883211876035105),
+    ("principal_even", True): ({"a1": 2.4044313298030655, "a2": 4.736673695541221},
+                               1.781586110273774),
+    ("principal_odd", False): ({"a3": 3.008799638835712, "a4": -3.932837736771713},
+                               2.1812695722372037),
+    ("principal_odd", True): ({"a3": 3.508799638835712, "a4": -7.164484731476311},
+                              1.7991916754886024),
+    ("self_cm", False): ({"b1": 1.5772156649015328, "b2": 1.1544313298030657},
+                         5.431979348939167),
+    ("self_cm", True): ({"b1": 1.0772156649015328, "b2": -0.028480418873083835},
+                        7.953284750414042),
 }
 
 
@@ -232,6 +233,22 @@ def test_neff_stdout_is_pinned(case, with_coeffs, tmp_path, capsys):
     expected = {"M": 11, "X": 9960, "case": case, "coefficients": coefficients, "n_eff": n_eff}
     assert (code, err) == (0, "")
     assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_neff_stdout_coefficients_match_the_formula_at_50_digits(monkeypatch):
+    # coefficient_assembly run on mpmath numbers, with psi(k/2), gamma and
+    # gamma_1 to 50 digits: each pin is within one unit in the last place
+    # of max(1, |value|), the scale of the terms that cancel in b2
+    monkeypatch.setattr(theory, "digamma_half", lambda k: mpmath.digamma(mpmath.mpf(k) / 2))
+    with mpmath.workdps(50):
+        monkeypatch.setattr(theory, "EULER_GAMMA", +mpmath.euler)
+        monkeypatch.setattr(theory, "STIELTJES_GAMMA1", mpmath.stieltjes(1))
+        for (case, with_coeffs), (coefficients, _) in NEFF_STDOUT.items():
+            given = NEFF_COEFFS if with_coeffs else {}
+            raw = theory.CoefficientInputs(**{key: mpmath.mpf(v) for key, v in given.items()})
+            exact = theory.coefficient_assembly(theory.SymmetryCase(case), raw)
+            for name, value in coefficients.items():
+                assert abs(value - exact[name]) <= math.ulp(max(1.0, abs(value))), (case, name)
 
 
 def test_neff_generic_stdout_is_pinned(capsys):
@@ -252,6 +269,7 @@ def test_neff_generic_stdout_is_pinned(capsys):
         ('{"k": "x"}', "coeffs field 'k' must be an integer, got 'x'"),
         ('{"k": 2.5}', "coeffs field 'k' must be an integer, got 2.5"),
         ('{"k": true}', "coeffs field 'k' must be an integer, got True"),
+        ('{"k": 0}', "weight k must be >= 1"),
         ('{"A1_00": "0.1"}', "coeffs field 'A1_00' must be a number, got '0.1'"),
         ('{"b1": 7}', "unknown coefficient keys: ['b1']"),
         ('{"a1": 1.5, "kappa": 0}', "unknown coefficient keys: ['a1', 'kappa']"),

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from excised_rmt.groups import GroupKind, GroupSpec
+from excised_rmt.spectral import ExcisionRule
 from excised_rmt import theory
 from excised_rmt.special import (
     EULER_GAMMA,
     STIELTJES_GAMMA1,
     adaptive_simpson,
+    digamma_half,
     sin_ratio,
     sinc2pi,
 )
@@ -626,6 +628,14 @@ def test_small_value_prob_scaling():
     assert small_value_prob(0.0, 10) == 0.0
 
 
+def test_small_value_prob_raises_where_the_leading_term_exceeds_one():
+    # 2 h(12) sqrt(rho) passes 1 near rho = 0.64
+    assert 0.0 < small_value_prob(0.5, 12) < 1.0
+    for rho in (1.0, 100.0):
+        with pytest.raises(ValueError, match="exceeds 1"):
+            small_value_prob(rho, 12)
+
+
 def test_small_value_prob_is_so_even_only():
     # USp(2N) and U(N) do not follow the square-root law; a call that names
     # another group must fail rather than return the SO(2N) value
@@ -643,6 +653,24 @@ def test_vanishing_count_weight_threshold():
     assert not vanishing_count(1e6, m3)["divergent"]
     with pytest.raises(ValueError):
         vanishing_count(1e6, VanishingModel(k=1, delta_f=1.0, kappa_f=1.0))
+
+
+@pytest.mark.parametrize(
+    "make, least",
+    [
+        (lambda k: ExcisionRule(c=0.5, k=k, n_std=8.0), 1),
+        (lambda k: VanishingModel(k=k, delta_f=1.0, kappa_f=1.0), 2),
+        (digamma_half, 1),
+    ],
+    ids=["ExcisionRule", "VanishingModel", "digamma_half"],
+)
+def test_every_reader_of_the_weight_applies_one_integer_rule(make, least):
+    for bad in (2.0, 2.5, True, "2"):
+        with pytest.raises(TypeError, match=f"^weight k must be an integer, got {bad!r}$"):
+            make(bad)
+    with pytest.raises(ValueError, match=f"^weight k must be >= {least}$"):
+        make(least - 1)
+    make(np.int64(least))
 
 
 def test_vanishing_count_growth_rate():
