@@ -1,4 +1,9 @@
-"""Fundamental-discriminant machinery and truncated Euler-product estimators.
+"""Fundamental-discriminant machinery, family sums, root numbers, and the
+arithmetic factor A_f of the ratios conjecture.
+
+A_f is an Euler product truncated to the primes p <= P.  Each local
+factor is in closed form: its Hecke series are rational in
+x = p^-(1 + 2 alpha), and one that diverges raises ValueError.
 
 Conventions documented once here:
 
@@ -51,29 +56,6 @@ def is_prime(n: int) -> bool:
             return False
         i += 2
     return True
-
-
-def is_fundamental_discriminant(d: int) -> bool:
-    """d is squarefree = 1 (mod 4), or 4m with m squarefree = 2, 3 (mod 4)."""
-    d = int(d)
-    if d == 0:
-        raise ValueError("0 is not a discriminant")
-
-    def squarefree(m: int) -> bool:
-        m = abs(m)
-        if m == 0:
-            return False
-        for i in range(2, int(math.isqrt(m)) + 1):
-            if m % (i * i) == 0:
-                return False
-        return True
-
-    if d % 4 == 1:
-        return squarefree(d)
-    if d % 4 == 0:
-        m = d // 4
-        return (m % 4 in (2, 3)) and squarefree(m)
-    return False
 
 
 def kronecker(a: int, n: int) -> int:
@@ -221,8 +203,19 @@ def cardinality_estimate(spec: FamilySpec) -> float:
     return 3.0 * M * X / (2.0 * _PI ** 2 * (M + 1.0))
 
 
+def _require_unit(name: str, value: complex) -> None:
+    """Raise ValueError unless |value| = 1 within 1e-9, as a root number
+    and a character value at a prime away from the level must be; NaN
+    fails.  Complex values are allowed, which a non-principal nebentypus
+    needs."""
+    if not abs(abs(value) - 1.0) <= 1e-9:
+        raise ValueError(f"|{name}| must be 1")
+
+
 def twisted_root_number(M: int, epsilon_f: complex, d: int, chi_f_of_d: complex) -> complex:
     """Root number of the quadratic twist: chi_f(d) * psi_d(-M) * epsilon_f."""
+    _require_unit("epsilon_f", epsilon_f)
+    _require_unit("chi_f(d)", chi_f_of_d)
     d = int(d)
     if d <= 0:
         raise ValueError("d must be positive")
@@ -246,6 +239,7 @@ def self_cm_root_number(D: int, d: int, epsilon_f: complex) -> complex:
     cross-checks the reciprocity factor (-1)^((D'-1)(d'-1)/4) over the odd
     parts; for positive d coprime to the level both give epsilon_f.
     """
+    _require_unit("epsilon_f", epsilon_f)
     M = abs(D)
     if math.gcd(d, M) != 1 or d <= 0:
         raise ValueError("d must be positive and coprime to the level")
@@ -321,29 +315,14 @@ class NewformLocalData:
             if p == self.M:
                 if cp != 0:
                     raise ValueError("chi must vanish at the level in the ramified convention")
-            elif abs(abs(cp) - 1.0) > 1e-9:
-                raise ValueError(f"|chi({p})| must be 1 away from the level")
+            else:
+                _require_unit(f"chi({p})", cp)
 
     def chi_prime(self, p: int) -> complex:
         """Value of the primitive character inducing the nebentypus."""
         if self.principal:
             return 1.0
         return self.chi[p]
-
-
-def _lambda_powers(data: NewformLocalData, p: int, top: int) -> list:
-    """lambda(p^0), ..., lambda(p^top) from the Hecke recurrence
-    lambda(p^(j+1)) = lambda(p) lambda(p^j) - chi(p) lambda(p^(j-1))."""
-    lam, chi = data.lam[p], data.chi[p]
-    values = [1.0 + 0j, lam]
-    for j in range(1, top):
-        values.append(lam * values[j] - chi * values[j - 1])
-    return values
-
-
-def lambda_power(data: NewformLocalData, p: int, m: int) -> complex:
-    """lambda(p^m) from the Hecke recurrence; 0 for m < 0."""
-    return _lambda_powers(data, p, m)[m] if m >= 0 else 0.0
 
 
 def e_factor(case: SymmetryCase, epsilon_f: int = 1, Delta: int = 1, psi_d_M: int = 1) -> float:
@@ -385,40 +364,50 @@ def _y_local(data: NewformLocalData, p: int, alpha: complex, gamma: complex) -> 
     )
 
 
-# Terms kept in each local Euler-factor series of A_f, the last-decade
-# drift up to which truncated_a_f reports convergence, and a1_00's
-# central-difference step
-_EULER_TERMS = 40
+# The last-decade drift up to which truncated_a_f reports convergence,
+# and a1_00's central-difference step
 _TAIL_TOL = 1e-3
 _DERIV_STEP = 1e-3
 
 
 def _v_unramified(data: NewformLocalData, p: int, alpha: complex, gamma: complex) -> complex:
-    terms = _EULER_TERMS
-    lam_pows = _lambda_powers(data, p, 2 * terms + 1)
+    """The local factor of A_f at a prime p other than the level.
+
+    With x = p^-(1 + 2 alpha), the Hecke series sum lambda(p^2m) x^m and
+    sum lambda(p^(2m+1)) x^m are (1 + chi x) / D and lambda / D, where
+    D = 1 - (lambda^2 - 2 chi) x + chi^2 x^2 = (1 - a^2 x)(1 - b^2 x) for
+    the Satake roots a, b.  They diverge, and so raise ValueError, where
+    max(|a|, |b|)^2 |x| >= 1.
+    """
+    lam, chi = data.lam[p], data.chi[p]
     x = p ** (-(1.0 + 2.0 * alpha))
-    s1 = sum(lam_pows[2 * m] * x ** m for m in range(1, terms + 1))
-    s2 = (data.lam[p] * p ** (-(1.0 + alpha + gamma))) * sum(
-        lam_pows[2 * m + 1] * x ** m for m in range(0, terms + 1)
-    )
-    s3 = (data.chi_prime(p) * p ** (-(1.0 + 2.0 * gamma))) * sum(
-        lam_pows[2 * m] * x ** m for m in range(0, terms + 1)
-    )
+    if not max(abs(root) for root in satake(lam, chi)) ** 2 * abs(x) < 1.0:
+        raise ValueError(f"the local series of A_f diverges at p = {p}")
+    D = 1.0 - (lam * lam - 2.0 * chi) * x + chi * chi * x * x
+    s1 = x * (lam * lam - chi - chi * chi * x) / D
+    s2 = lam * p ** (-(1.0 + alpha + gamma)) * lam / D
+    s3 = data.chi_prime(p) * p ** (-(1.0 + 2.0 * gamma)) * (1.0 + chi * x) / D
     return 1.0 + p / (p + 1.0) * (s1 - s2 + s3)
 
 
 def _v_ramified(data: NewformLocalData, e: float, alpha: complex, gamma: complex) -> complex:
+    """The local factor of A_f at the level M: its series is geometric in
+    x = lambda(M) e M^-(1/2 + alpha), and diverges, so raises ValueError,
+    where |x| >= 1."""
     M = data.M
     lam = data.lam[M]
     x = lam * e * M ** (-(0.5 + alpha))
-    series = sum(x ** m for m in range(_EULER_TERMS + 1))
-    return series - (lam / M ** (0.5 + gamma)) * e * series
+    if not abs(x) < 1.0:
+        raise ValueError(f"the local series of A_f diverges at the level M = {M}")
+    return (1.0 - lam * e * M ** (-(0.5 + gamma))) / (1.0 - x)
 
 
 def a_f_value(
     data: NewformLocalData, e: float, alpha: complex, gamma: complex, P: int
 ) -> Tuple[complex, float]:
-    """Truncated arithmetic factor A_f(alpha, gamma) over primes <= P.
+    """Arithmetic factor A_f(alpha, gamma) as the Euler product over the
+    primes <= P, each local factor in closed form; a local series that
+    diverges raises ValueError.
 
     Returns (value, tail_estimate), where the tail estimate is the total
     multiplicative drift contributed by the last decade of primes used —
@@ -428,11 +417,10 @@ def a_f_value(
     missing = [p for p in required if p not in data.lam]
     if missing:
         raise ValueError(f"newform data missing primes up to {P}: first missing {missing[0]}")
-    plist = required
     value = 1.0 + 0.0j
     last_decade = 1.0 + 0.0j
     cutoff = P / 10.0
-    for p in plist:
+    for p in required:
         if p == data.M:
             factor = _v_ramified(data, e, alpha, gamma) / _y_local(data, p, alpha, gamma)
         else:

@@ -14,7 +14,6 @@ from excised_rmt.special import (
     EULER_GAMMA,
     GLAISHER,
     STIELTJES_GAMMA1,
-    adaptive_simpson,
     digamma_half,
     float_or_array,
     require_integer,
@@ -345,22 +344,23 @@ def n_eff_generic(e1: float, e2: float, R: float) -> float:
 
 
 def _pair_corr_objective(e1: float, e2: float, R: float, n: float) -> float:
-    def integrand(y: float) -> float:
-        s2 = math.sin(_PI * y) ** 2
-        val = (e1 - e2 * s2) / (R * R) + s2 / (3.0 * n * n)
-        return val * val
-
-    return adaptive_simpson(integrand, 0.0, 1.0, tol=1e-12)
+    """The integral over 0 <= y <= 1 of (b + a sin^2(pi y))^2, with
+    b = e1 / R^2 and a = 1 / (3 n^2) - e2 / R^2, in exact form: the means
+    of sin^2 and sin^4 over a period are 1/2 and 3/8."""
+    b = e1 / (R * R)
+    a = 1.0 / (3.0 * n * n) - e2 / (R * R)
+    return b * b + a * b + 0.375 * a * a
 
 
 def n_eff_l2_optimize(e1: float, e2: float, R: float) -> float:
     """Minimize the L2 mismatch between the R^-2 pair-correlation term and
     the finite-size unitary correction, numerically over log N.
 
-    Golden-section search over log N with adaptive Simpson quadrature of
-    the unit-period integrand; agrees with the closed form
-    n_eff_generic(e1, e2, R) to relative 1e-3.  That form is also the
-    starting guess, so the inputs it rejects raise ValueError here too.
+    Golden-section search over log N of the mismatch's exact integral
+    b^2 + a b + 3 a^2 / 8 over one period (see _pair_corr_objective),
+    whose minimum over N is the closed form n_eff_generic(e1, e2, R).
+    That form is also the starting guess, so the inputs it rejects raise
+    ValueError here too.
     """
     guess = math.log(n_eff_generic(e1, e2, R))
     phi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -1,5 +1,6 @@
 """Discriminants, Kronecker symbols, family sums, and the Euler product."""
 
+import cmath
 import math
 
 import numpy as np
@@ -19,10 +20,8 @@ from excised_rmt.arith import (
     enumerate_family,
     family_windows,
     fundamental_discriminants_up_to,
-    is_fundamental_discriminant,
     is_prime,
     kronecker,
-    lambda_power,
     oscillatory_family_sum,
     primes,
     satake,
@@ -67,11 +66,6 @@ def _is_fund_brute(d: int) -> bool:
     return False
 
 
-@pytest.mark.parametrize("d", [1, 5, 8, 12, 13, 17, 21, 24, 25, 28, 33, 40, 44, 45, -3, -4, -7, -8])
-def test_is_fundamental_discriminant_spot(d):
-    assert is_fundamental_discriminant(d) == _is_fund_brute(d)
-
-
 def test_fundamental_discriminants_exhaustive():
     X = 10_000
     ours = set(fundamental_discriminants_up_to(X).tolist())
@@ -96,7 +90,7 @@ def test_fundamental_discriminants_at_every_window(monkeypatch, window):
     # windows; every larger one goes through the index write
     monkeypatch.setattr(arith, "_WINDOW", window)
     X = 5000
-    ref = [d for d in range(1, X + 1) if is_fundamental_discriminant(d)]
+    ref = [d for d in range(1, X + 1) if _is_fund_brute(d)]
     assert fundamental_discriminants_up_to(X).tolist() == ref
     spec = FamilySpec(M=7, case=SymmetryCase.SelfCM, X=X, Delta=-1)
     windows = list(family_windows(spec))
@@ -273,6 +267,24 @@ def test_twisted_root_number_values():
         twisted_root_number(11, 1, -5, 1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: twisted_root_number(11, 3, 5, 1), lambda: twisted_root_number(11, 1, 5, 2),
+     lambda: twisted_root_number(11, math.nan, 5, 1), lambda: twisted_root_number(11, 1, 5, 0.5j),
+     lambda: self_cm_root_number(-7, 5, 3), lambda: self_cm_root_number(-7, 5, 0)],
+)
+def test_root_numbers_reject_values_off_the_unit_circle(call):
+    with pytest.raises(ValueError, match=r"must be 1$"):
+        call()
+
+
+def test_root_numbers_take_complex_units():
+    # a non-principal nebentypus gives complex epsilon_f and chi_f(d)
+    unit = cmath.exp(0.7j)
+    assert twisted_root_number(11, unit, 5, 1j) == pytest.approx(1j * kronecker(5, 11) * unit)
+    assert self_cm_root_number(-7, 5, unit) == pytest.approx(kronecker(-7, 5) * kronecker(5, 7) * unit)
+
+
 def test_self_cm_root_number_reciprocity():
     # for positive d coprime to |D| the two evaluation routes agree
     for D in (-7, -11, -19):
@@ -359,28 +371,46 @@ def _toy_data(P=200, lam_M=None):
     return NewformLocalData(M=11, lam=lam, chi=chi)
 
 
-def test_lambda_power_hecke_recursion():
-    data = _toy_data()
-    # with lambda_p = 0 and chi_p = 1: lambda_{p^2} = -1, lambda_{p^3} = 0, ...
-    assert lambda_power(data, 3, 1) == pytest.approx(0.0)
-    assert lambda_power(data, 3, 2) == pytest.approx(-1.0)
-    assert lambda_power(data, 3, 3) == pytest.approx(0.0)
-    assert lambda_power(data, 3, 4) == pytest.approx(1.0)
+def _hecke_series(lam, chi, x, parity):
+    """sum over m of lambda(p^(2m + parity)) x^m, the lambda(p^j) from the
+    Hecke recurrence lambda(p^(j+1)) = lambda lambda(p^j) - chi lambda(p^(j-1)),
+    summed until the terms left are below 1e-17 of the sum.  With rho the
+    larger root of t^2 - lambda t + chi and q = rho^2 |x| < 1,
+    |lambda(p^j)| <= (j + 1) rho^j bounds the terms from m on by
+    2 max(1, rho) (m + 1) q^m / (1 - q)^2."""
+    rho = max(abs(np.roots([1.0, -lam, chi])))
+    q = rho * rho * abs(x)
+    assert q < 1.0
+    prev, cur = 1.0 + 0j, lam  # lambda(p^0), lambda(p^1)
+    total, xm, m = 0j, 1.0 + 0j, 0
+    for j in range(100_000):
+        if j % 2 == parity:
+            total += prev * xm
+            xm *= x
+            m += 1
+            if 2.0 * max(1.0, rho) * (m + 1) * q**m / (1.0 - q) ** 2 < 1e-17 * abs(total):
+                return total
+        prev, cur = cur, lam * cur - chi * prev
+    raise AssertionError("the reference series did not converge")
 
 
-@pytest.mark.parametrize("p", [2, 3, 7])
-@pytest.mark.parametrize("m", [1, 2, 5, 10, 20])
-def test_lambda_power_satake_cross_check(p, m):
-    lam = {q: 0.5 if q == p else 0.0 for q in primes(50)}
-    chi = {q: 1.0 for q in primes(50)}
-    lam[11] = 0.1
-    chi[11] = 0.0
-    data = NewformLocalData(M=11, lam=lam, chi=chi)
-    # the Hecke recurrence against the Satake power sum
-    # lambda(p^m) = sum_{l=0}^{m} alpha^l beta^(m-l)
-    alpha, beta = satake(0.5, 1.0)
-    total = sum(alpha**l * beta ** (m - l) for l in range(m + 1))
-    assert abs(lambda_power(data, p, m) - total) <= 1e-10 * max(1.0, abs(total))
+@pytest.mark.parametrize(
+    "lam, chi",
+    [(0.5, 1.0), (1.99, 1.0), (-1.99, 1.0), (0.3, -1.0), (1.0 + 1.0j, 1j), (1.2 - 0.5j, cmath.exp(-0.5j))],
+)
+@pytest.mark.parametrize("p", [2, 3, 13])
+@pytest.mark.parametrize("alpha, gamma", [(0.0, 0.0), (0.1, -0.15), (-0.2 + 0.3j, 0.05)])
+def test_local_factor_closed_sums_match_the_hecke_recurrence(p, lam, chi, alpha, gamma):
+    # the closed even sum (1 + chi x)/D and odd sum lambda/D inside the
+    # unramified factor, against the recurrence summed to convergence
+    data = NewformLocalData(M=11, lam={p: lam, 11: 0.1}, chi={p: chi, 11: 0.0}, principal=False)
+    x = p ** (-(1.0 + 2.0 * alpha))
+    even, odd = _hecke_series(lam, chi, x, 0), _hecke_series(lam, chi, x, 1)
+    s1 = even - 1.0
+    s2 = lam * p ** (-(1.0 + alpha + gamma)) * odd
+    s3 = chi * p ** (-(1.0 + 2.0 * gamma)) * even
+    ref = 1.0 + p / (p + 1.0) * (s1 - s2 + s3)
+    assert abs(arith._v_unramified(data, p, alpha, gamma) - ref) <= 1e-13 * abs(ref)
 
 
 def test_ramanujan_bound_enforced():
@@ -401,13 +431,33 @@ def test_a_f_readers_reject_signs_other_than_plus_minus_one(signs):
         a1_00(data, SymmetryCase.SelfCM, 50, **signs)
 
 
-def test_a_f_diagonal_is_one():
-    # the arithmetic factor is identically 1 on the diagonal alpha = gamma
+@pytest.mark.parametrize("lam_p", [0.0, 1.999, -1.999, "alternating"])
+def test_a_f_diagonal_is_one(lam_p):
+    # the arithmetic factor is identically 1 on the diagonal alpha = gamma;
+    # lambda_p near +-2 makes the two Satake roots nearly equal, near +1 or -1
     data = _toy_data()
-    for r in (0.0, 0.1, -0.2):
+    for p in data.lam:
+        if p != 11:
+            data.lam[p] = (1.999 if p % 4 == 1 else -1.999) if lam_p == "alternating" else lam_p
+    for r in (0.0, 0.1, -0.1, -0.2, 0.24, -0.24):
         out = truncated_a_f(data, SymmetryCase.PrincipalEven, r, 200)
-        assert out["value"] == pytest.approx(1.0, abs=1e-6)
+        assert abs(out["value"] - 1.0) <= 1e-12, r
         assert out["converged"]
+
+
+def test_a_f_raises_where_a_local_series_diverges():
+    # |alpha_2| = 2.33 at lambda_2 = 1.9, chi(2) = -1: max |root|^2 |x| = 2.7
+    # at p = 2, alpha = 0, and 2.05 at alpha = 0.2, where |root| |x| = 0.88
+    data = _toy_data()
+    data.lam[2], data.chi[2] = 1.9, -1.0
+    for alpha in (0.0, 0.2):
+        with pytest.raises(ValueError, match="diverges at p = 2"):
+            a_f_value(data, e=-1, alpha=alpha, gamma=0.0, P=200)
+    # lambda(M) = 5: |x| = 5 / sqrt(11) = 1.5 at the level
+    with pytest.raises(ValueError, match="diverges at the level"):
+        a_f_value(_toy_data(lam_M=5.0), e=-1, alpha=0.0, gamma=0.0, P=200)
+    with pytest.raises(ValueError, match="diverges at the level"):
+        truncated_a_f(_toy_data(lam_M=5.0), SymmetryCase.PrincipalEven, 0.1, 200)
 
 
 def test_a_f_off_diagonal_is_not_one():

@@ -420,6 +420,19 @@ def test_l2_optimizer_matches_closed_form():
         assert n_eff_l2_optimize(e1, e2, R) == pytest.approx(closed, rel=1e-3)
 
 
+@pytest.mark.parametrize("e1, e2, R", [(0.024, 2.0, 8.5), (0.0, 1.0, 5.0), (0.3, 3.0, 12.0), (-0.3, 0.7, 3.0)])
+@pytest.mark.parametrize("n", [0.5, 3.0, 40.0])
+def test_pair_corr_objective_matches_quadrature(e1, e2, R, n):
+    # the squared mismatch over one period, integrated far below 1e-10 of its value
+    def integrand(y):
+        s2 = math.sin(math.pi * y) ** 2
+        val = (e1 - e2 * s2) / (R * R) + s2 / (3.0 * n * n)
+        return val * val
+
+    ref = adaptive_simpson(integrand, 0.0, 1.0, tol=1e-15)
+    assert theory._pair_corr_objective(e1, e2, R, n) == pytest.approx(ref, rel=1e-10)
+
+
 def test_l2_optimizer_rejects_inadmissible():
     with pytest.raises(ValueError):
         n_eff_l2_optimize(1.0, 0.5, 8.0)
