@@ -6,7 +6,7 @@ Library layout:
 - ``spectral`` — eigenangles, characteristic polynomial at 1, excision
 - ``stats``    — streaming Monte Carlo statistics (histograms, pair correlation)
 - ``theory``   — closed-form density kernels, lower-order terms, matrix sizes
-- ``special``  — the integer rule, psi(k/2), constants, quadrature, sinc and sin(m t)/sin(t)
+- ``special``  — the integer rule, psi(k/2), constants, Gauss-Legendre quadrature, sinc and sin(m t)/sin(t)
 - ``arith``    — fundamental-discriminant families and Euler-product estimators
 - ``zeros``    — external zero-data ingestion and comparison reports
 - ``cli``      — command-line driver

@@ -305,7 +305,6 @@ class NewformLocalData:
     M: int
     lam: Dict[int, complex]
     chi: Dict[int, complex]
-    principal: bool = True
 
     def __post_init__(self):
         for p, lp in self.lam.items():
@@ -318,11 +317,10 @@ class NewformLocalData:
             else:
                 _require_unit(f"chi({p})", cp)
 
-    def chi_prime(self, p: int) -> complex:
-        """Value of the primitive character inducing the nebentypus."""
-        if self.principal:
-            return 1.0
-        return self.chi[p]
+    @property
+    def principal(self) -> bool:
+        """Whether the nebentypus is principal: chi(p) = 1 at every p != M."""
+        return all(cp == 1 for p, cp in self.chi.items() if p != self.M)
 
 
 def e_factor(case: SymmetryCase, epsilon_f: int = 1, Delta: int = 1, psi_d_M: int = 1) -> float:
@@ -350,7 +348,10 @@ def _sym_sq_local(data: NewformLocalData, p: int, s: complex) -> complex:
 
 
 def _chi_local(data: NewformLocalData, p: int, s: complex) -> complex:
-    cp = data.chi_prime(p)
+    """Local factor at s of the L-function of the primitive character
+    inducing the nebentypus: it is chi away from the level, and at the
+    level 1 if chi is principal and 0 otherwise."""
+    cp = data.chi[p] if p != data.M else float(data.principal)
     if cp == 0:
         return 1.0
     return 1.0 / (1.0 - cp * p ** (-s))
@@ -386,7 +387,7 @@ def _v_unramified(data: NewformLocalData, p: int, alpha: complex, gamma: complex
     D = 1.0 - (lam * lam - 2.0 * chi) * x + chi * chi * x * x
     s1 = x * (lam * lam - chi - chi * chi * x) / D
     s2 = lam * p ** (-(1.0 + alpha + gamma)) * lam / D
-    s3 = data.chi_prime(p) * p ** (-(1.0 + 2.0 * gamma)) * (1.0 + chi * x) / D
+    s3 = chi * p ** (-(1.0 + 2.0 * gamma)) * (1.0 + chi * x) / D
     return 1.0 + p / (p + 1.0) * (s1 - s2 + s3)
 
 
@@ -413,8 +414,11 @@ def a_f_value(
     multiplicative drift contributed by the last decade of primes used —
     a proxy for the truncation error.
     """
+    require_integer("P", P)
+    if P < 2:
+        raise ValueError("P must be >= 2")
     required = [int(p) for p in primes(P)]
-    missing = [p for p in required if p not in data.lam]
+    missing = [p for p in required if p not in data.lam or (p != data.M and p not in data.chi)]
     if missing:
         raise ValueError(f"newform data missing primes up to {P}: first missing {missing[0]}")
     value = 1.0 + 0.0j

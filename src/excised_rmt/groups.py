@@ -74,6 +74,10 @@ class GroupSpec:
         return self.n
 
 
+def one_level_range(spec: GroupSpec) -> float:
+    return np.pi if spec.group in (GroupKind.SOEven, GroupKind.USp) else 2.0 * np.pi
+
+
 class GroupInvariantError(RuntimeError):
     """A constructed matrix failed its group invariants (internal defect)."""
 

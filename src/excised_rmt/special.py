@@ -2,7 +2,7 @@
 
 The integer rule of every count, size and weight, digamma at the
 half-integers k/2 in exact finite form, the Glaisher-Kinkelin constant as
-a stored high-precision literal, adaptive Simpson quadrature, two
+a stored high-precision literal, Gauss-Legendre quadrature, two
 removable-singularity quotients on numpy arrays, and the rule by which
 the closed forms return a float for a scalar argument.
 """
@@ -26,9 +26,8 @@ STIELTJES_GAMMA1 = -0.072815845483676724860586375874901319137736338334338
 GLAISHER = 1.28242712910062263687534256886979172776768892732500
 
 _PI = math.pi
-# adaptive_simpson's pre-split panels and recursion depth per panel
-_PANELS = 8
-_MAX_DEPTH = 48
+# Gauss-Legendre nodes per interval: the first-angle law and bin averages
+_CDF_NODES = 40
 
 
 def require_integer(name: str, value) -> None:
@@ -53,47 +52,18 @@ def digamma_half(k: int) -> float:
                       *(2.0 / (2 * j - 1) for j in range(1, (k - 1) // 2 + 1))])
 
 
-def _simpson(a, fa, b, fb, fm):
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+def gauss_legendre(lo, hi, nodes: int = _CDF_NODES):
+    """Points and weights of the Gauss-Legendre rule on each interval [lo, hi].
 
-
-def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(a, fa, m, fm, flm)
-    right = _simpson(m, fm, b, fb, frm)
-    delta = left + right - whole
-    if not math.isfinite(delta):
-        raise ValueError("adaptive_simpson: the integrand is not finite")
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    return _adaptive(f, a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1) + _adaptive(
-        f, m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1
-    )
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
-    """Adaptive Simpson quadrature of f over [a, b] to absolute tolerance tol.
-
-    The interval is pre-split into several panels before adapting: for
-    oscillatory integrands a single coarse Simpson estimate can agree with
-    its refinement by cancellation, which would stop the recursion early.
-    A non-finite integrand value raises ValueError, since no refinement
-    would ever meet the tolerance.
+    lo and hi broadcast against each other; both results have their shape
+    plus a trailing axis of `nodes`, so sum(f(x) * w, axis=-1) is the
+    integral of f over each interval, exact for polynomials of degree
+    below 2 * nodes.
     """
-    if a == b:
-        return 0.0
-    edges = [a + (b - a) * i / _PANELS for i in range(_PANELS + 1)]
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        flo, fhi = f(lo), f(hi)
-        m = 0.5 * (lo + hi)
-        fm = f(m)
-        whole = _simpson(lo, flo, hi, fhi, fm)
-        total += _adaptive(f, lo, flo, hi, fhi, m, fm, whole, tol / _PANELS, _MAX_DEPTH)
-    return total
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    lo = np.asarray(lo, dtype=float)[..., None]
+    half = 0.5 * (np.asarray(hi, dtype=float)[..., None] - lo)
+    return lo + half * (1.0 + t), half * w
 
 
 def float_or_array(out):

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from excised_rmt.groups import GroupKind, GroupSpec, sample_batch
+from excised_rmt.groups import GroupKind, GroupSpec, one_level_range, sample_batch
 from excised_rmt.spectral import char_poly_batch, eigenangles_batch, first_angles_batch
 
 DEFAULT_BINS = 100
@@ -221,10 +221,6 @@ def density_angles(spec: GroupSpec, angle_rows: np.ndarray) -> np.ndarray:
     else:
         theta = angle_rows.ravel()
     return np.mod(theta, 2.0 * np.pi)
-
-
-def one_level_range(spec: GroupSpec) -> float:
-    return np.pi if spec.group in (GroupKind.SOEven, GroupKind.USp) else 2.0 * np.pi
 
 
 def one_level_density_mc(

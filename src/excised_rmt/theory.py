@@ -9,18 +9,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from excised_rmt.groups import GroupKind, GroupSpec
+from excised_rmt.groups import GroupKind, GroupSpec, one_level_range
 from excised_rmt.special import (
+    _CDF_NODES,
     EULER_GAMMA,
     GLAISHER,
     STIELTJES_GAMMA1,
     digamma_half,
     float_or_array,
+    gauss_legendre,
     require_integer,
     sin_ratio,
     sinc2pi,
 )
-from excised_rmt.stats import one_level_range
 
 _PI = math.pi
 
@@ -90,7 +91,7 @@ def finite_n_density(group: GroupKind, n: int, theta) -> np.ndarray:
     """Exact eigenangle density per matrix per radian,
     (m + sign sin(m theta) / sin(theta)) / (2 pi).
 
-    Its support is stats.one_level_range: [0, pi] for the even orthogonal
+    Its support is groups.one_level_range: [0, pi] for the even orthogonal
     and symplectic groups, [0, 2pi] for the odd orthogonal and unitary
     groups; an angle outside it raises ValueError.  Removable
     singularities of sin(m*theta)/sin(theta) are evaluated by limit.
@@ -115,9 +116,7 @@ def exact_scaled_density(group: GroupKind, n: int, tau) -> np.ndarray:
     return (2.0 * _PI / dim) * finite_n_density(group, n, theta)
 
 
-# Gauss-Legendre nodes of the Nystrom discretization, and the basis
-# values computed per batch of angles (about 1 MB per batch)
-_CDF_NODES = 40
+# Basis values computed per batch of angles (about 1 MB per batch)
 _CDF_CHUNK_WORDS = 2**17
 
 
@@ -147,17 +146,15 @@ def first_angle_cdf(group: GroupKind, n: int, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if not np.all((theta >= 0.0) & (theta <= _PI)):
         raise ValueError("theta must lie in [0, pi]")
-    t, w = np.polynomial.legendre.leggauss(_CDF_NODES)
     flat = theta.ravel()
     out = np.empty(flat.shape)
     rows = max(1, _CDF_CHUNK_WORDS // (_CDF_NODES * n))
-    for lo in range(0, flat.size, rows):
-        half = 0.5 * flat[lo : lo + rows, None]
-        x = half * (1.0 + t)  # the nodes on (0, theta)
+    for start in range(0, flat.size, rows):
+        x, w = gauss_legendre(0.0, flat[start : start + rows], _CDF_NODES)
         b = basis(x[:, :, None] * freq) * scale
-        b *= np.sqrt(half * w)[:, :, None]
+        b *= np.sqrt(w)[:, :, None]
         gram = np.matmul(b.transpose(0, 2, 1), b)
-        out[lo : lo + rows] = 1.0 - np.linalg.det(np.eye(n) - gram)
+        out[start : start + rows] = 1.0 - np.linalg.det(np.eye(n) - gram)
     return float_or_array(out.reshape(theta.shape))
 
 

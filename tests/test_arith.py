@@ -2,6 +2,10 @@
 
 import cmath
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -403,7 +407,7 @@ def _hecke_series(lam, chi, x, parity):
 def test_local_factor_closed_sums_match_the_hecke_recurrence(p, lam, chi, alpha, gamma):
     # the closed even sum (1 + chi x)/D and odd sum lambda/D inside the
     # unramified factor, against the recurrence summed to convergence
-    data = NewformLocalData(M=11, lam={p: lam, 11: 0.1}, chi={p: chi, 11: 0.0}, principal=False)
+    data = NewformLocalData(M=11, lam={p: lam, 11: 0.1}, chi={p: chi, 11: 0.0})
     x = p ** (-(1.0 + 2.0 * alpha))
     even, odd = _hecke_series(lam, chi, x, 0), _hecke_series(lam, chi, x, 1)
     s1 = even - 1.0
@@ -445,6 +449,42 @@ def test_a_f_diagonal_is_one(lam_p):
         assert out["converged"]
 
 
+@pytest.mark.parametrize("chi_3, a1_even, a1_odd", [
+    (-1.0, 0.06314916948049754 + 0j, -0.37646496396219015 + 0j),
+    (1j, -0.26643451723449657 - 0.16479184333145483j, -0.7060486506707911 - 0.16479184333380167j),
+])
+def test_a_f_off_the_principal_character(chi_3, a1_even, a1_odd):
+    # a chi(3) other than 1 makes the nebentypus non-principal, so the
+    # primitive character vanishes at the level as well; the a1_00 pins are
+    # the values when non-principal data had to be flagged by hand
+    data = _toy_data()
+    data.chi[3] = chi_3
+    assert not data.principal
+    for r in (0.0, 0.1, -0.2, 0.24):
+        assert abs(truncated_a_f(data, SymmetryCase.PrincipalEven, r, 200)["value"] - 1.0) <= 1e-12
+    assert a1_00(data, SymmetryCase.PrincipalEven, 200) == a1_even
+    assert a1_00(data, SymmetryCase.PrincipalOdd, 200) == a1_odd
+
+
+@pytest.mark.parametrize("alternating, a1_even, a1_odd, diagonal", [
+    (False, -0.5886199661962096 + 0j, -1.0282340996537465 + 0j,
+     0.9999999999999996 + 6.949994588768232e-17j),
+    (True, 1.0624518061179422 + 1.975779354168125e-15j, 0.6228376727542192 + 1.9776601213847994e-15j,
+     0.9999999999999987 - 7.377879330246168e-17j),
+])
+def test_a_f_pins_on_principal_data(alternating, a1_even, a1_odd, diagonal):
+    # the values of the Euler product before principal-ness was read from chi
+    data = _toy_data()
+    if alternating:
+        for p in data.lam:
+            if p != 11:
+                data.lam[p] = 1.999 if p % 4 == 1 else -1.999
+    assert data.principal
+    assert a1_00(data, SymmetryCase.PrincipalEven, 200) == a1_even
+    assert a1_00(data, SymmetryCase.PrincipalOdd, 200) == a1_odd
+    assert truncated_a_f(data, SymmetryCase.PrincipalOdd, 0.1 + 0.05j, 200)["value"] == diagonal
+
+
 def test_a_f_raises_where_a_local_series_diverges():
     # |alpha_2| = 2.33 at lambda_2 = 1.9, chi(2) = -1: max |root|^2 |x| = 2.7
     # at p = 2, alpha = 0, and 2.05 at alpha = 0.2, where |root| |x| = 0.88
@@ -476,6 +516,26 @@ def test_a_f_requires_prime_coverage():
     data = _toy_data(P=50)
     with pytest.raises(ValueError):
         a_f_value(data, e=1, alpha=0.0, gamma=0.0, P=500)
+    del data.chi[7]
+    with pytest.raises(ValueError, match="first missing 7"):
+        a_f_value(data, e=1, alpha=0.0, gamma=0.0, P=50)
+
+
+def test_a_f_cutoff_is_an_integer_of_at_least_two():
+    data = _toy_data(P=50)
+    for bad in (1, 0, -5):
+        with pytest.raises(ValueError, match="P must be >= 2"):
+            truncated_a_f(data, SymmetryCase.PrincipalEven, 0.1, bad)
+    for bad in (50.0, True):
+        with pytest.raises(TypeError, match="P must be an integer"):
+            a1_00(data, SymmetryCase.PrincipalEven, bad)
+
+
+def test_importing_arith_does_not_load_the_monte_carlo_stack():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, excised_rmt.arith; assert 'excised_rmt.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_a1_00_derivative_matches_coarse_difference():

@@ -12,8 +12,8 @@ from excised_rmt.special import (
     EULER_GAMMA,
     GLAISHER,
     STIELTJES_GAMMA1,
-    adaptive_simpson,
     digamma_half,
+    gauss_legendre,
     sin_ratio,
     sinc2pi,
 )
@@ -38,17 +38,16 @@ def test_digamma_half_integer_values():
     assert digamma_half(1) == -EULER_GAMMA - 2.0 * math.log(2.0)
 
 
-def test_adaptive_simpson_known_integrals():
-    assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
-    assert adaptive_simpson(lambda t: math.exp(-t), 0.0, 50.0) == pytest.approx(1.0, abs=1e-9)
-    assert adaptive_simpson(lambda t: t**3 - t, -1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_adaptive_simpson_oscillatory_vs_oracle():
-    target = float(mpmath.quad(lambda t: mpmath.sin(40 * t) ** 2 / (1 + t * t), [0, 3]))
-    assert adaptive_simpson(lambda t: math.sin(40 * t) ** 2 / (1 + t * t), 0.0, 3.0) == pytest.approx(
-        target, abs=1e-8
-    )
+def test_gauss_legendre_on_an_array_of_intervals():
+    # exact for degree 79 on each interval; lo and hi broadcast
+    lo, hi = np.broadcast_arrays(np.array([[0.0], [0.25]]), np.array([0.5, 2.0, 3.0]))
+    x, w = gauss_legendre(lo, hi)
+    assert x.shape == w.shape == (2, 3, 40)
+    assert np.all((x > lo[..., None]) & (x < hi[..., None]))
+    exact = (hi**80 - lo**80) / 80.0
+    assert np.allclose(np.sum(x**79 * w, axis=-1), exact, rtol=1e-12, atol=0.0)
+    x, w = gauss_legendre(0.0, math.pi)
+    assert np.sum(np.sin(x) * w) == pytest.approx(2.0, abs=1e-14)
 
 
 @given(st.floats(min_value=-20.0, max_value=20.0))
