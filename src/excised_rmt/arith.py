@@ -44,18 +44,9 @@ def primes(limit: int) -> np.ndarray:
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime: no prime up to sqrt(n) divides it."""
     n = int(n)
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        if n % p == 0:
-            return n == p
-    i = 37
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
+    return n >= 2 and all(n % p for p in primes(math.isqrt(n)).tolist())
 
 
 def kronecker(a: int, n: int) -> int:
@@ -324,7 +315,11 @@ class NewformLocalData:
 
 
 def e_factor(case: SymmetryCase, epsilon_f: int = 1, Delta: int = 1, psi_d_M: int = 1) -> float:
-    """The constant value of psi_d(M) over the family, per symmetry case.
+    """The sign e in A_f's local factor at the level (`_v_ramified`), per
+    symmetry case.  It is -psi_d(M) on the principal-even, principal-odd
+    and self-CM families, where family_windows keeps psi_d(M) = epsilon_f,
+    -epsilon_f and Delta, so e = -epsilon_f, epsilon_f and -Delta; on the
+    generic family it is +psi_d_M.
     Each sign must be +1 or -1, as FamilySpec requires of epsilon_f and Delta."""
     if any(sign not in (1, -1) for sign in (epsilon_f, Delta, psi_d_M)):
         raise ValueError("epsilon_f, Delta and psi_d_M must be +1 or -1")

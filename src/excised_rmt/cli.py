@@ -96,17 +96,21 @@ def _decimal_lines(values: np.ndarray) -> bytes:
     return b"".join(chunks)
 
 
+def _sample_field_types() -> list:
+    """int or float for each column of the sample table, in order: the
+    integer fields of stats.SAMPLE_DTYPE are int, the others float."""
+    dtype = stats.SAMPLE_DTYPE
+    return [int if np.issubdtype(dtype[name], np.integer) else float for name in dtype.names]
+
+
 def _sample_table_text(table) -> str:
-    lines = [SAMPLE_HEADER]
-    lines.extend(
-        f"{index},{angle:.17g},{re:.17g},{im:.17g},{mag:.17g}"
-        for index, angle, re, im, mag in table.tolist()
-    )
-    return "\n".join(lines) + "\n"
+    """The sample CSV: an int as is, a float to 17 significant digits."""
+    row = ",".join("{}" if kind is int else "{:.17g}" for kind in _sample_field_types())
+    return "\n".join([SAMPLE_HEADER, *(row.format(*values) for values in table.tolist()), ""])
 
 
 def _read_sample_table(path) -> np.ndarray:
-    fields = stats.SAMPLE_DTYPE.names
+    types = _sample_field_types()
     with open(path) as fh:
         header = fh.readline().strip()
         if header != SAMPLE_HEADER:
@@ -117,10 +121,10 @@ def _read_sample_table(path) -> np.ndarray:
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != len(fields):
-                raise DataError(f"{path}: line {lineno}: expected {len(fields)} fields")
+            if len(parts) != len(types):
+                raise DataError(f"{path}: line {lineno}: expected {len(types)} fields")
             try:
-                rows.append((int(parts[0]), *map(float, parts[1:])))
+                rows.append(tuple([kind(part) for kind, part in zip(types, parts)]))
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from None
     return np.array(rows, dtype=stats.SAMPLE_DTYPE)

@@ -220,6 +220,7 @@ def sample_batch(spec: GroupSpec, master_seed: int, start: int, count: int) -> n
     complex128 otherwise.  Element i equals the single-sample result for
     sample_index = start + i.
     """
+    require_integer("count", count)
     if count < 1:
         raise ValueError("count must be >= 1")
     d = spec.dim
@@ -270,19 +271,9 @@ def verify_invariants(spec: GroupSpec, a: np.ndarray) -> None:
             raise GroupInvariantError(f"symplectic form violated: max |A^T J A - J| = {err:.3e}")
 
 
-_GROUP_NAMES = {
-    "so_even": GroupKind.SOEven,
-    "soeven": GroupKind.SOEven,
-    "so_odd": GroupKind.SOOdd,
-    "soodd": GroupKind.SOOdd,
-    "usp": GroupKind.USp,
-    "unitary": GroupKind.Unitary,
-    "u": GroupKind.Unitary,
-}
-
-
 def group_from_name(name: str) -> GroupKind:
+    """The GroupKind whose value is name, in any case."""
     try:
-        return _GROUP_NAMES[name.strip().lower()]
-    except KeyError:
+        return GroupKind(name.strip().lower())
+    except ValueError:
         raise ValueError(f"unknown group name: {name!r}") from None

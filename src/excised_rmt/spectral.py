@@ -18,15 +18,13 @@ from excised_rmt.groups import GroupKind, GroupSpec
 from excised_rmt.special import require_integer
 
 _MODULUS_TOL = 1e-6
-# Largest |tan(theta / 2)| a Cayley pass may keep, and the passes a row may
-# take.  On planted U(2)-U(30) spectra one pass kept every angle within
-# 5e-14 up to max|t| = 100, 9.4e-14 up to 150 and 1.2e-13 up to 200.
+# The two limits of the Cayley acceptance rule (`unitary_angles`), and the
+# passes a row may take.  On planted U(2)-U(30) spectra one pass kept every
+# angle within 5e-14 up to max|t| = 100, 9.4e-14 up to 150 and 1.2e-13 up
+# to 200; for U(N) with N above about 150, cot(g / 4) can exceed 100.
 _CAYLEY_T_MAX = 100.0
-_CAYLEY_PASSES = 6
-# A row above _CAYLEY_T_MAX is still kept when its max|t| is within this
-# factor of cot(g / 4), the least any rotation reaches with widest gap g:
-# for U(N) with N above about 150 that least value can exceed _CAYLEY_T_MAX.
 _CAYLEY_GAP_SLACK = 1.25
+_CAYLEY_PASSES = 6
 # det(I - A) by LU against the product over (1 - e^{i theta_j})
 _CHARPOLY_REL_TOL = 1e-6
 _CHARPOLY_ABS_TOL = 1e-9
@@ -151,13 +149,15 @@ def unitary_angles(mats: np.ndarray) -> np.ndarray:
     One pass takes A' = e^{-i psi} A (psi = 0 at first) to its Cayley
     transform H = i(I - A')(I + A')^-1, which is Hermitian with eigenvalues
     t = tan((theta - psi) / 2), so `eigvalsh(H)` gives the angles.  Their
-    error grows like eps * max|t|**2, so a row whose max|t| exceeds
-    _CAYLEY_T_MAX is solved again with psi moving -1 to the middle of the
-    largest gap between its latest angles.  No rotation gets max|t| below
-    cot(g / 4) for a widest gap g, so a row within _CAYLEY_GAP_SLACK of that
-    is kept too.  A row is kept only when its H is Hermitian within
-    _MODULUS_TOL; one that is not within _CAYLEY_PASSES passes, such as a
-    non-unitary input, raises SpectralError.
+    error grows like eps * max|t|**2, and no rotation gets max|t| below
+    cot(g / 4), g the widest gap between the angles.  A pass keeps a row
+    when its H is Hermitian within _MODULUS_TOL and
+
+        max|t| <= max(_CAYLEY_T_MAX, _CAYLEY_GAP_SLACK * cot(g / 4)),
+
+    and solves every other row again with psi moving -1 to the middle of
+    that gap.  A row not kept within _CAYLEY_PASSES passes, such as one of
+    a non-unitary input, raises SpectralError.
     """
     count, dim = mats.shape[:2]
     theta = np.empty((count, dim))
@@ -170,20 +170,15 @@ def unitary_angles(mats: np.ndarray) -> np.ndarray:
             raise SpectralError("matrix with non-finite entries")
         t = np.linalg.eigvalsh(h)
         theta[rows] = _wrap(psi[:, None] + 2.0 * np.arctan(t))
-        t_max = np.abs(t).max(axis=1)
+        centre, width = _widest_gap(theta[rows])
+        limit = np.maximum(_CAYLEY_T_MAX, _CAYLEY_GAP_SLACK / np.tan(0.25 * width))
         # the defect of a unitary row stays near eps * max|t|**2, far below
         # _MODULUS_TOL, except when I + A' is nearly singular
-        far = ~solved | (t_max > _CAYLEY_T_MAX) | (defect > _MODULUS_TOL)
+        far = ~solved | (np.abs(t).max(axis=1) > limit) | (defect > _MODULUS_TOL)
         if not far.any():
             theta.sort(axis=1)
             return theta
-        rows, psi, solved, defect, t_max = rows[far], psi[far], solved[far], defect[far], t_max[far]
-        centre, width = _widest_gap(theta[rows])
-        far = ~solved | (t_max > _CAYLEY_GAP_SLACK / np.tan(0.25 * width)) | (defect > _MODULUS_TOL)
         rows, psi, solved, defect, centre = rows[far], psi[far], solved[far], defect[far], centre[far]
-        if not len(rows):
-            theta.sort(axis=1)
-            return theta
         # an exactly singular I + A' has -1 as an eigenvalue: turn it by
         # half the mean spacing and let the next pass find the gap
         psi = _wrap(np.where(solved, centre - np.pi, psi + np.pi / dim))

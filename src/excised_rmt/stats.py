@@ -20,6 +20,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from excised_rmt.groups import GroupKind, GroupSpec, one_level_range, sample_batch
+from excised_rmt.special import require_integer
 from excised_rmt.spectral import char_poly_batch, eigenangles_batch, first_angles_batch
 
 DEFAULT_BINS = 100
@@ -27,7 +28,8 @@ DEFAULT_BINS = 100
 # size and worker count.
 _BLOCK_ELEMENTS = 2**18
 
-# One row per sample of the CLI ``sample`` table and the excision pipeline.
+# One row per sample of the CLI ``sample`` table and the excision pipeline;
+# the CSV's columns, their order and their number format follow from it.
 SAMPLE_DTYPE = np.dtype(
     [
         ("sample_index", np.int64),
@@ -66,6 +68,7 @@ class Histogram:
 
     @classmethod
     def uniform(cls, lo: float, hi: float, bins: int = DEFAULT_BINS, **kw) -> "Histogram":
+        require_integer("bins", bins)
         if bins < 1:
             raise ValueError("bins must be >= 1")
         return cls(np.linspace(lo, hi, bins + 1), **kw)
@@ -152,16 +155,19 @@ def _blocks(
     flight share a budget of about _BLOCK_ELEMENTS matrix entries.  The
     range is cut into near-equal blocks, a multiple of the thread count of
     them unless that would exceed count, so every thread gets the same
-    work.  A negative count or workers < 1 raises ValueError at the call;
-    an exception in a block is raised by the iterator, in index order.
-    One thread runs inline.
+    work.  A count or workers that is not an integer raises TypeError at
+    the call, a negative count or workers < 1 ValueError; an exception in
+    a block is raised by the iterator, in index order.  One thread runs
+    inline.
     """
+    require_integer("count", count)
     if count < 0:
         raise ValueError("count must be >= 0")
     cores = _usable_cores()
     if workers is None:
         workers = cores
-    elif workers < 1:
+    require_integer("workers", workers)
+    if workers < 1:
         raise ValueError("workers must be >= 1")
     threads = max(1, min(workers, count, cores))
     per_block = max(1, _BLOCK_ELEMENTS // (threads * spec.dim**2))

@@ -2,7 +2,9 @@
 
 import json
 import math
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from excised_rmt import stats, theory
-from excised_rmt.cli import SAMPLE_HEADER, _decimal_lines, _sample_table_text, main
+from excised_rmt.cli import (
+    SAMPLE_HEADER,
+    _decimal_lines,
+    _read_sample_table,
+    _sample_table_text,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -62,6 +70,44 @@ def test_sample_table_text_formats_every_value():
         "1099511627776,nan,inf,-inf,0.33333333333333331\n"
     )
     assert _sample_table_text(table[:0]) == SAMPLE_HEADER + "\n"
+
+
+def test_sample_table_round_trips_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(5)
+    table = np.empty(40, dtype=stats.SAMPLE_DTYPE)
+    table["sample_index"] = rng.integers(-(2**63), 2**63 - 1, 40, endpoint=True)
+    floats = stats.SAMPLE_DTYPE.names[1:]
+    for name in floats:
+        # 17-digit values over many magnitudes
+        table[name] = rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+               0.1, 1 / 3, 2.0 / 3.0, 0.30000000000000004]
+    for i, value in enumerate(special):
+        table[floats[i % len(floats)]][i] = value
+    table["sample_index"][:2] = 2**63 - 1, -(2**63)
+    path = tmp_path / "samples.csv"
+    path.write_text(_sample_table_text(table))
+    back = _read_sample_table(path)
+    assert back.dtype == table.dtype and back.tobytes() == table.tobytes()
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # every `excised-rmt` line of the README's CLI block, in order and with
+    # --count lowered to 200, so samples.csv flows from sample into excise
+    # and compare
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("excised-rmt ")]
+    assert {argv[0] for argv in commands} == {
+        "sample", "excise", "onelevel", "paircorr", "discriminants", "neff", "compare"}
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zeros.csv").write_text("5,0.5,1.5\n8,0.25,2.0\n13,0.75,1.25\n")
+    for argv in commands:
+        if "--count" in argv:
+            argv[argv.index("--count") + 1] = "200"
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_sample_deterministic_across_workers(tmp_path, capsys):

@@ -270,8 +270,11 @@ def test_group_from_name_aliases():
     assert group_from_name("SO_ODD") is GroupKind.SOOdd
     assert group_from_name("usp") is GroupKind.USp
     assert group_from_name("unitary") is GroupKind.Unitary
-    with pytest.raises(ValueError):
-        group_from_name("nope")
+    assert group_from_name(" USP ") is GroupKind.USp
+    # the names are the GroupKind values and nothing else
+    for name in ("nope", "u", "soeven", "soodd"):
+        with pytest.raises(ValueError, match=f"unknown group name: {name!r}"):
+            group_from_name(name)
 
 
 def test_haar_invariance_of_trace_statistic():

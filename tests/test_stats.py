@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from excised_rmt import stats
-from excised_rmt.groups import GroupKind, GroupSpec
+from excised_rmt.groups import GroupKind, GroupSpec, sample_batch
 from excised_rmt.spectral import SpectralError
 from excised_rmt.stats import (
     Histogram,
@@ -123,6 +123,32 @@ def test_blocks_reject_bad_count_and_workers():
         list(_blocks(spec, -2, 1, 1))
     with pytest.raises(ValueError, match="workers must be >= 1"):
         list(_blocks(spec, 10, 1, 0))
+
+
+_DRIVERS = [one_level_density_mc, pair_correlation_mc, first_eigenangle_samples,
+            sample_summaries, char_poly_magnitudes]
+
+
+@pytest.mark.parametrize(
+    "fn, count, workers",
+    [(fn, count, workers) for fn in _DRIVERS
+     for count, workers in [(True, 1), (2.0, 1), (2, True), (2, 2.0)]]
+    + [(sample_batch, True, None), (sample_batch, 2.0, None)],
+)
+def test_counts_and_workers_must_be_integers(fn, count, workers):
+    # a bool or float count or workers is refused at the call, before any sampling
+    spec = GroupSpec(GroupKind.Unitary, 2)
+    with pytest.raises(TypeError, match="must be an integer"):
+        if fn is sample_batch:
+            fn(spec, 1, 0, count)
+        else:
+            fn(spec, count, 1, workers=workers)
+
+
+@pytest.mark.parametrize("bins", [True, 2.0])
+def test_histogram_bins_must_be_an_integer(bins):
+    with pytest.raises(TypeError, match="bins must be an integer"):
+        Histogram.uniform(0.0, 1.0, bins)
 
 
 def test_block_size_follows_matrix_size(monkeypatch):
