@@ -3,9 +3,11 @@
 Subcommands mirror the experiment kinds: sample, onelevel, paircorr,
 excise, discriminants, neff, compare.  Every run is a pure function of
 its flags and seed; outputs are byte-identical across reruns and worker
-counts (17-significant-digit decimals, LF line endings).  ``--workers``
-is the only source of the thread count; left unset, the stats drivers
-use every usable core.
+counts (17-significant-digit decimals, LF line endings).  Each flag
+declares its default where the parser declares the flag; ``--config``
+supplies defaults for the subcommand's flags, and a flag given on the
+command line wins.  ``--workers`` is the only source of the thread
+count; left unset, the stats drivers use every usable core.
 
 Exit codes: 0 success, 1 data error, 2 usage error.
 """
@@ -276,21 +278,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-# Values of the flags that neither the command line nor a config sets;
-# every other flag defaults to None.
-_DEFAULTS = {
-    "seed": 0,
-    "count": 1000,
-    "bins": 100,
-    "window": 5.0,
-    "epsilon": 1,
-    "delta": 1,
-    "residue": 1,
-    "which": "lowest",
-    "vanish_tol": 1e-8,
-}
-
-
 def _add_common(p, *, monte_carlo=True, bins=False):
     """--config and --out, plus --group, --n, --seed, --count and --workers
     for the subcommands that sample matrices."""
@@ -298,20 +285,20 @@ def _add_common(p, *, monte_carlo=True, bins=False):
     if monte_carlo:
         p.add_argument("--group", help="so_even | so_odd | usp | unitary")
         p.add_argument("--n", type=int, help="half-size N")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--count", type=int, help="number of samples")
+        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--count", type=int, default=1000, help="number of samples")
         p.add_argument("--workers", type=int,
                        help="threads that sample blocks, capped at the usable cores "
                             "(default: all usable cores; output bytes do not depend on it)")
     if bins:
-        p.add_argument("--bins", type=int, help="histogram bin count")
+        p.add_argument("--bins", type=int, default=stats.DEFAULT_BINS, help="histogram bin count")
     p.add_argument("--out", help="output path (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser.  Flags default to absent so that a config can fill
-    them; ``required`` names the flags that the command line or the config
-    must supply."""
+    """The CLI parser.  Each flag declares its own default, None where it
+    has none; ``required`` names the flags that the command line or the
+    config must supply, and ``parser`` is the subcommand's own parser."""
     parser = argparse.ArgumentParser(
         prog="excised-rmt",
         description="Excised random-matrix model simulator for quadratic twist families",
@@ -319,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, required, help):
-        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-        p.set_defaults(func=func, required=required)
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, required=required, parser=p)
         return p
 
     p = command("sample", cmd_sample, ("group", "n"),
@@ -333,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("paircorr", cmd_paircorr, ("group", "n"),
                 "Monte Carlo pair correlation of eigenangles")
-    p.add_argument("--window", type=float, help="window in mean spacings")
+    p.add_argument("--window", type=float, default=5.0, help="window in mean spacings")
     _add_common(p, bins=True)
 
     p = command("excise", cmd_excise, ("c", "k", "nstd", "input"),
@@ -349,9 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, help="odd prime level")
     p.add_argument("--case", help="principal_even | principal_odd | self_cm | generic")
     p.add_argument("--X", type=int, help="upper bound")
-    p.add_argument("--epsilon", type=int, choices=(1, -1))
-    p.add_argument("--delta", type=int, choices=(1, -1))
-    p.add_argument("--residue", type=int, help="residue class U mod M (generic case)")
+    p.add_argument("--epsilon", type=int, choices=(1, -1), default=1)
+    p.add_argument("--delta", type=int, choices=(1, -1), default=1)
+    p.add_argument("--residue", type=int, default=1, help="residue class U mod M (generic case)")
     _add_common(p, monte_carlo=False)
 
     p = command("neff", cmd_neff, ("case",), "effective matrix size for a symmetry case")
@@ -371,27 +358,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--which",
         choices=("lowest", "lowest_nonvanishing", "second_lowest"),
+        default="lowest",
         help="zero selector per record",
     )
-    p.add_argument("--vanish-tol", type=float, dest="vanish_tol")
+    p.add_argument("--vanish-tol", type=float, dest="vanish_tol", default=1e-8)
     _add_common(p, monte_carlo=False, bins=True)
-
-    for p in sub.choices.values():
-        p.set_defaults(flags={action.dest: action for action in p._actions
-                              if action.dest not in ("help", "config")})
     return parser
 
 
 def _read_config(args) -> dict:
-    """The non-null values of args.config, each checked against its flag's
-    type and choices."""
+    """The non-null values of args.config, each checked against the type
+    and choices of its flag in the subcommand's parser."""
     data = _load_json_object(args.config, "config")
     if "kind" not in data:
         raise DataError("config must declare an experiment kind")
     kind = data.pop("kind")
     if kind != args.command:
         raise DataError(f"config kind {kind!r} does not match subcommand {args.command!r}")
-    foreign = sorted(set(data) - set(args.flags))
+    flags = {action.dest: action for action in args.parser._actions
+             if action.dest not in ("help", "config")}
+    foreign = sorted(set(data) - set(flags))
     if foreign:
         raise DataError(
             f"config sets {', '.join(map(repr, foreign))}, "
@@ -399,7 +385,7 @@ def _read_config(args) -> dict:
         )
     given = {key: value for key, value in data.items() if value is not None}
     for key, value in given.items():
-        action = args.flags[key]
+        action = flags[key]
         _check_json_value("config", key, value, action.type)
         if action.choices is not None and value not in action.choices:
             raise DataError(
@@ -409,31 +395,24 @@ def _read_config(args) -> dict:
     return given
 
 
-def _resolve_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fills each flag absent from the command line from the config, then
-    from _DEFAULTS, and exits with a usage error if a required one is
-    still unset.  A config key that the subcommand has no flag for, a
-    value that its flag would not accept, or workers below 1 is a data
-    error; workers left unset reaches the stats drivers as None."""
-    values = vars(args)
-    if values.get("config"):
-        for key, value in _read_config(args).items():
-            values.setdefault(key, value)
-    for key in args.flags:
-        values.setdefault(key, _DEFAULTS.get(key))
-    missing = [f"--{key}" for key in args.required if values[key] is None]
-    if missing:
-        parser.error(f"{args.command}: the following arguments are required: {', '.join(missing)}")
-    workers = values.get("workers")
-    if workers is not None and workers < 1:
-        raise DataError(f"--workers must be >= 1, got {workers}")
-
-
 def main(argv=None) -> int:
+    """Runs one subcommand.  A config becomes the subcommand's defaults and
+    the command line is parsed again, so that a flag given there wins.  A
+    required flag still unset is a usage error; a config key that the
+    subcommand has no flag for, a value that its flag would not accept, or
+    workers below 1 is a data error."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _resolve_args(args, parser)
+        if args.config:
+            args.parser.set_defaults(**_read_config(args))
+            args = parser.parse_args(argv)
+        missing = [f"--{key}" for key in args.required if getattr(args, key) is None]
+        if missing:
+            parser.error(f"{args.command}: the following arguments are required: {', '.join(missing)}")
+        workers = getattr(args, "workers", None)
+        if workers is not None and workers < 1:
+            raise DataError(f"--workers must be >= 1, got {workers}")
         return args.func(args)
     except (DataError, zeros.ZeroDataError, ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

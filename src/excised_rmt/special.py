@@ -52,15 +52,16 @@ def digamma_half(k: int) -> float:
                       *(2.0 / (2 * j - 1) for j in range(1, (k - 1) // 2 + 1))])
 
 
-def gauss_legendre(lo, hi, nodes: int = _CDF_NODES):
-    """Points and weights of the Gauss-Legendre rule on each interval [lo, hi].
+def gauss_legendre(lo, hi):
+    """Points and weights of the _CDF_NODES-point Gauss-Legendre rule on
+    each interval [lo, hi].
 
     lo and hi broadcast against each other; both results have their shape
-    plus a trailing axis of `nodes`, so sum(f(x) * w, axis=-1) is the
+    plus a trailing axis of _CDF_NODES, so sum(f(x) * w, axis=-1) is the
     integral of f over each interval, exact for polynomials of degree
-    below 2 * nodes.
+    below 2 * _CDF_NODES.
     """
-    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = np.polynomial.legendre.leggauss(_CDF_NODES)
     lo = np.asarray(lo, dtype=float)[..., None]
     half = 0.5 * (np.asarray(hi, dtype=float)[..., None] - lo)
     return lo + half * (1.0 + t), half * w

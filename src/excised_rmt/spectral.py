@@ -99,28 +99,18 @@ def _wrap(theta: np.ndarray) -> np.ndarray:
 
 
 def _cayley(a: np.ndarray):
-    """Hermitian parts of i(I - A)(I + A)^-1 for a stack, their defects, and a solved mask.
+    """Hermitian parts of i(I - A)(I + A)^-1 for a stack, and their defects.
 
     The defect is the Frobenius norm of H - H^*, zero for unitary A in
     exact arithmetic.  Dropping the skew part before `eigvalsh`, which reads
-    one triangle, cuts the error of small angles about tenfold.  A matrix
-    whose I + A is exactly singular gets a zero H and False in the mask;
-    np.linalg.solve would otherwise fail the whole stack for it.
+    one triangle, cuts the error of small angles about tenfold.  One exactly
+    singular I + A makes np.linalg.solve raise LinAlgError for the stack.
     """
     diag = np.arange(a.shape[-1])
     lhs = a + np.eye(a.shape[-1])
     rhs = -1j * a
     rhs[:, diag, diag] += 1j
-    solved = np.ones(len(a), dtype=bool)
-    try:
-        h = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError:
-        h = np.zeros_like(rhs)
-        for k in range(len(a)):
-            try:
-                h[k] = np.linalg.solve(lhs[k], rhs[k])
-            except np.linalg.LinAlgError:
-                solved[k] = False
+    h = np.linalg.solve(lhs, rhs)
     del lhs, rhs
     # h + h^* and h - h^* with one temporary
     skew = h.conj().swapaxes(1, 2)
@@ -128,7 +118,7 @@ def _cayley(a: np.ndarray):
     skew *= -2.0
     skew += h
     h *= 0.5
-    return h, np.linalg.norm(skew, axis=(1, 2)), solved
+    return h, np.linalg.norm(skew, axis=(1, 2))
 
 
 def _widest_gap(theta: np.ndarray):
@@ -156,16 +146,28 @@ def unitary_angles(mats: np.ndarray) -> np.ndarray:
         max|t| <= max(_CAYLEY_T_MAX, _CAYLEY_GAP_SLACK * cot(g / 4)),
 
     and solves every other row again with psi moving -1 to the middle of
-    that gap.  A row not kept within _CAYLEY_PASSES passes, such as one of
-    a non-unitary input, raises SpectralError.
+    that gap.  When I + A' of a row is exactly singular (-1 an eigenvalue),
+    the solve fails for the whole pass; that row is turned by half the mean
+    spacing, pi / dim, so that the next pass finds the gap, and every row is
+    solved again.  A row not kept within _CAYLEY_PASSES passes, such as one
+    of a non-unitary input, raises SpectralError.
     """
     count, dim = mats.shape[:2]
     theta = np.empty((count, dim))
     rows = np.arange(count)
     psi = np.zeros(count)
     a = mats
+    # what the error below reports should every pass fail its solve
+    defect = np.zeros(count)
     for _ in range(_CAYLEY_PASSES):
-        h, defect, solved = _cayley(a)
+        try:
+            h, defect = _cayley(a)
+        except np.linalg.LinAlgError:
+            # the rows whose I + A' is exactly singular have a zero LU determinant
+            singular = np.linalg.det(a + np.eye(dim)) == 0
+            psi = _wrap(np.where(singular, psi + np.pi / dim, psi))
+            a = mats[rows] * np.exp(-1j * psi)[:, None, None]
+            continue
         if not np.all(np.isfinite(defect)):
             raise SpectralError("matrix with non-finite entries")
         t = np.linalg.eigvalsh(h)
@@ -174,14 +176,12 @@ def unitary_angles(mats: np.ndarray) -> np.ndarray:
         limit = np.maximum(_CAYLEY_T_MAX, _CAYLEY_GAP_SLACK / np.tan(0.25 * width))
         # the defect of a unitary row stays near eps * max|t|**2, far below
         # _MODULUS_TOL, except when I + A' is nearly singular
-        far = ~solved | (np.abs(t).max(axis=1) > limit) | (defect > _MODULUS_TOL)
+        far = (np.abs(t).max(axis=1) > limit) | (defect > _MODULUS_TOL)
         if not far.any():
             theta.sort(axis=1)
             return theta
-        rows, psi, solved, defect, centre = rows[far], psi[far], solved[far], defect[far], centre[far]
-        # an exactly singular I + A' has -1 as an eigenvalue: turn it by
-        # half the mean spacing and let the next pass find the gap
-        psi = _wrap(np.where(solved, centre - np.pi, psi + np.pi / dim))
+        rows, defect = rows[far], defect[far]
+        psi = _wrap(centre[far] - np.pi)
         a = mats[rows] * np.exp(-1j * psi)[:, None, None]
     raise SpectralError(
         f"no Cayley pass of {len(rows)} matrices was Hermitian within {_MODULUS_TOL} "

@@ -150,7 +150,7 @@ def first_angle_cdf(group: GroupKind, n: int, theta) -> np.ndarray:
     out = np.empty(flat.shape)
     rows = max(1, _CDF_CHUNK_WORDS // (_CDF_NODES * n))
     for start in range(0, flat.size, rows):
-        x, w = gauss_legendre(0.0, flat[start : start + rows], _CDF_NODES)
+        x, w = gauss_legendre(0.0, flat[start : start + rows])
         b = basis(x[:, :, None] * freq) * scale
         b *= np.sqrt(w)[:, :, None]
         gram = np.matmul(b.transpose(0, 2, 1), b)
@@ -335,8 +335,9 @@ def n_eff_generic(e1: float, e2: float, R: float) -> float:
     if R <= 0:
         raise ValueError("R must be positive")
     disc = 3.0 * e2 - 4.0 * e1
-    if disc <= 0:
-        raise ValueError("3<e2> - 4<e1> must be positive for the generic case")
+    # 3 e2 may overflow to inf, and inf - inf is NaN, which fails this too
+    if not 0 < disc < math.inf:
+        raise ValueError("3<e2> - 4<e1> must be positive and finite for the generic case")
     return R / math.sqrt(disc)
 
 

@@ -62,11 +62,14 @@ def lowest_zero_statistic(
 ) -> np.ndarray:
     """Per-record selected ordinate.
 
-    which: "lowest" takes the first ordinate; "lowest_nonvanishing" drops
-    ordinates below vanish_tol first; "second_lowest" takes index 1.
+    which: "lowest" takes the first ordinate; "lowest_nonvanishing" first
+    drops ordinates below vanish_tol (finite, >= 0); "second_lowest" takes
+    index 1.
     """
     if not records:
         raise ValueError("no zero records")
+    if not 0 <= vanish_tol < math.inf:
+        raise ValueError(f"vanish_tol must be finite and >= 0, got {vanish_tol!r}")
     out = []
     for rec in records:
         if which == "lowest":

@@ -1,5 +1,7 @@
 """CLI behavior: outputs, determinism, config layering, and exit codes."""
 
+import dataclasses
+import inspect
 import json
 import math
 import shlex
@@ -12,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excised_rmt import stats, theory
+from excised_rmt import arith, stats, theory, zeros
 from excised_rmt.cli import (
     SAMPLE_HEADER,
     _decimal_lines,
     _read_sample_table,
     _sample_table_text,
+    build_parser,
     main,
 )
 
@@ -545,6 +548,26 @@ def test_workers_only_on_monte_carlo_commands(argv, capsys):
         main([*argv, "--workers", "2"])
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def test_flag_defaults_restate_the_library_defaults():
+    def cli(command):
+        # the parser leaves required flags to main, so a bare subcommand parses
+        return vars(build_parser().parse_args([command]))
+
+    def library(func):
+        return {name: p.default for name, p in inspect.signature(func).parameters.items()}
+
+    for command in ("onelevel", "paircorr", "compare"):
+        assert cli(command)["bins"] == stats.DEFAULT_BINS
+    assert library(zeros.compare_report)["bins"] == stats.DEFAULT_BINS
+    assert cli("paircorr")["window"] == library(stats.pair_correlation_mc)["window"]
+    compare, statistic = cli("compare"), library(zeros.lowest_zero_statistic)
+    assert (compare["which"], compare["vanish_tol"]) == (statistic["which"], statistic["vanish_tol"])
+    family = {f.name: f.default for f in dataclasses.fields(arith.FamilySpec)}
+    discriminants = cli("discriminants")
+    assert (discriminants["epsilon"], discriminants["delta"], discriminants["residue"]) == (
+        family["epsilon_f"], family["Delta"], family["residue_u"])
 
 
 @pytest.mark.parametrize(

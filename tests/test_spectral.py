@@ -118,6 +118,15 @@ def test_exactly_singular_i_plus_a():
     assert np.max(np.abs(got[rest] - _eigvals_route(mats[rest]))) <= 1e-12
 
 
+def test_a_singular_solve_turns_only_its_own_rows():
+    # U(2) matrices with I + A' exactly singular at psi = 0, pi/2, pi and
+    # -pi/2, the turns a singular row takes from one pass to the next:
+    # were every row of a failed pass turned, each pass would fail again
+    turns = [0.0, np.pi / 2, np.pi, -np.pi / 2]
+    mats = np.array([np.diag([-np.exp(1j * psi), 1.0]) for psi in turns])
+    assert _circle_gap(unitary_angles(mats), _eigvals_route(mats)) <= 1e-15
+
+
 @pytest.mark.parametrize("dim", [158, 200, 201])
 def test_cyclic_shift_with_every_gap_narrow(dim):
     # eigenvalues e^{2 pi i k / dim}: no rotation brings max|t| under

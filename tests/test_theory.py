@@ -9,7 +9,7 @@ import pytest
 
 from excised_rmt.groups import GroupKind, GroupSpec, one_level_range
 from excised_rmt.spectral import ExcisionRule
-from excised_rmt import theory
+from excised_rmt import special, theory
 from excised_rmt.special import (
     EULER_GAMMA,
     STIELTJES_GAMMA1,
@@ -445,7 +445,7 @@ def test_n_eff_generic_closed_form_and_errors():
 @pytest.mark.parametrize(
     "e1, e2, R",
     [(0.1, 1.0, -8.5), (0.1, 1.0, 0.0), (math.nan, 1.0, 7.0), (0.1, math.inf, 7.0),
-     (0.1, 1.0, math.inf), (0.1, 1.0, math.nan)],
+     (0.1, 1.0, math.inf), (0.1, 1.0, math.nan), (0.0, 1e308, 1.0), (1e308, 1e308, 1.0)],
 )
 def test_n_eff_generic_rejects_non_finite_or_non_positive_R(e1, e2, R):
     with pytest.raises(ValueError):
@@ -582,7 +582,7 @@ def test_first_angle_cdf_is_a_distribution(group, monkeypatch):
     # the quadrature has converged: 20 and 60 nodes agree with 40
     at40 = first_angle_cdf(group, n, 0.5)
     for nodes in (20, 60):
-        monkeypatch.setattr(theory, "_CDF_NODES", nodes)
+        monkeypatch.setattr(special, "_CDF_NODES", nodes)
         assert abs(first_angle_cdf(group, n, 0.5) - at40) < 1e-14
 
 

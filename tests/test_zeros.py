@@ -98,6 +98,13 @@ def test_lowest_zero_statistic_variants():
         lowest_zero_statistic([ZeroRecord(d=3, ordinates=np.array([0.5]))], "second_lowest")
 
 
+@pytest.mark.parametrize("vanish_tol", [float("nan"), float("inf"), -1.0])
+def test_lowest_zero_statistic_rejects_a_vanish_tol_that_is_not_finite_and_nonnegative(vanish_tol):
+    recs = [ZeroRecord(d=5, ordinates=np.array([0.0, 0.4]))]
+    with pytest.raises(ValueError, match="vanish_tol"):
+        lowest_zero_statistic(recs, "lowest_nonvanishing", vanish_tol)
+
+
 def test_compare_report_structure():
     rng = np.random.default_rng(0)
     left = rng.exponential(1.0, 500)
