@@ -268,8 +268,10 @@ def oscillatory_family_sum(spec: FamilySpec, tau: float, R: float) -> dict:
     family cutoff by R = log(sqrt(M) X / (2 pi)) - 1; for other R the
     residual phase does not cancel and the gap grows with X.
     """
-    if not R > 0:
-        raise ValueError("R must be positive")
+    if not math.isfinite(tau):
+        raise ValueError("tau must be finite")
+    if not 0 < R < math.inf:
+        raise ValueError("R must be positive and finite")
     d = _log_scaled(enumerate_family(spec), spec.M)
     count = d.size
     z = np.multiply(d, -2j * _PI * tau / R)
@@ -360,9 +362,7 @@ def _y_local(data: NewformLocalData, p: int, alpha: complex, gamma: complex) -> 
     )
 
 
-# The last-decade drift up to which truncated_a_f reports convergence,
-# and a1_00's central-difference step
-_TAIL_TOL = 1e-3
+# a1_00's central-difference step
 _DERIV_STEP = 1e-3
 
 
@@ -428,22 +428,6 @@ def a_f_value(
         if p > cutoff:
             last_decade *= factor
     return value, abs(last_decade - 1.0)
-
-
-def truncated_a_f(
-    data: NewformLocalData,
-    case: SymmetryCase,
-    r: complex,
-    P: int,
-    epsilon_f: int = 1,
-    Delta: int = 1,
-) -> dict:
-    """A_f(r, r) truncated at P, with tail estimate and convergence flag."""
-    if abs(r.real if isinstance(r, complex) else r) >= 0.25:
-        raise ValueError("need |Re r| < 1/4")
-    e = e_factor(case, epsilon_f=epsilon_f, Delta=Delta)
-    value, tail = a_f_value(data, e, r, r, P)
-    return {"value": value, "tail_estimate": tail, "converged": tail <= _TAIL_TOL}
 
 
 def a1_00(

@@ -37,19 +37,14 @@ def _group_spec(args) -> GroupSpec:
     return GroupSpec(group_from_name(args.group), args.n)
 
 
-def _write_text(path, text) -> None:
-    """Writes a str, a bytes or an iterable of bytes chunks to path, or to
-    stdout if path is None; chunks are written as they come."""
-    binary = not isinstance(text, str)
-    chunks = [text] if isinstance(text, (str, bytes)) else text
+def _write(path, chunks) -> None:
+    """Writes an iterable of bytes chunks to path, or to stdout if path is
+    None, each chunk as it comes."""
     if path is None:
-        if binary:
-            sys.stdout.flush()
-            sys.stdout.buffer.writelines(chunks)
-        else:
-            sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(chunks)
         return
-    with (open(path, "wb") if binary else open(path, "w", newline="\n")) as fh:
+    with open(path, "wb") as fh:
         fh.writelines(chunks)
 
 
@@ -135,7 +130,7 @@ def _read_sample_table(path) -> np.ndarray:
 def cmd_sample(args) -> int:
     spec = _group_spec(args)
     table = stats.sample_summaries(spec, args.count, args.seed, workers=args.workers)
-    _write_text(args.out, _sample_table_text(table))
+    _write(args.out, [_sample_table_text(table).encode()])
     return 0
 
 
@@ -144,7 +139,7 @@ def cmd_onelevel(args) -> int:
     hist = stats.one_level_density_mc(
         spec, args.count, args.seed, bins=args.bins, workers=args.workers
     )
-    _write_text(args.out, hist.to_csv_text())
+    _write(args.out, [hist.to_csv_text().encode()])
     return 0
 
 
@@ -153,7 +148,7 @@ def cmd_paircorr(args) -> int:
     hist = stats.pair_correlation_mc(
         spec, args.count, args.seed, window=args.window, bins=args.bins, workers=args.workers
     )
-    _write_text(args.out, hist.to_csv_text())
+    _write(args.out, [hist.to_csv_text().encode()])
     return 0
 
 
@@ -162,7 +157,7 @@ def cmd_excise(args) -> int:
     table = _read_sample_table(args.input)
     keep = excise_mask(table["charpoly_abs"], rule)
     kept = table[keep]
-    _write_text(args.out, _sample_table_text(kept))
+    _write(args.out, [_sample_table_text(kept).encode()])
     sys.stderr.write(
         f"kept {int(keep.sum())} of {table.size} (threshold {rule.threshold:.17g})\n"
     )
@@ -194,7 +189,7 @@ def cmd_discriminants(args) -> int:
             count += members.size
             yield _decimal_lines(members)
 
-    _write_text(args.out, lines())
+    _write(args.out, lines())
     estimate = arith.cardinality_estimate(spec)
     sys.stderr.write(f"count {count} estimate {estimate:.17g}\n")
     return 0
@@ -261,7 +256,7 @@ def cmd_neff(args) -> int:
         value = theory.n_eff(case, args.M, args.X, coeffs)
         payload = {"case": case.value, "n_eff": value, "M": args.M, "X": args.X,
                    "coefficients": coeffs}
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    _write(args.out, [(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()])
     return 0
 
 
@@ -274,7 +269,7 @@ def cmd_compare(args) -> int:
     ensemble = table["first_angle"]
     ensemble = ensemble[np.isfinite(ensemble)]
     report = zeros.compare_report(zero_samples, ensemble, bins=args.bins)
-    _write_text(args.out, json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    _write(args.out, [(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()])
     return 0
 
 

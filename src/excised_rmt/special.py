@@ -82,16 +82,11 @@ def sin_ratio(m: int, theta):
     """sin(m*theta) / sin(theta) for integer m, stable near multiples of pi.
 
     Near theta = s*pi the quotient has a removable singularity with limit
-    (-1)^(s*(m-1)) * m; we shift to u = theta - s*pi where both sine
-    evaluations are well conditioned.
+    (-1)^(s*(m-1)) * m; we shift to u = theta - s*pi, |u| <= pi/2, where
+    it is (-1)^(s*(m-1)) m sinc(m u) / sinc(u) in numpy's normalized sinc.
     """
     t = np.asarray(theta, dtype=float)
     s = np.rint(t / _PI)
     u = t - s * _PI
     sign = np.where((s.astype(np.int64) * (m - 1)) % 2 == 0, 1.0, -1.0)
-    tiny = np.abs(u) < 1e-8
-    num = np.sin(m * u)
-    den = np.where(tiny, 1.0, np.sin(u))
-    direct = num / den
-    series = m * (1.0 - (m * m - 1.0) * u * u / 6.0)
-    return float_or_array(sign * np.where(tiny, series, direct))
+    return float_or_array(sign * m * np.sinc(m * u / _PI) / np.sinc(u / _PI))

@@ -114,13 +114,15 @@ class Histogram:
 
 
 def mean_normalize(samples) -> np.ndarray:
-    """Divide samples by their mean; requires nonempty input, positive mean."""
+    """Divide samples by their mean; requires nonempty input and a positive
+    finite mean (one that overflows, or is NaN, raises)."""
     xs = np.asarray(samples, dtype=float)
     if xs.size == 0:
         raise ValueError("mean_normalize: empty input")
-    m = xs.mean()
-    if m <= 0.0:
-        raise ValueError("mean_normalize: nonpositive mean")
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = xs.mean()
+    if not 0.0 < m < np.inf:
+        raise ValueError(f"mean_normalize: mean {m} is not positive and finite")
     return xs / m
 
 
@@ -286,8 +288,13 @@ def ks_distance(a, b: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]) -> 
     a = np.sort(np.asarray(a, dtype=float))
     if a.size == 0:
         raise ValueError("ks_distance: empty first sample")
+    # np.sort puts NaN last
+    if np.isnan(a[-1]):
+        raise ValueError("ks_distance: NaN in first sample")
     if callable(b):
         cdf = np.asarray(b(a), dtype=float)
+        if np.isnan(cdf).any():
+            raise ValueError("ks_distance: NaN in the CDF's values")
         n = a.size
         hi = np.max(np.arange(1, n + 1) / n - cdf)
         lo = np.max(cdf - np.arange(0, n) / n)
@@ -295,6 +302,8 @@ def ks_distance(a, b: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]) -> 
     b = np.sort(np.asarray(b, dtype=float))
     if b.size == 0:
         raise ValueError("ks_distance: empty second sample")
+    if np.isnan(b[-1]):
+        raise ValueError("ks_distance: NaN in second sample")
     everything = np.concatenate([a, b])
     ca = np.searchsorted(a, everything, side="right") / a.size
     cb = np.searchsorted(b, everything, side="right") / b.size

@@ -263,6 +263,8 @@ def e_coefficients_from_inputs(
     formulas, like the fields of CoefficientInputs; at their default 0
     their terms drop out.
     """
+    if not math.isfinite(M):
+        raise ValueError("M must be finite")
     if not lambda_M_sq > 0:
         raise ValueError("|lambda(M)|^2 must be positive")
     ratio = M / lambda_M_sq

@@ -31,7 +31,6 @@ from excised_rmt.arith import (
     satake,
     self_cm_root_number,
     sum_log_family,
-    truncated_a_f,
     twisted_root_number,
 )
 from excised_rmt.theory import SymmetryCase
@@ -353,10 +352,15 @@ def test_family_sums_match_the_plain_expression(M, case, tau):
 
 
 def test_oscillatory_family_sum_rejects_bad_r():
+    # at R = inf the phase is 0, so direct and closed would be count and -count;
+    # a non-finite tau would make both sums NaN
     spec = FamilySpec(M=11, case=SymmetryCase.PrincipalEven, X=1000)
-    for R in (0.0, -2.0, math.nan):
-        with pytest.raises(ValueError):
+    for R in (0.0, -2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="R must be positive and finite"):
             oscillatory_family_sum(spec, 1.0, R)
+    for tau in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            oscillatory_family_sum(spec, tau, 5.0)
 
 
 # --- Satake parameters and Hecke recursion ---------------------------------
@@ -430,7 +434,7 @@ def test_ramanujan_bound_enforced():
 def test_a_f_readers_reject_signs_other_than_plus_minus_one(signs):
     data = _toy_data(P=50)
     with pytest.raises(ValueError, match=r"must be \+1 or -1"):
-        truncated_a_f(data, SymmetryCase.PrincipalEven, 0.1, 50, **signs)
+        e_factor(SymmetryCase.PrincipalEven, **signs)
     with pytest.raises(ValueError, match=r"must be \+1 or -1"):
         a1_00(data, SymmetryCase.SelfCM, 50, **signs)
 
@@ -443,10 +447,11 @@ def test_a_f_diagonal_is_one(lam_p):
     for p in data.lam:
         if p != 11:
             data.lam[p] = (1.999 if p % 4 == 1 else -1.999) if lam_p == "alternating" else lam_p
+    e = e_factor(SymmetryCase.PrincipalEven)
     for r in (0.0, 0.1, -0.1, -0.2, 0.24, -0.24):
-        out = truncated_a_f(data, SymmetryCase.PrincipalEven, r, 200)
-        assert abs(out["value"] - 1.0) <= 1e-12, r
-        assert out["converged"]
+        value, tail = a_f_value(data, e, r, r, 200)
+        assert abs(value - 1.0) <= 1e-12, r
+        assert tail <= 1e-12, r
 
 
 @pytest.mark.parametrize("chi_3, a1_even, a1_odd", [
@@ -460,8 +465,9 @@ def test_a_f_off_the_principal_character(chi_3, a1_even, a1_odd):
     data = _toy_data()
     data.chi[3] = chi_3
     assert not data.principal
+    e = e_factor(SymmetryCase.PrincipalEven)
     for r in (0.0, 0.1, -0.2, 0.24):
-        assert abs(truncated_a_f(data, SymmetryCase.PrincipalEven, r, 200)["value"] - 1.0) <= 1e-12
+        assert abs(a_f_value(data, e, r, r, 200)[0] - 1.0) <= 1e-12
     assert a1_00(data, SymmetryCase.PrincipalEven, 200) == a1_even
     assert a1_00(data, SymmetryCase.PrincipalOdd, 200) == a1_odd
 
@@ -482,7 +488,8 @@ def test_a_f_pins_on_principal_data(alternating, a1_even, a1_odd, diagonal):
     assert data.principal
     assert a1_00(data, SymmetryCase.PrincipalEven, 200) == a1_even
     assert a1_00(data, SymmetryCase.PrincipalOdd, 200) == a1_odd
-    assert truncated_a_f(data, SymmetryCase.PrincipalOdd, 0.1 + 0.05j, 200)["value"] == diagonal
+    r = 0.1 + 0.05j
+    assert a_f_value(data, e_factor(SymmetryCase.PrincipalOdd), r, r, 200)[0] == diagonal
 
 
 def test_a_f_raises_where_a_local_series_diverges():
@@ -497,19 +504,13 @@ def test_a_f_raises_where_a_local_series_diverges():
     with pytest.raises(ValueError, match="diverges at the level"):
         a_f_value(_toy_data(lam_M=5.0), e=-1, alpha=0.0, gamma=0.0, P=200)
     with pytest.raises(ValueError, match="diverges at the level"):
-        truncated_a_f(_toy_data(lam_M=5.0), SymmetryCase.PrincipalEven, 0.1, 200)
+        a_f_value(_toy_data(lam_M=5.0), e=-1, alpha=0.1, gamma=0.1, P=200)
 
 
 def test_a_f_off_diagonal_is_not_one():
     data = _toy_data()
     v, _tail = a_f_value(data, e=-1, alpha=0.1, gamma=0.0, P=200)
     assert abs(v - 1.0) > 1e-3
-
-
-def test_truncated_a_f_domain():
-    data = _toy_data()
-    with pytest.raises(ValueError):
-        truncated_a_f(data, SymmetryCase.PrincipalEven, 0.3, 200)
 
 
 def test_a_f_requires_prime_coverage():
@@ -525,7 +526,7 @@ def test_a_f_cutoff_is_an_integer_of_at_least_two():
     data = _toy_data(P=50)
     for bad in (1, 0, -5):
         with pytest.raises(ValueError, match="P must be >= 2"):
-            truncated_a_f(data, SymmetryCase.PrincipalEven, 0.1, bad)
+            a_f_value(data, e=-1, alpha=0.1, gamma=0.1, P=bad)
     for bad in (50.0, True):
         with pytest.raises(TypeError, match="P must be an integer"):
             a1_00(data, SymmetryCase.PrincipalEven, bad)
@@ -550,7 +551,8 @@ def test_a1_00_derivative_matches_coarse_difference():
 
 
 def test_tail_estimate_shrinks_with_cutoff():
+    # off the diagonal, where the last decade of primes moves the product
     data = _toy_data(P=2000)
-    t_small = truncated_a_f(data, SymmetryCase.PrincipalEven, 0.1, 200)["tail_estimate"]
-    t_large = truncated_a_f(data, SymmetryCase.PrincipalEven, 0.1, 2000)["tail_estimate"]
-    assert t_large <= t_small
+    _, t_small = a_f_value(data, e=-1, alpha=0.1, gamma=0.0, P=200)
+    _, t_large = a_f_value(data, e=-1, alpha=0.1, gamma=0.0, P=2000)
+    assert 0 < t_large <= t_small / 5

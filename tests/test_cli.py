@@ -113,6 +113,30 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
         assert code == 0, (argv, err)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--group", "so_even", "--n", "4", "--count", "30", "--seed", "2"],
+        ["onelevel", "--group", "usp", "--n", "3", "--count", "30", "--bins", "7"],
+        ["paircorr", "--group", "unitary", "--n", "4", "--count", "30", "--bins", "7"],
+        ["excise", "--c", "0.5", "--k", "1", "--nstd", "5", "--input", "s.csv"],
+        ["neff", "--case", "principal_even", "--M", "11", "--X", "9960"],
+        ["compare", "--zeros", "z.csv", "--samples", "s.csv", "--bins", "4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_matches_out_file(argv, tmp_path, monkeypatch, capsysbinary):
+    # every subcommand writes the same bytes to stdout as to --out
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", "--group", "usp", "--n", "3", "--count", "40", "--out", "s.csv"]) == 0
+    (tmp_path / "z.csv").write_text("5,0.5,1.5\n8,0.25,2.0\n")
+    assert main(argv + ["--out", "result"]) == 0
+    capsysbinary.readouterr()
+    assert main(argv) == 0
+    out = capsysbinary.readouterr().out
+    assert out and out == (tmp_path / "result").read_bytes()
+
+
 def test_sample_deterministic_across_workers(tmp_path, capsys):
     outs = []
     # no --workers flag: every usable core
@@ -491,6 +515,18 @@ def test_compare_rejects_non_finite_ordinates(tmp_path, capsys, ordinate):
     assert code == 1
     assert err == "error: line 2: non-finite ordinate\n"
     assert not out_path.exists()
+
+
+def test_compare_rejects_ordinates_whose_mean_overflows(tmp_path, capsys):
+    # the mean of these ordinates overflows to inf, and dividing by it
+    # would put every zero sample at 0
+    samples = tmp_path / "s.csv"
+    run(capsys, "sample", "--group", "usp", "--n", "2", "--count", "20", "--seed", "4", "--out", str(samples))
+    zpath = tmp_path / "z.csv"
+    zpath.write_text("5,1e308,1.5e308\n8,1.2e308,1.6e308\n")
+    code, out, err = run(capsys, "compare", "--zeros", str(zpath), "--samples", str(samples))
+    assert code == 1 and out == ""
+    assert err == "error: mean_normalize: mean inf is not positive and finite\n"
 
 
 def test_config_provides_defaults_flags_override(tmp_path, capsys):

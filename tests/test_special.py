@@ -79,3 +79,20 @@ def test_sin_ratio_at_multiples_of_pi(m, s):
     expected = m * (-1) ** (s * (m - 1))
     assert sin_ratio(m, s * math.pi) == pytest.approx(expected, abs=1e-9)
     assert sin_ratio(m, s * math.pi + 1e-10) == pytest.approx(expected, abs=1e-6)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 19, 21, 61, 201])
+def test_sin_ratio_matches_mpmath(m):
+    # 40-digit quotient at the float angle itself, so near a multiple of pi
+    # it checks the shift to u as well as the sinc quotient
+    rng = np.random.default_rng(0)
+    theta = np.concatenate([
+        rng.uniform(0.0, 2 * math.pi, 400),
+        [0.0, math.pi / 2, math.pi, 2 * math.pi, 1e-9, 1e-7, math.pi - 1e-9, math.pi + 1e-12],
+    ])
+    got = sin_ratio(m, theta)
+    with mpmath.workdps(40):
+        for t, g in zip(theta, got):
+            s = mpmath.sin(mpmath.mpf(t))
+            exact = m if s == 0 else mpmath.sin(m * mpmath.mpf(t)) / s
+            assert abs(g - exact) <= 2e-14 * m, t

@@ -84,6 +84,10 @@ def test_mean_normalize():
     assert out.mean() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         mean_normalize(np.array([0.0, 0.0]))
+    # dividing by an overflowed or NaN mean would give zeros and NaNs
+    for bad in ([1e308, 1e308], [np.inf, 1.0], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="not positive and finite"):
+            mean_normalize(np.array(bad))
 
 
 def test_mean_one_histogram_has_unit_mean_support():
@@ -264,6 +268,21 @@ def test_ks_distance_against_cdf():
     ours = ks_distance(a, lambda x: np.clip(x, 0.0, 1.0))
     ref = scipy.stats.kstest(a, "uniform").statistic
     assert ours == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([np.nan, 0.5, 0.7], [0.5, 0.7, 0.9]),
+        ([0.5, 0.7, 0.9], [0.5, np.nan, 0.9]),
+        ([0.5, 0.7, 0.9], lambda x: np.where(x > 0.6, np.nan, x)),
+    ],
+    ids=["first-sample", "second-sample", "cdf"],
+)
+def test_ks_distance_rejects_nan(a, b):
+    # a NaN sorts last and so would be read as an ordinary largest value
+    with pytest.raises(ValueError, match="NaN"):
+        ks_distance(a, b)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 5])

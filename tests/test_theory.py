@@ -187,6 +187,8 @@ def test_scaled_expansion_infinite_size_is_limit():
         # e1 divides by M / |lambda(M)|^2 - 1, which is 0 and then negative
         lambda: e_coefficients_from_inputs(11, 11.0),
         lambda: e_coefficients_from_inputs(11, 22.0),
+        # log(M)^2 / (M / |lambda(M)|^2 - 1) is inf / inf at an infinite level
+        lambda: e_coefficients_from_inputs(math.inf, 1.0),
         lambda: n_eff_l2_optimize(0.1, 1.0, math.nan),
         lambda: n_eff_l2_optimize(0.1, 1.0, -8.0),
     ],
@@ -194,7 +196,8 @@ def test_scaled_expansion_infinite_size_is_limit():
          "n-eff-m-inf", "n-eff-x-nan", "h-asymp-nan", "small-value-rho-nan",
          "small-value-n-nan", "vanishing-x-nan", "vanishing-x-inf", "vanishing-delta-nan",
          "vanishing-delta-inf", "vanishing-a-nan", "q-r-nan",
-         "pair-corr-r-nan", "e1-ratio-1", "e1-ratio-half", "l2-r-nan", "l2-r-negative"],
+         "pair-corr-r-nan", "e1-ratio-1", "e1-ratio-half", "e1-m-inf",
+         "l2-r-nan", "l2-r-negative"],
 )
 def test_outside_the_formula_range_raises(call):
     with pytest.raises(ValueError):
