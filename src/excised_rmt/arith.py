@@ -12,6 +12,10 @@ Conventions documented once here:
 - psi_d(-M) factors as psi_d(-1) * psi_d(M), and psi_d(-1) = +1 for the
   positive fundamental discriminants this module enumerates, so the
   family conditions reduce to conditions on kronecker(d, M).
+- Every member d of a family shares one value of kronecker(d, M),
+  `FamilySpec.psi_d_M`, and that is the one sign rule: the sieve keeps
+  the d with it, and A_f's factor at the level takes it as its sign e,
+  since a_M(f x psi_d) = a_M(f) psi_d(M).
 - d = 1 is excluded from every family (the untwisted form).
 """
 
@@ -101,6 +105,19 @@ class FamilySpec:
         if self.case is SymmetryCase.Generic and not (0 < self.residue_u < self.M):
             raise ValueError("residue class U must satisfy 0 < U < M")
 
+    @property
+    def psi_d_M(self) -> int:
+        """kronecker(d, M), the value every member d shares: epsilon_f for
+        even principal twists, -epsilon_f for odd ones, Delta for the
+        self-CM case and kronecker(U, M) for the generic class d = U (mod M)."""
+        if self.case is SymmetryCase.PrincipalEven:
+            return self.epsilon_f
+        if self.case is SymmetryCase.PrincipalOdd:
+            return -self.epsilon_f
+        if self.case is SymmetryCase.SelfCM:
+            return self.Delta
+        return kronecker(self.residue_u, self.M)
+
 
 # Integers per window of the family sieve: its masks and members stay in
 # cache (2**20 measured slower).
@@ -162,22 +179,17 @@ def family_windows(spec: FamilySpec) -> Iterator[np.ndarray]:
     """The admissible fundamental discriminants 1 < d <= X, sorted, as one
     int64 array per sieve window.
 
-    Case conditions on psi_d(-M) (equal to kronecker(d, M) for positive d):
-    +epsilon_f for even principal twists, -epsilon_f for odd ones, Delta
-    with gcd(d, M) = 1 for the self-CM case.  The generic case keeps one
-    residue class d = U (mod M), matching its closed-form cardinality.
-    Each condition depends on d mod M only, so it is one length-M mask of
-    residues, tiled over the sieve.
+    A principal or self-CM family keeps every d with kronecker(d, M) =
+    spec.psi_d_M, which for the self-CM case also means gcd(d, M) = 1.
+    The generic case keeps one residue class d = U (mod M), matching its
+    closed-form cardinality.  Each condition depends on d mod M only, so
+    it is one length-M mask of residues, tiled over the sieve.
     """
     M = int(spec.M)
     if spec.case is SymmetryCase.Generic:
         keep = np.arange(M) == spec.residue_u
-    elif spec.case is SymmetryCase.PrincipalEven:
-        keep = _legendre_table(M) == spec.epsilon_f
-    elif spec.case is SymmetryCase.PrincipalOdd:
-        keep = _legendre_table(M) == -spec.epsilon_f
     else:
-        keep = _legendre_table(M) == spec.Delta
+        keep = _legendre_table(M) == spec.psi_d_M
     return _sieve_windows(int(spec.X), keep)
 
 
@@ -204,7 +216,8 @@ def _require_unit(name: str, value: complex) -> None:
 
 
 def twisted_root_number(M: int, epsilon_f: complex, d: int, chi_f_of_d: complex) -> complex:
-    """Root number of the quadratic twist: chi_f(d) * psi_d(-M) * epsilon_f."""
+    """Root number of the quadratic twist: chi_f(d) * psi_d(-M) * epsilon_f.
+    For a self-CM form of discriminant D, M = |D| and chi_f(d) = kronecker(D, d)."""
     _require_unit("epsilon_f", epsilon_f)
     _require_unit("chi_f(d)", chi_f_of_d)
     d = int(d)
@@ -214,33 +227,6 @@ def twisted_root_number(M: int, epsilon_f: complex, d: int, chi_f_of_d: complex)
         raise ValueError("d must be coprime to the level")
     psi = kronecker(d, M)  # psi_d(-M) for positive d
     return chi_f_of_d * psi * epsilon_f
-
-
-def _odd_part(n: int) -> int:
-    n = abs(n)
-    while n % 2 == 0:
-        n //= 2
-    return n
-
-
-def self_cm_root_number(D: int, d: int, epsilon_f: complex) -> complex:
-    """Twisted root number for a self-CM form of level M = |D|.
-
-    Evaluates chi_f(d) * psi_d(M) * epsilon_f via Kronecker symbols and
-    cross-checks the reciprocity factor (-1)^((D'-1)(d'-1)/4) over the odd
-    parts; for positive d coprime to the level both give epsilon_f.
-    """
-    _require_unit("epsilon_f", epsilon_f)
-    M = abs(D)
-    if math.gcd(d, M) != 1 or d <= 0:
-        raise ValueError("d must be positive and coprime to the level")
-    direct = kronecker(D, d) * kronecker(d, M) * epsilon_f
-    dp = _odd_part(D) * (1 if D > 0 else -1)
-    ddp = _odd_part(d)
-    recip = (-1) ** (((dp - 1) * (ddp - 1)) // 4) * epsilon_f
-    if direct != recip:
-        raise ArithmeticError("reciprocity cross-check failed")
-    return direct
 
 
 def _log_scaled(d: np.ndarray, M: int) -> np.ndarray:
@@ -316,24 +302,6 @@ class NewformLocalData:
         return all(cp == 1 for p, cp in self.chi.items() if p != self.M)
 
 
-def e_factor(case: SymmetryCase, epsilon_f: int = 1, Delta: int = 1, psi_d_M: int = 1) -> float:
-    """The sign e in A_f's local factor at the level (`_v_ramified`), per
-    symmetry case.  It is -psi_d(M) on the principal-even, principal-odd
-    and self-CM families, where family_windows keeps psi_d(M) = epsilon_f,
-    -epsilon_f and Delta, so e = -epsilon_f, epsilon_f and -Delta; on the
-    generic family it is +psi_d_M.
-    Each sign must be +1 or -1, as FamilySpec requires of epsilon_f and Delta."""
-    if any(sign not in (1, -1) for sign in (epsilon_f, Delta, psi_d_M)):
-        raise ValueError("epsilon_f, Delta and psi_d_M must be +1 or -1")
-    if case is SymmetryCase.PrincipalEven:
-        return -epsilon_f
-    if case is SymmetryCase.PrincipalOdd:
-        return float(epsilon_f)
-    if case is SymmetryCase.SelfCM:
-        return -Delta
-    return float(psi_d_M)
-
-
 def _sym_sq_local(data: NewformLocalData, p: int, s: complex) -> complex:
     """Local factor of the symmetric-square L-function at s."""
     if p == data.M:
@@ -386,7 +354,7 @@ def _v_unramified(data: NewformLocalData, p: int, alpha: complex, gamma: complex
     return 1.0 + p / (p + 1.0) * (s1 - s2 + s3)
 
 
-def _v_ramified(data: NewformLocalData, e: float, alpha: complex, gamma: complex) -> complex:
+def _v_ramified(data: NewformLocalData, e: int, alpha: complex, gamma: complex) -> complex:
     """The local factor of A_f at the level M: its series is geometric in
     x = lambda(M) e M^-(1/2 + alpha), and diverges, so raises ValueError,
     where |x| >= 1."""
@@ -399,11 +367,14 @@ def _v_ramified(data: NewformLocalData, e: float, alpha: complex, gamma: complex
 
 
 def a_f_value(
-    data: NewformLocalData, e: float, alpha: complex, gamma: complex, P: int
+    data: NewformLocalData, e: int, alpha: complex, gamma: complex, P: int
 ) -> Tuple[complex, float]:
     """Arithmetic factor A_f(alpha, gamma) as the Euler product over the
     primes <= P, each local factor in closed form; a local series that
     diverges raises ValueError.
+
+    e is the sign at the level, kronecker(d, M) of the family's members: a
+    real quadratic character at a prime not dividing d, so +1 or -1.
 
     Returns (value, tail_estimate), where the tail estimate is the total
     multiplicative drift contributed by the last decade of primes used —
@@ -412,6 +383,8 @@ def a_f_value(
     require_integer("P", P)
     if P < 2:
         raise ValueError("P must be >= 2")
+    if e not in (1, -1):
+        raise ValueError("e must be +1 or -1")
     required = [int(p) for p in primes(P)]
     missing = [p for p in required if p not in data.lam or (p != data.M and p not in data.chi)]
     if missing:
@@ -430,16 +403,14 @@ def a_f_value(
     return value, abs(last_decade - 1.0)
 
 
-def a1_00(
-    data: NewformLocalData,
-    case: SymmetryCase,
-    P: int,
-    epsilon_f: int = 1,
-    Delta: int = 1,
-) -> complex:
-    """d/d alpha at (0,0) of A_f, via central differences with Richardson
-    extrapolation (steps h and 2h)."""
-    e = e_factor(case, epsilon_f=epsilon_f, Delta=Delta)
+def a1_00(data: NewformLocalData, family: FamilySpec, P: int) -> complex:
+    """d/d alpha at (0,0) of A_f averaged over the family, via central
+    differences with Richardson extrapolation (steps h and 2h).  The sign
+    at the level is e = family.psi_d_M, so the family's level must be the
+    newform's."""
+    if family.M != data.M:
+        raise ValueError("the family's level M must equal the newform's")
+    e = family.psi_d_M
 
     def deriv(h: float) -> complex:
         plus, _ = a_f_value(data, e, h, 0.0, P)

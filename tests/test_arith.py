@@ -20,7 +20,6 @@ from excised_rmt.arith import (
     a1_00,
     a_f_value,
     cardinality_estimate,
-    e_factor,
     enumerate_family,
     family_windows,
     fundamental_discriminants_up_to,
@@ -29,7 +28,6 @@ from excised_rmt.arith import (
     oscillatory_family_sum,
     primes,
     satake,
-    self_cm_root_number,
     sum_log_family,
     twisted_root_number,
 )
@@ -274,7 +272,8 @@ def test_twisted_root_number_values():
     "call",
     [lambda: twisted_root_number(11, 3, 5, 1), lambda: twisted_root_number(11, 1, 5, 2),
      lambda: twisted_root_number(11, math.nan, 5, 1), lambda: twisted_root_number(11, 1, 5, 0.5j),
-     lambda: self_cm_root_number(-7, 5, 3), lambda: self_cm_root_number(-7, 5, 0)],
+     lambda: twisted_root_number(7, 3, 5, kronecker(-7, 5)),
+     lambda: twisted_root_number(7, 0, 5, kronecker(-7, 5))],
 )
 def test_root_numbers_reject_values_off_the_unit_circle(call):
     with pytest.raises(ValueError, match=r"must be 1$"):
@@ -285,33 +284,20 @@ def test_root_numbers_take_complex_units():
     # a non-principal nebentypus gives complex epsilon_f and chi_f(d)
     unit = cmath.exp(0.7j)
     assert twisted_root_number(11, unit, 5, 1j) == pytest.approx(1j * kronecker(5, 11) * unit)
-    assert self_cm_root_number(-7, 5, unit) == pytest.approx(kronecker(-7, 5) * kronecker(5, 7) * unit)
+    # a self-CM form of discriminant D = -7 has chi_f(d) = kronecker(D, d)
+    assert twisted_root_number(7, unit, 5, kronecker(-7, 5)) == pytest.approx(unit)
 
 
 def test_self_cm_root_number_reciprocity():
-    # for positive d coprime to |D| the two evaluation routes agree
-    for D in (-7, -11, -19):
-        for d in (5, 8, 13, 24):
-            if math.gcd(d, abs(D)) == 1:
-                val = self_cm_root_number(D, d, 1)
-                assert val in (1, -1)
-
-
-def test_e_factor_table():
-    assert e_factor(SymmetryCase.PrincipalEven, epsilon_f=1) == -1
-    assert e_factor(SymmetryCase.PrincipalOdd, epsilon_f=1) == 1
-    assert e_factor(SymmetryCase.SelfCM, Delta=1) == -1
-    assert e_factor(SymmetryCase.Generic, psi_d_M=-1) == -1
-
-
-@pytest.mark.parametrize(
-    "case, signs",
-    [(SymmetryCase.PrincipalEven, {"epsilon_f": 3}), (SymmetryCase.PrincipalOdd, {"epsilon_f": 0}),
-     (SymmetryCase.SelfCM, {"Delta": -2}), (SymmetryCase.Generic, {"psi_d_M": 7})],
-)
-def test_e_factor_rejects_signs_other_than_plus_minus_one(case, signs):
-    with pytest.raises(ValueError, match=r"must be \+1 or -1"):
-        e_factor(case, **signs)
+    # a self-CM form of level M = |D|, D = -M with M = 3 (mod 4) prime, has
+    # chi_f(d) = kronecker(D, d); by quadratic reciprocity kronecker(D, d)
+    # = kronecker(d, M) for positive d coprime to M, so every twist keeps
+    # the form's own root number
+    for M in (int(q) for q in primes(200)[1:] if q % 4 == 3):
+        for d in range(1, 400):
+            if d % M:
+                for epsilon_f in (1, -1):
+                    assert twisted_root_number(M, epsilon_f, d, kronecker(-M, d)) == epsilon_f, (M, d)
 
 
 # --- family sums -----------------------------------------------------------
@@ -428,15 +414,26 @@ def test_ramanujan_bound_enforced():
         NewformLocalData(M=11, lam=lam, chi=chi)
 
 
-# --- truncated Euler product -----------------------------------------------
+# --- the arithmetic factor A_f ----------------------------------------------
 
-@pytest.mark.parametrize("signs", [{"epsilon_f": 7}, {"Delta": 0}])
-def test_a_f_readers_reject_signs_other_than_plus_minus_one(signs):
-    data = _toy_data(P=50)
+def _family(case, **signs):
+    """A family at the toy data's level M = 11; a1_00 reads only its M and sign."""
+    return FamilySpec(M=11, case=case, X=100, **signs)
+
+
+@pytest.mark.parametrize("sign", [7, 0, -2, 0.5, 1j])
+def test_a_f_readers_reject_signs_other_than_plus_minus_one(sign):
+    # e is a real quadratic character at a prime not dividing d
     with pytest.raises(ValueError, match=r"must be \+1 or -1"):
-        e_factor(SymmetryCase.PrincipalEven, **signs)
-    with pytest.raises(ValueError, match=r"must be \+1 or -1"):
-        a1_00(data, SymmetryCase.SelfCM, 50, **signs)
+        a_f_value(_toy_data(P=50), sign, 0.1, 0.1, 50)
+    for field in ("epsilon_f", "Delta"):
+        with pytest.raises(ValueError, match=r"must be \+1 or -1"):
+            _family(SymmetryCase.SelfCM, **{field: sign})
+
+
+def test_a1_00_requires_the_family_level():
+    with pytest.raises(ValueError, match="level M must equal the newform's"):
+        a1_00(_toy_data(P=50), FamilySpec(M=7, case=SymmetryCase.PrincipalEven, X=100), 50)
 
 
 @pytest.mark.parametrize("lam_p", [0.0, 1.999, -1.999, "alternating"])
@@ -447,49 +444,103 @@ def test_a_f_diagonal_is_one(lam_p):
     for p in data.lam:
         if p != 11:
             data.lam[p] = (1.999 if p % 4 == 1 else -1.999) if lam_p == "alternating" else lam_p
-    e = e_factor(SymmetryCase.PrincipalEven)
     for r in (0.0, 0.1, -0.1, -0.2, 0.24, -0.24):
-        value, tail = a_f_value(data, e, r, r, 200)
+        value, tail = a_f_value(data, -1, r, r, 200)
         assert abs(value - 1.0) <= 1e-12, r
         assert tail <= 1e-12, r
 
 
 @pytest.mark.parametrize("chi_3, a1_even, a1_odd", [
-    (-1.0, 0.06314916948049754 + 0j, -0.37646496396219015 + 0j),
-    (1j, -0.26643451723449657 - 0.16479184333145483j, -0.7060486506707911 - 0.16479184333380167j),
+    (-1.0, -0.37646496396219015 + 0j, 0.06314916948049754 + 0j),
+    (1j, -0.7060486506707911 - 0.16479184333380167j, -0.26643451723449657 - 0.16479184333145483j),
 ])
 def test_a_f_off_the_principal_character(chi_3, a1_even, a1_odd):
     # a chi(3) other than 1 makes the nebentypus non-principal, so the
     # primitive character vanishes at the level as well; the a1_00 pins are
-    # the values when non-principal data had to be flagged by hand
+    # the values when non-principal data had to be flagged by hand, taken
+    # at e = psi_d(M): +1 for the even family and -1 for the odd one
     data = _toy_data()
     data.chi[3] = chi_3
     assert not data.principal
-    e = e_factor(SymmetryCase.PrincipalEven)
     for r in (0.0, 0.1, -0.2, 0.24):
-        assert abs(a_f_value(data, e, r, r, 200)[0] - 1.0) <= 1e-12
-    assert a1_00(data, SymmetryCase.PrincipalEven, 200) == a1_even
-    assert a1_00(data, SymmetryCase.PrincipalOdd, 200) == a1_odd
+        assert abs(a_f_value(data, 1, r, r, 200)[0] - 1.0) <= 1e-12
+    assert a1_00(data, _family(SymmetryCase.PrincipalEven), 200) == a1_even
+    assert a1_00(data, _family(SymmetryCase.PrincipalOdd), 200) == a1_odd
 
 
 @pytest.mark.parametrize("alternating, a1_even, a1_odd, diagonal", [
-    (False, -0.5886199661962096 + 0j, -1.0282340996537465 + 0j,
+    (False, -1.0282340996537465 + 0j, -0.5886199661962096 + 0j,
      0.9999999999999996 + 6.949994588768232e-17j),
-    (True, 1.0624518061179422 + 1.975779354168125e-15j, 0.6228376727542192 + 1.9776601213847994e-15j,
+    (True, 0.6228376727542192 + 1.9776601213847994e-15j, 1.0624518061179422 + 1.975779354168125e-15j,
      0.9999999999999987 - 7.377879330246168e-17j),
 ])
 def test_a_f_pins_on_principal_data(alternating, a1_even, a1_odd, diagonal):
-    # the values of the Euler product before principal-ness was read from chi
+    # the values of the Euler product before principal-ness was read from chi,
+    # at e = psi_d(M): +1 for the even family and -1 for the odd one
     data = _toy_data()
     if alternating:
         for p in data.lam:
             if p != 11:
                 data.lam[p] = 1.999 if p % 4 == 1 else -1.999
     assert data.principal
-    assert a1_00(data, SymmetryCase.PrincipalEven, 200) == a1_even
-    assert a1_00(data, SymmetryCase.PrincipalOdd, 200) == a1_odd
+    assert a1_00(data, _family(SymmetryCase.PrincipalEven), 200) == a1_even
+    assert a1_00(data, _family(SymmetryCase.PrincipalOdd), 200) == a1_odd
     r = 0.1 + 0.05j
-    assert a_f_value(data, e_factor(SymmetryCase.PrincipalOdd), r, r, 200)[0] == diagonal
+    assert a_f_value(data, 1, r, r, 200)[0] == diagonal
+
+
+_ORACLE_FAMILIES = [
+    *({"case": case, "epsilon_f": sign} for case in (SymmetryCase.PrincipalEven, SymmetryCase.PrincipalOdd)
+      for sign in (1, -1)),
+    *({"case": SymmetryCase.SelfCM, "Delta": sign} for sign in (1, -1)),
+    {"case": SymmetryCase.Generic, "residue_u": 3},  # a square mod 11
+    {"case": SymmetryCase.Generic, "residue_u": 2},  # a non-square mod 11
+]
+
+
+def _kronecker_column(d: np.ndarray, p: int) -> np.ndarray:
+    """kronecker(d, p) for every d: Euler's criterion for odd p, and for
+    p = 2 the mod-8 rule (0 on even d, +1 on d = +-1 and -1 on d = +-3)."""
+    if p == 2:
+        return np.array([0, 1, 0, -1, 0, -1, 0, 1])[d % 8]
+    return _legendre_by_euler(p)[d % p]
+
+
+@pytest.mark.parametrize(
+    "signs", _ORACLE_FAMILIES,
+    ids=lambda signs: "-".join(v.value if isinstance(v, SymmetryCase) else f"{k}={v}" for k, v in signs.items()),
+)
+def test_a_f_local_factors_are_the_family_average(signs):
+    # A_f's local factor at p is the average over the family of
+    # L_p(1/2 + alpha, f x psi_d) / L_p(1/2 + gamma, f x psi_d), where
+    # 1 / L_p(s, f x psi_d) = 1 - lambda(p) psi_d(p) p^-s + chi(p) psi_d(p)^2 p^-2s;
+    # at the level psi_d(M) is the one value the family keeps, so the
+    # average is exact, and away from it psi_d(p) is equidistributed
+    alpha, gamma = 0.1, -0.05
+    data = _toy_data()
+    for p in data.lam:
+        if p != 11:
+            data.lam[p] = 2.0 * math.cos(p)
+    family = FamilySpec(M=11, X=200_000, **signs)
+    d = enumerate_family(family)
+    n = d.size
+    e = family.psi_d_M
+    assert np.all(_kronecker_column(d, 11) == e)
+
+    def ratio(p, chi):
+        psi = _kronecker_column(d, p)
+
+        def inverse_l(s):
+            return 1.0 - data.lam[p] * psi * p ** -s + chi * psi * psi * p ** (-2.0 * s)
+
+        return inverse_l(0.5 + gamma) / inverse_l(0.5 + alpha)
+
+    level = np.mean(ratio(11, 0.0))
+    assert abs(level - arith._v_ramified(data, e, alpha, gamma)) <= 1e-14
+    assert abs(level - arith._v_ramified(data, -e, alpha, gamma)) > 1e-2
+    for p in (2, 3, 5, 7, 13):
+        average = np.mean(ratio(p, data.chi[p]))
+        assert abs(average - arith._v_unramified(data, p, alpha, gamma)) <= 4.0 / math.sqrt(n), p
 
 
 def test_a_f_raises_where_a_local_series_diverges():
@@ -529,7 +580,7 @@ def test_a_f_cutoff_is_an_integer_of_at_least_two():
             a_f_value(data, e=-1, alpha=0.1, gamma=0.1, P=bad)
     for bad in (50.0, True):
         with pytest.raises(TypeError, match="P must be an integer"):
-            a1_00(data, SymmetryCase.PrincipalEven, bad)
+            a1_00(data, _family(SymmetryCase.PrincipalEven), bad)
 
 
 def test_importing_arith_does_not_load_the_monte_carlo_stack():
@@ -541,10 +592,11 @@ def test_importing_arith_does_not_load_the_monte_carlo_stack():
 
 def test_a1_00_derivative_matches_coarse_difference():
     data = _toy_data()
-    d_fine = a1_00(data, SymmetryCase.PrincipalEven, 200)
+    family = _family(SymmetryCase.PrincipalEven)
+    d_fine = a1_00(data, family, 200)
     h = 1e-5
-    up, _ = a_f_value(data, e=e_factor(SymmetryCase.PrincipalEven), alpha=h, gamma=0.0, P=200)
-    dn, _ = a_f_value(data, e=e_factor(SymmetryCase.PrincipalEven), alpha=-h, gamma=0.0, P=200)
+    up, _ = a_f_value(data, e=family.psi_d_M, alpha=h, gamma=0.0, P=200)
+    dn, _ = a_f_value(data, e=family.psi_d_M, alpha=-h, gamma=0.0, P=200)
     coarse = (up - dn) / (2 * h)
     assert d_fine.real == pytest.approx(coarse.real, abs=1e-5)
     assert abs(d_fine.imag) < 1e-8

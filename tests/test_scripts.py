@@ -1,7 +1,8 @@
 """The example scripts run end to end at a small sample count.
 
 Each script is copied to a temporary directory first, since the scripts
-write their CSVs next to their own file.
+write their CSVs next to their own file, and runs under ``-W error``, so a
+warning fails it as ``filterwarnings = error`` fails an in-process test.
 """
 
 import os
@@ -27,7 +28,7 @@ def test_script_runs(name, tmp_path):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     result = subprocess.run(
-        [sys.executable, script, "--count", "2000"],
+        [sys.executable, "-W", "error", script, "--count", "2000"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
