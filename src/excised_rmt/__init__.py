@@ -12,7 +12,7 @@ Library layout:
 - ``cli``      — command-line driver
 """
 
-from excised_rmt.groups import GroupKind, GroupSpec, sample, sample_batch
+from excised_rmt.groups import GroupKind, GroupSpec, sample_batch
 from excised_rmt.spectral import (
     ExcisionRule,
     char_poly_batch,
@@ -25,7 +25,6 @@ from excised_rmt.theory import SymmetryCase
 __all__ = [
     "GroupKind",
     "GroupSpec",
-    "sample",
     "sample_batch",
     "ExcisionRule",
     "eigenangles_batch",

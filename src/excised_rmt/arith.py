@@ -287,7 +287,10 @@ class NewformLocalData:
 
     def __post_init__(self):
         for p, lp in self.lam.items():
-            if p != self.M and abs(lp) > 2.0 + 1e-9:
+            if p == self.M:
+                if not cmath.isfinite(lp):
+                    raise ValueError(f"lambda({p}) at the level must be finite")
+            elif not abs(lp) <= 2.0 + 1e-9:
                 raise ValueError(f"|lambda({p})| violates the Hecke eigenvalue bound")
         for p, cp in self.chi.items():
             if p == self.M:
@@ -368,17 +371,13 @@ def _v_ramified(data: NewformLocalData, e: int, alpha: complex, gamma: complex) 
 
 def a_f_value(
     data: NewformLocalData, e: int, alpha: complex, gamma: complex, P: int
-) -> Tuple[complex, float]:
+) -> complex:
     """Arithmetic factor A_f(alpha, gamma) as the Euler product over the
     primes <= P, each local factor in closed form; a local series that
     diverges raises ValueError.
 
     e is the sign at the level, kronecker(d, M) of the family's members: a
     real quadratic character at a prime not dividing d, so +1 or -1.
-
-    Returns (value, tail_estimate), where the tail estimate is the total
-    multiplicative drift contributed by the last decade of primes used —
-    a proxy for the truncation error.
     """
     require_integer("P", P)
     if P < 2:
@@ -390,17 +389,13 @@ def a_f_value(
     if missing:
         raise ValueError(f"newform data missing primes up to {P}: first missing {missing[0]}")
     value = 1.0 + 0.0j
-    last_decade = 1.0 + 0.0j
-    cutoff = P / 10.0
     for p in required:
         if p == data.M:
             factor = _v_ramified(data, e, alpha, gamma) / _y_local(data, p, alpha, gamma)
         else:
             factor = _v_unramified(data, p, alpha, gamma) / _y_local(data, p, alpha, gamma)
         value *= factor
-        if p > cutoff:
-            last_decade *= factor
-    return value, abs(last_decade - 1.0)
+    return value
 
 
 def a1_00(data: NewformLocalData, family: FamilySpec, P: int) -> complex:
@@ -413,8 +408,8 @@ def a1_00(data: NewformLocalData, family: FamilySpec, P: int) -> complex:
     e = family.psi_d_M
 
     def deriv(h: float) -> complex:
-        plus, _ = a_f_value(data, e, h, 0.0, P)
-        minus, _ = a_f_value(data, e, -h, 0.0, P)
+        plus = a_f_value(data, e, h, 0.0, P)
+        minus = a_f_value(data, e, -h, 0.0, P)
         return (plus - minus) / (2.0 * h)
 
     d1 = deriv(_DERIV_STEP)

@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", help="sample CSV produced by `sample`")
     p.add_argument(
         "--which",
-        choices=("lowest", "lowest_nonvanishing", "second_lowest"),
+        choices=zeros.SELECTORS,
         default="lowest",
         help="zero selector per record",
     )

@@ -217,8 +217,8 @@ def sample_batch(spec: GroupSpec, master_seed: int, start: int, count: int) -> n
     """Samples `count` matrices for indices start..start+count-1.
 
     Returns a (count, dim, dim) array; real dtype for the SO groups,
-    complex128 otherwise.  Element i equals the single-sample result for
-    sample_index = start + i.
+    complex128 otherwise.  Element i depends only on master_seed and
+    start + i, so it equals sample_batch(spec, master_seed, start + i, 1)[0].
     """
     require_integer("count", count)
     if count < 1:
@@ -234,17 +234,6 @@ def sample_batch(spec: GroupSpec, master_seed: int, start: int, count: int) -> n
         _gaussian_block(master_seed, start + lo, chunk)
         out[lo : lo + len(chunk)] = _orthogonalize(spec, chunk)
     return out
-
-
-def sample(spec: GroupSpec, master_seed: int, sample_index: int) -> np.ndarray:
-    """One Haar sample, checked against its group invariants.
-
-    A pure function of (spec, master_seed, sample_index); equal to row
-    sample_index - start of any sample_batch that covers that index.
-    """
-    a = sample_batch(spec, master_seed, sample_index, 1)[0]
-    verify_invariants(spec, a)
-    return a
 
 
 def verify_invariants(spec: GroupSpec, a: np.ndarray) -> None:

@@ -331,7 +331,9 @@ def n_eff(case: SymmetryCase, M: float, X: float, coeffs: dict) -> float:
 
 def n_eff_generic(e1: float, e2: float, R: float) -> float:
     """Effective matrix size R / sqrt(3 e2 - 4 e1) of a generic family,
-    from its pair-correlation coefficients and the caller's scale R."""
+    from its pair-correlation coefficients and the caller's scale R: the
+    exact minimizer over N of the L2 mismatch _pair_corr_objective, whose
+    minimum is at a = -4b/3."""
     if not all(map(math.isfinite, (e1, e2, R))):
         raise ValueError("e1, e2 and R must be finite")
     if R <= 0:
@@ -344,43 +346,13 @@ def n_eff_generic(e1: float, e2: float, R: float) -> float:
 
 
 def _pair_corr_objective(e1: float, e2: float, R: float, n: float) -> float:
-    """The integral over 0 <= y <= 1 of (b + a sin^2(pi y))^2, with
-    b = e1 / R^2 and a = 1 / (3 n^2) - e2 / R^2, in exact form: the means
-    of sin^2 and sin^4 over a period are 1/2 and 3/8."""
+    """The L2 mismatch between the R^-2 pair-correlation term and the
+    1/N^2 unitary correction: the integral over 0 <= y <= 1 of
+    (b + a sin^2(pi y))^2, with b = e1 / R^2 and a = 1 / (3 n^2) - e2 / R^2,
+    in exact form: the means of sin^2 and sin^4 over a period are 1/2 and 3/8."""
     b = e1 / (R * R)
     a = 1.0 / (3.0 * n * n) - e2 / (R * R)
     return b * b + a * b + 0.375 * a * a
-
-
-def n_eff_l2_optimize(e1: float, e2: float, R: float) -> float:
-    """Minimize the L2 mismatch between the R^-2 pair-correlation term and
-    the finite-size unitary correction, numerically over log N.
-
-    Golden-section search over log N of the mismatch's exact integral
-    b^2 + a b + 3 a^2 / 8 over one period (see _pair_corr_objective),
-    whose minimum over N is the closed form n_eff_generic(e1, e2, R).
-    That form is also the starting guess, so the inputs it rejects raise
-    ValueError here too.
-    """
-    guess = math.log(n_eff_generic(e1, e2, R))
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = guess - 2.0, guess + 2.0
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc = _pair_corr_objective(e1, e2, R, math.exp(c))
-    fd = _pair_corr_objective(e1, e2, R, math.exp(d))
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = _pair_corr_objective(e1, e2, R, math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = _pair_corr_objective(e1, e2, R, math.exp(d))
-        if b - a < 1e-10:
-            break
-    return math.exp(0.5 * (a + b))
 
 
 def montgomery_r2(y):
@@ -427,8 +399,8 @@ def barnes_g_half() -> float:
 
 def h_asymp(n: float, group: GroupKind = GroupKind.SOEven) -> float:
     """Large-size residue prefactor h(N) of the small-value density."""
-    if not n > 0:
-        raise ValueError("N must be positive")
+    if not 0 < n < math.inf:
+        raise ValueError("N must be positive and finite")
     g_half = barnes_g_half()
     if group is GroupKind.SOEven:
         return 2.0 ** (-7.0 / 8.0) * g_half * _PI ** (-0.25) * n ** (3.0 / 8.0)

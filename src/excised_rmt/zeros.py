@@ -12,7 +12,11 @@ from typing import List, Sequence
 
 import numpy as np
 
-from excised_rmt.stats import Histogram, ks_distance, mean_normalize
+from excised_rmt.stats import DEFAULT_BINS, Histogram, ks_distance, mean_normalize
+
+
+# the selectors of lowest_zero_statistic, which `compare --which` offers
+SELECTORS = ("lowest", "lowest_nonvanishing", "second_lowest")
 
 
 class ZeroDataError(ValueError):
@@ -70,6 +74,8 @@ def lowest_zero_statistic(
         raise ValueError("no zero records")
     if not 0 <= vanish_tol < math.inf:
         raise ValueError(f"vanish_tol must be finite and >= 0, got {vanish_tol!r}")
+    if which not in SELECTORS:
+        raise ValueError(f"unknown selector {which!r}")
     out = []
     for rec in records:
         if which == "lowest":
@@ -79,16 +85,14 @@ def lowest_zero_statistic(
             if nonzero.size == 0:
                 raise ValueError(f"record d={rec.d} has no nonvanishing ordinate")
             out.append(nonzero[0])
-        elif which == "second_lowest":
+        else:
             if rec.ordinates.size < 2:
                 raise ValueError(f"record d={rec.d} too short for second_lowest")
             out.append(rec.ordinates[1])
-        else:
-            raise ValueError(f"unknown selector {which!r}")
     return np.asarray(out, dtype=float)
 
 
-def compare_report(zero_samples, ensemble_samples, bins: int = 100) -> dict:
+def compare_report(zero_samples, ensemble_samples, bins: int = DEFAULT_BINS) -> dict:
     """Mean-1 normalize both sample sets and compare their distributions.
 
     Both sides are normalized identically (divided by their own sample

@@ -11,8 +11,9 @@ import time
 import numpy as np
 import pytest
 
+from excised_rmt import theory
 from excised_rmt.cli import main as cli_main
-from excised_rmt.groups import GroupKind, GroupSpec, sample
+from excised_rmt.groups import GroupKind, GroupSpec, sample_batch, symplectic_form
 from excised_rmt.spectral import ExcisionRule, char_poly_batch, excise_mask
 from excised_rmt.special import gauss_legendre
 from excised_rmt.stats import (
@@ -32,12 +33,11 @@ from excised_rmt.theory import (
     h_asymp,
     h_exact,
     montgomery_r2,
-    n_eff_l2_optimize,
+    n_eff_generic,
     u_pair_corr,
     u_pair_corr_exact,
 )
 from excised_rmt.arith import FamilySpec, cardinality_estimate, enumerate_family, oscillatory_family_sum, sum_log_family
-from excised_rmt.groups import sample_batch
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -45,25 +45,45 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
+# the tolerances of groups.verify_invariants
+_INVARIANT_TOLS = {"unitary": 1e-10, "det": 1e-8, "symplectic": 1e-10}
+
+
+def _invariant_errors(spec, mats) -> dict:
+    """Largest violation of each group invariant over a batch: max
+    |A A^* - I| on every group, |det A - 1| on SO and |A^T J A - J| on USp."""
+    errors = {"unitary": np.max(np.abs(mats @ np.swapaxes(mats, 1, 2).conj() - np.eye(spec.dim)))}
+    if spec.group in (GroupKind.SOEven, GroupKind.SOOdd):
+        errors["det"] = np.max(np.abs(np.linalg.det(mats) - 1.0))
+    if spec.group is GroupKind.USp:
+        j = symplectic_form(spec.n)
+        errors["symplectic"] = np.max(np.abs(np.swapaxes(mats, 1, 2) @ j @ mats - j))
+    return errors
+
+
 def test_criterion_01_sampling_speed_and_invariants():
     spec_n = 10
     start = time.perf_counter()
     for kind in GroupKind:
         spec = GroupSpec(kind, spec_n)
-        mats = sample_batch(spec, 101, 0, 1000)
-        # vectorized invariant checks (same tolerances as verify_invariants)
-        mc = mats.astype(np.complex128)
-        gram = np.einsum("bij,bkj->bik", mc, mc.conj())
-        eye = np.eye(spec.dim)
-        assert np.max(np.abs(gram - eye)) <= 1e-10, kind
-        if kind in (GroupKind.SOEven, GroupKind.SOOdd):
-            assert np.max(np.abs(np.linalg.det(mats) - 1.0)) <= 1e-8, kind
+        for name, err in _invariant_errors(spec, sample_batch(spec, 101, 0, 1000)).items():
+            assert err <= _INVARIANT_TOLS[name], (kind, name, err)
     elapsed = time.perf_counter() - start
-    # spot-check the per-sample verifier too (sample raises on a violation)
-    for kind in GroupKind:
-        sample(GroupSpec(kind, spec_n), 101, 0)
     ok = elapsed < 10.0
     _report(1, ok, f"1000 samples/group at N=10 with invariants in {elapsed:.2f}s (< 10s)")
+
+
+def test_criterion_01_checks_catch_a_planted_fault():
+    # one column of one USp(20) matrix conjugated breaks both forms; one
+    # multiplied by i stays unitary, so only the symplectic check sees it
+    spec = GroupSpec(GroupKind.USp, 10)
+    conjugated = sample_batch(spec, 101, 0, 1000)
+    rotated = conjugated.copy()
+    conjugated[500, :, 3] = conjugated[500, :, 3].conj()
+    rotated[500, :, 3] *= 1j
+    assert min(_invariant_errors(spec, conjugated).values()) > 1e-10
+    errors = _invariant_errors(spec, rotated)
+    assert errors["unitary"] <= _INVARIANT_TOLS["unitary"] < errors["symplectic"]
 
 
 def test_criterion_02_so_odd_char_poly_vanishes():
@@ -248,25 +268,29 @@ def test_criterion_08_excision():
     )
 
 
-def test_criterion_09_l2_optimizer():
+def test_criterion_09_n_eff_generic_minimizes_the_l2_mismatch():
+    # the closed form against the mismatch's exact integral: no nearby N
+    # and no N of a log-spaced grid over [n e^-2, n e^2] does better
     rng = np.random.default_rng(0)
-    worst = 0.0
+    failures = 0
     checked = 0
     while checked < 100:
         e1 = float(rng.uniform(0.0, 0.5))
         e2 = float(rng.uniform(0.5, 4.0))
         R = float(rng.uniform(3.0, 15.0))
-        disc = 3.0 * e2 - 4.0 * e1
-        if disc <= 0.1:
+        if 3.0 * e2 - 4.0 * e1 <= 0.1:
             continue
-        closed = R / math.sqrt(disc)
-        numeric = n_eff_l2_optimize(e1, e2, R)
-        worst = max(worst, abs(numeric - closed) / closed)
+        n_star = n_eff_generic(e1, e2, R)
+        f_star = theory._pair_corr_objective(e1, e2, R, n_star)
+        nearby = theory._pair_corr_objective(e1, e2, R, n_star * np.array([1.0 - 1e-3, 1.0 + 1e-3]))
+        grid = theory._pair_corr_objective(e1, e2, R, n_star * np.exp(np.linspace(-2.0, 2.0, 4001)))
+        failures += not (f_star <= nearby.min() and f_star <= grid.min() * (1.0 + 1e-12))
         checked += 1
     with pytest.raises(ValueError):
-        n_eff_l2_optimize(1.0, 0.5, 8.0)
-    ok = worst <= 1e-3
-    _report(9, ok, f"L2 minimizer vs closed form: worst relative gap {worst:.2e} over 100 grid points (<= 1e-3); inadmissible raises")
+        n_eff_generic(1.0, 0.5, 8.0)
+    ok = failures == 0
+    _report(9, ok, f"n_eff_generic minimizes the exact L2 mismatch at {100 - failures} of 100 points "
+                   "(vs N(1 +- 1e-3) and a 4001-point grid); inadmissible raises")
 
 
 def test_criterion_10_symplectic_first_eigenvalue(tmp_path):

@@ -113,6 +113,16 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
         assert code == 0, (argv, err)
 
 
+def test_readme_library_block_runs():
+    # the README's python block, as written: 500 SO(20) matrices
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["mats"].shape == (500, 20, 20)
+    assert namespace["keep"].shape == (500,)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -600,6 +610,8 @@ def test_flag_defaults_restate_the_library_defaults():
     assert cli("paircorr")["window"] == library(stats.pair_correlation_mc)["window"]
     compare, statistic = cli("compare"), library(zeros.lowest_zero_statistic)
     assert (compare["which"], compare["vanish_tol"]) == (statistic["which"], statistic["vanish_tol"])
+    for which in zeros.SELECTORS:
+        assert build_parser().parse_args(["compare", "--which", which]).which == which
     family = {f.name: f.default for f in dataclasses.fields(arith.FamilySpec)}
     discriminants = cli("discriminants")
     assert (discriminants["epsilon"], discriminants["delta"], discriminants["residue"]) == (

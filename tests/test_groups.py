@@ -14,7 +14,6 @@ from excised_rmt.groups import (
     GroupKind,
     GroupSpec,
     group_from_name,
-    sample,
     sample_batch,
     symplectic_form,
     verify_invariants,
@@ -35,13 +34,13 @@ def test_invariants_hold(kind):
 
 def test_verify_invariants_rejects_non_members():
     spec = GroupSpec(GroupKind.SOEven, 3)
-    a = sample(spec, 1, 0)
+    a = sample_batch(spec, 1, 0, 1)[0]
     flipped = a.copy()
     flipped[:, -1] = -flipped[:, -1]  # orthogonal with determinant -1
     for bad in (flipped, 1.01 * a):
         with pytest.raises(GroupInvariantError):
             verify_invariants(spec, bad)
-    unitary = sample(GroupSpec(GroupKind.Unitary, 6), 1, 0)
+    unitary = sample_batch(GroupSpec(GroupKind.Unitary, 6), 1, 0, 1)[0]
     with pytest.raises(GroupInvariantError):
         verify_invariants(GroupSpec(GroupKind.USp, 3), unitary)
 
@@ -61,8 +60,8 @@ def test_invariants_hold_property(kind, n, seed, idx):
 @pytest.mark.parametrize("kind", ALL_GROUPS)
 def test_sample_is_deterministic(kind):
     spec = GroupSpec(kind, 4)
-    a = sample(spec, 7, 3)
-    b = sample(spec, 7, 3)
+    a = sample_batch(spec, 7, 3, 1)[0]
+    b = sample_batch(spec, 7, 3, 1)[0]
     assert np.array_equal(a, b)
     assert np.array_equal(a, sample_batch(spec, 7, 0, 4)[3])
 
@@ -177,9 +176,9 @@ def test_sample_index_wraps_past_2_64(kind):
 
 def test_distinct_seeds_differ():
     spec = GroupSpec(GroupKind.Unitary, 4)
-    a = sample(spec, 1, 0)
-    b = sample(spec, 2, 0)
-    c = sample(spec, 1, 1)
+    a = sample_batch(spec, 1, 0, 1)[0]
+    b = sample_batch(spec, 2, 0, 1)[0]
+    c = sample_batch(spec, 1, 1, 1)[0]
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -281,7 +280,8 @@ def test_haar_invariance_of_trace_statistic():
     # If A is Haar on U(5), tr(U0 A) and tr(A) are identically distributed
     # for any fixed unitary U0; compare via the KS distance of Re tr.
     spec = GroupSpec(GroupKind.Unitary, 5)
-    u0 = sample(spec, 999, 0)
+    u0 = sample_batch(spec, 999, 0, 1)[0]
+    verify_invariants(spec, u0)
     count = 100_000
     mats = sample_batch(spec, 4, 0, count)
     tr_plain = np.einsum("bii->b", mats).real
@@ -291,7 +291,7 @@ def test_haar_invariance_of_trace_statistic():
 
 def test_haar_shift_preserves_membership():
     spec = GroupSpec(GroupKind.Unitary, 4)
-    shifted = sample(spec, 5, 0) @ sample(spec, 6, 1)
+    shifted = sample_batch(spec, 5, 0, 1)[0] @ sample_batch(spec, 6, 1, 1)[0]
     verify_invariants(spec, shifted)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excised_rmt.groups import GroupKind, GroupSpec, sample, sample_batch
+from excised_rmt.groups import GroupKind, GroupSpec, sample_batch
 from excised_rmt.spectral import (
     ExcisionRule,
     SpectralError,
@@ -48,7 +48,7 @@ def test_so_odd_has_forced_zero():
 def test_eigenvalues_reconstruct_matrix_spectrum():
     # angles must reproduce the actual eigenvalues of the sampled matrix
     spec = GroupSpec(GroupKind.Unitary, 7)
-    m = sample(spec, 12, 5)
+    m = sample_batch(spec, 12, 5, 1)[0]
     angles = eigenangles_batch(spec, m[None])[0]
     w = np.sort_complex(np.linalg.eigvals(m))
     recon = np.sort_complex(np.exp(1j * angles))
@@ -199,7 +199,7 @@ def test_char_poly_without_angles_is_the_lu_value():
 
 def test_char_poly_matches_eigen_product():
     spec = GroupSpec(GroupKind.SOEven, 6)
-    m = sample(spec, 2, 9)
+    m = sample_batch(spec, 2, 9, 1)[0]
     value = complex(char_poly_batch(m[None])[0])
     w = np.linalg.eigvals(m)
     assert value == pytest.approx(complex(np.prod(1.0 - w)), rel=1e-8)

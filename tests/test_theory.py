@@ -1,7 +1,6 @@
 """Closed-form densities, coefficients, effective sizes, and small-value law."""
 
 import math
-import time
 
 import mpmath
 import numpy as np
@@ -33,7 +32,6 @@ from excised_rmt.theory import (
     montgomery_r2,
     n_eff,
     n_eff_generic,
-    n_eff_l2_optimize,
     n_std,
     pair_corr_expansion,
     q_lower_order,
@@ -175,8 +173,10 @@ def test_scaled_expansion_infinite_size_is_limit():
         lambda: n_eff(SymmetryCase.PrincipalEven, math.inf, 9960, {"a1": 1.0}),
         lambda: n_eff(SymmetryCase.SelfCM, 11, math.nan, {"b1": 1.0}),
         lambda: h_asymp(math.nan),
+        lambda: h_asymp(math.inf),
         lambda: small_value_prob(math.nan, 10),
         lambda: small_value_prob(0.01, math.nan),
+        lambda: small_value_prob(0.0, math.inf),
         lambda: vanishing_count(math.nan, VanishingModel(k=2, delta_f=1.0, kappa_f=1.0)),
         lambda: vanishing_count(math.inf, VanishingModel(k=2, delta_f=1.0, kappa_f=1.0)),
         lambda: VanishingModel(k=2, delta_f=math.nan, kappa_f=1.0),
@@ -189,15 +189,12 @@ def test_scaled_expansion_infinite_size_is_limit():
         lambda: e_coefficients_from_inputs(11, 22.0),
         # log(M)^2 / (M / |lambda(M)|^2 - 1) is inf / inf at an infinite level
         lambda: e_coefficients_from_inputs(math.inf, 1.0),
-        lambda: n_eff_l2_optimize(0.1, 1.0, math.nan),
-        lambda: n_eff_l2_optimize(0.1, 1.0, -8.0),
     ],
     ids=["density-n0", "expansion-n-3", "u-pair-n0", "n-std-nan", "n-std-inf",
-         "n-eff-m-inf", "n-eff-x-nan", "h-asymp-nan", "small-value-rho-nan",
-         "small-value-n-nan", "vanishing-x-nan", "vanishing-x-inf", "vanishing-delta-nan",
+         "n-eff-m-inf", "n-eff-x-nan", "h-asymp-nan", "h-asymp-inf", "small-value-rho-nan",
+         "small-value-n-nan", "small-value-n-inf", "vanishing-x-nan", "vanishing-x-inf", "vanishing-delta-nan",
          "vanishing-delta-inf", "vanishing-a-nan", "q-r-nan",
-         "pair-corr-r-nan", "e1-ratio-1", "e1-ratio-half", "e1-m-inf",
-         "l2-r-nan", "l2-r-negative"],
+         "pair-corr-r-nan", "e1-ratio-1", "e1-ratio-half", "e1-m-inf"],
 )
 def test_outside_the_formula_range_raises(call):
     with pytest.raises(ValueError):
@@ -228,13 +225,6 @@ def test_density_outside_its_support_raises(group, theta):
     dim = GroupSpec(group, 10).dim
     with pytest.raises(ValueError, match="support"):
         exact_scaled_density(group, 10, np.asarray(theta) * dim / (2 * math.pi))
-
-
-def test_a_non_finite_integrand_raises_at_once():
-    start = time.perf_counter()
-    with pytest.raises(ValueError):
-        n_eff_l2_optimize(0.1, 1.0, math.nan)
-    assert time.perf_counter() - start < 1.0
 
 
 # every function that returns a float for a scalar argument and keeps the
@@ -455,12 +445,6 @@ def test_n_eff_generic_rejects_non_finite_or_non_positive_R(e1, e2, R):
         n_eff_generic(e1, e2, R)
 
 
-def test_l2_optimizer_matches_closed_form():
-    for e1, e2, R in [(0.024, 2.0, 8.5), (0.0, 1.0, 5.0), (0.3, 3.0, 12.0)]:
-        closed = R / math.sqrt(3 * e2 - 4 * e1)
-        assert n_eff_l2_optimize(e1, e2, R) == pytest.approx(closed, rel=1e-3)
-
-
 @pytest.mark.parametrize("e1, e2, R", [(0.024, 2.0, 8.5), (0.0, 1.0, 5.0), (0.3, 3.0, 12.0), (-0.3, 0.7, 3.0)])
 @pytest.mark.parametrize("n", [0.5, 3.0, 40.0])
 def test_pair_corr_objective_matches_quadrature(e1, e2, R, n):
@@ -473,11 +457,6 @@ def test_pair_corr_objective_matches_quadrature(e1, e2, R, n):
     with mpmath.workdps(30):
         ref = float(mpmath.quad(integrand, [0, 1]))
     assert theory._pair_corr_objective(e1, e2, R, n) == pytest.approx(ref, rel=1e-10)
-
-
-def test_l2_optimizer_rejects_inadmissible():
-    with pytest.raises(ValueError):
-        n_eff_l2_optimize(1.0, 0.5, 8.0)
 
 
 # --- pair correlation ------------------------------------------------------
