@@ -36,10 +36,6 @@ _MASK64 = (1 << 64) - 1
 # Gaussians drawn and orthogonalized per chunk of a batch (256 KiB); a
 # chunk this size stays in cache and keeps a batch's memory near its output's
 _CHUNK_WORDS = 2**15
-# Round-off bounds of verify_invariants: max |A A^* - I| (and |A^T J A - J|
-# on USp) and |det A - 1| on SO
-_UNITARY_TOL = 1e-10
-_DET_TOL = 1e-8
 
 
 class GroupKind(enum.Enum):
@@ -76,18 +72,6 @@ class GroupSpec:
 
 def one_level_range(spec: GroupSpec) -> float:
     return np.pi if spec.group in (GroupKind.SOEven, GroupKind.USp) else 2.0 * np.pi
-
-
-class GroupInvariantError(RuntimeError):
-    """A constructed matrix failed its group invariants (internal defect)."""
-
-
-def symplectic_form(n: int) -> np.ndarray:
-    """The skew form J with blocks [[0, I_n], [-I_n, 0]]."""
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, n:] = np.eye(n)
-    j[n:, :n] = -np.eye(n)
-    return j
 
 
 def _gaussian_block(master_seed: int, start: int, out: np.ndarray) -> None:
@@ -234,30 +218,6 @@ def sample_batch(spec: GroupSpec, master_seed: int, start: int, count: int) -> n
         _gaussian_block(master_seed, start + lo, chunk)
         out[lo : lo + len(chunk)] = _orthogonalize(spec, chunk)
     return out
-
-
-def verify_invariants(spec: GroupSpec, a: np.ndarray) -> None:
-    """Checks unitarity, determinant, and symplectic-form invariants of one matrix.
-
-    Raises GroupInvariantError on violation; such a failure indicates an
-    internal sampling defect, not bad user input.
-    """
-    d = spec.dim
-    gram = a @ a.conj().T
-    err = np.max(np.abs(gram - np.eye(d)))
-    if err > _UNITARY_TOL:
-        raise GroupInvariantError(f"unitarity violated: max |A A^* - I| = {err:.3e}")
-    if spec.group in (GroupKind.SOEven, GroupKind.SOOdd):
-        if np.max(np.abs(a.imag)) != 0.0:
-            raise GroupInvariantError("orthogonal sample has nonzero imaginary part")
-        det = np.linalg.det(a.real)
-        if abs(det - 1.0) > _DET_TOL:
-            raise GroupInvariantError(f"determinant {det} is not +1 within {_DET_TOL}")
-    elif spec.group is GroupKind.USp:
-        j = symplectic_form(spec.n)
-        err = np.max(np.abs(a.T @ j @ a - j))
-        if err > _UNITARY_TOL:
-            raise GroupInvariantError(f"symplectic form violated: max |A^T J A - J| = {err:.3e}")
 
 
 def group_from_name(name: str) -> GroupKind:

@@ -1,9 +1,10 @@
 """Eigenangle extraction, characteristic polynomial at 1, and excision.
 
-U(N) eigenangles come from a Hermitian eigen-solve of the Cayley
-transform, with rows that have an eigenvalue near -1 solved again after a
-rotation (`unitary_angles`).  SO and USp eigenangles come from `eigvals`,
-projected to the unit circle and paired as +/- theta (`_symmetrize`).
+U(N) and USp(2N) eigenangles come from a Hermitian eigen-solve
+(`eigvalsh`) of the Cayley transform, with rows that have an eigenvalue near
+-1 solved again after a rotation (`unitary_angles`); USp rows are then
+paired as +/- theta (`_symmetrize`).  SO eigenangles alone come from
+`eigvals`, projected to the unit circle and paired the same way.
 det(I - A) comes from LU, checked against angles already solved (`char_poly_batch`).
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from excised_rmt.groups import GroupKind, GroupSpec
+from excised_rmt.groups import _CHUNK_WORDS, GroupKind, GroupSpec
 from excised_rmt.special import require_integer
 
 _MODULUS_TOL = 1e-6
@@ -146,14 +147,27 @@ def unitary_angles(mats: np.ndarray) -> np.ndarray:
         max|t| <= max(_CAYLEY_T_MAX, _CAYLEY_GAP_SLACK * cot(g / 4)),
 
     and solves every other row again with psi moving -1 to the middle of
-    that gap.  When I + A' of a row is exactly singular (-1 an eigenvalue),
-    the solve fails for the whole pass; that row is turned by half the mean
-    spacing, pi / dim, so that the next pass finds the gap, and every row is
-    solved again.  A row not kept within _CAYLEY_PASSES passes, such as one
-    of a non-unitary input, raises SpectralError.
+    that gap.  The stack is solved in slices of about _CHUNK_WORDS entries,
+    the sampler's chunk, so the pass's stack-sized temporaries stay
+    cache-sized whatever B is.  When I + A' of a row is exactly singular
+    (-1 an eigenvalue), the solve fails for the whole pass of its slice;
+    that row is turned by half the mean spacing, pi / dim, so that the next
+    pass finds the gap, and every row of the slice is solved again.  A row
+    not kept within _CAYLEY_PASSES passes, such as one of a non-unitary
+    input, raises SpectralError.
     """
     count, dim = mats.shape[:2]
     theta = np.empty((count, dim))
+    step = max(1, _CHUNK_WORDS // dim**2)
+    for lo in range(0, count, step):
+        _cayley_passes(mats[lo : lo + step], theta[lo : lo + step])
+    theta.sort(axis=1)
+    return theta
+
+
+def _cayley_passes(mats: np.ndarray, theta: np.ndarray) -> None:
+    """Fills theta, shape (B, dim), with the unsorted angles of one slice (`unitary_angles`)."""
+    count, dim = mats.shape[:2]
     rows = np.arange(count)
     psi = np.zeros(count)
     a = mats
@@ -178,8 +192,7 @@ def unitary_angles(mats: np.ndarray) -> np.ndarray:
         # _MODULUS_TOL, except when I + A' is nearly singular
         far = (np.abs(t).max(axis=1) > limit) | (defect > _MODULUS_TOL)
         if not far.any():
-            theta.sort(axis=1)
-            return theta
+            return
         rows, defect = rows[far], defect[far]
         psi = _wrap(centre[far] - np.pi)
         a = mats[rows] * np.exp(-1j * psi)[:, None, None]
@@ -194,8 +207,9 @@ def eigenangles_batch(spec: GroupSpec, mats: np.ndarray) -> np.ndarray:
     """Eigenangles for a (B, dim, dim) stack; returns (B, dim) sorted rows."""
     if spec.group is GroupKind.Unitary:
         return unitary_angles(mats)
-    w = np.linalg.eigvals(mats)
-    theta = _canonical_angles(w)
+    if spec.group is GroupKind.USp:
+        return _symmetrize(unitary_angles(mats), forced_zero=False)
+    theta = _canonical_angles(np.linalg.eigvals(mats))
     return _symmetrize(theta, forced_zero=spec.group is GroupKind.SOOdd)
 
 

@@ -380,7 +380,9 @@ def u_pair_corr_exact(x, n: int):
 
 def pair_corr_expansion(y, R: float, e1: float, e2: float, e3: float):
     """Pair-correlation integrand including the R^-2 and R^-3 terms."""
-    if not R > 0:
+    if not all(map(math.isfinite, (e1, e2, e3, R))):
+        raise ValueError("e1, e2, e3 and R must be finite")
+    if R <= 0:
         raise ValueError("R must be positive")
     y = np.asarray(y, dtype=float)
     s2 = np.sin(_PI * y) ** 2

@@ -13,7 +13,7 @@ import pytest
 
 from excised_rmt import theory
 from excised_rmt.cli import main as cli_main
-from excised_rmt.groups import GroupKind, GroupSpec, sample_batch, symplectic_form
+from excised_rmt.groups import GroupKind, GroupSpec, sample_batch
 from excised_rmt.spectral import ExcisionRule, char_poly_batch, excise_mask
 from excised_rmt.special import gauss_legendre
 from excised_rmt.stats import (
@@ -38,27 +38,12 @@ from excised_rmt.theory import (
     u_pair_corr_exact,
 )
 from excised_rmt.arith import FamilySpec, cardinality_estimate, enumerate_family, oscillatory_family_sum, sum_log_family
+from group_invariants import INVARIANT_TOLS as _INVARIANT_TOLS, invariant_errors as _invariant_errors
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"\nCRITERION {num:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
-
-
-# the tolerances of groups.verify_invariants
-_INVARIANT_TOLS = {"unitary": 1e-10, "det": 1e-8, "symplectic": 1e-10}
-
-
-def _invariant_errors(spec, mats) -> dict:
-    """Largest violation of each group invariant over a batch: max
-    |A A^* - I| on every group, |det A - 1| on SO and |A^T J A - J| on USp."""
-    errors = {"unitary": np.max(np.abs(mats @ np.swapaxes(mats, 1, 2).conj() - np.eye(spec.dim)))}
-    if spec.group in (GroupKind.SOEven, GroupKind.SOOdd):
-        errors["det"] = np.max(np.abs(np.linalg.det(mats) - 1.0))
-    if spec.group is GroupKind.USp:
-        j = symplectic_form(spec.n)
-        errors["symplectic"] = np.max(np.abs(np.swapaxes(mats, 1, 2) @ j @ mats - j))
-    return errors
 
 
 def test_criterion_01_sampling_speed_and_invariants():

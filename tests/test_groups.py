@@ -10,17 +10,15 @@ from hypothesis import strategies as st
 from excised_rmt import groups, stats
 from excised_rmt.groups import (
     _MASK64,
-    GroupInvariantError,
     GroupKind,
     GroupSpec,
     group_from_name,
     sample_batch,
-    symplectic_form,
-    verify_invariants,
     _gaussian_block,
     _gaussian_count,
 )
 from excised_rmt.stats import _blocks, ks_distance
+from group_invariants import GroupInvariantError, symplectic_form, verify_invariants
 
 ALL_GROUPS = list(GroupKind)
 

@@ -1,5 +1,7 @@
 """Eigenangle extraction, characteristic polynomial, and excision."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from excised_rmt.spectral import (
     ExcisionRule,
     SpectralError,
     _canonical_angles,
+    _symmetrize,
     char_poly_batch,
     eigenangles_batch,
     excise_mask,
@@ -151,6 +154,9 @@ def test_non_unitary_input_raises():
     mats = _haar(30, 2, 4)
     with pytest.raises(SpectralError):
         unitary_angles(1.001 * mats)
+    usp = GroupSpec(GroupKind.USp, 10)
+    with pytest.raises(SpectralError):
+        eigenangles_batch(usp, 1.001 * sample_batch(usp, 2, 0, 4))
     bumped = mats.copy()
     bumped[2, 3, 4] += 1e-4
     with pytest.raises(SpectralError):
@@ -159,6 +165,68 @@ def test_non_unitary_input_raises():
     broken[1, 0, 0] = np.nan
     with pytest.raises(SpectralError):
         unitary_angles(broken)
+
+
+def _usp_eigvals_route(mats):
+    """The eigen-solve the USp Cayley route replaced: eigvals, radial projection, pairing."""
+    return _symmetrize(_canonical_angles(np.linalg.eigvals(mats)), forced_zero=False)
+
+
+@pytest.mark.parametrize("n,per_case", [(10, 20), (30, 4)])
+def test_usp_angles_on_planted_spectra(n, per_case):
+    # V diag(e^{i theta}, e^{-i theta}) V^* with V Haar on USp(2n): a +/- pair
+    # within eps of -1 and a +/- pair of small angles; every angle must come
+    # back within 1e-13
+    spec = GroupSpec(GroupKind.USp, n)
+    rng = np.random.default_rng(n)
+    rows = []
+    for eps in (1e-2, 1e-4, 1e-6, 1e-8):
+        for small in (1e-5, 1e-6, 1e-7, 1e-8):
+            block = rng.uniform(0.0, np.pi, (per_case, n))
+            block[:, 0] = np.pi - eps
+            block[:, 1] = small
+            rows.append(block)
+    half = np.concatenate(rows)
+    v = sample_batch(spec, 200 + n, 0, len(half))
+    phases = np.exp(1j * np.concatenate([half, -half], axis=1))
+    mats = (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    want = np.sort(np.concatenate([half, -half], axis=1), axis=1)
+    assert np.max(np.abs(eigenangles_batch(spec, mats) - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("n,count", [(10, 400), (30, 60)])
+def test_usp_angles_match_eigvals_on_haar_blocks(n, count):
+    spec = GroupSpec(GroupKind.USp, n)
+    for seed in range(3):
+        mats = sample_batch(spec, seed, 0, count)
+        assert np.max(np.abs(eigenangles_batch(spec, mats) - _usp_eigvals_route(mats))) <= 1e-12
+
+
+def test_slices_leave_every_row_as_solved_alone():
+    # 100 U(30) matrices span three slices; the one with I + A singular
+    # sits in the second and fails only that slice's solve
+    mats = _haar(30, 6, 100)
+    mats[50] = np.diag(np.r_[-1.0, np.ones(29)]).astype(complex)
+    alone = np.concatenate([unitary_angles(m[None]) for m in mats])
+    assert np.array_equal(unitary_angles(mats), alone)
+
+
+@pytest.mark.parametrize("kind,n,count", [(GroupKind.USp, 10, 327), (GroupKind.Unitary, 30, 145)])
+def test_eigenangles_memory_stays_below_the_block(kind, n, count):
+    # a block of stats._blocks on two threads, about 2**17 entries; the
+    # Cayley pass holds three stack-sized temporaries, so an unsliced
+    # solve of the block would peak near three times its size
+    spec = GroupSpec(kind, n)
+    mats = sample_batch(spec, 1, 0, count)
+    eigenangles_batch(spec, mats[:1])  # first-call allocations are not the block's
+    tracemalloc.start()
+    try:
+        eigenangles_batch(spec, mats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < mats.nbytes, (peak, mats.nbytes)
+
 
 @pytest.mark.parametrize("kind", ALL_GROUPS)
 def test_char_poly_dual_route_agrees(kind):

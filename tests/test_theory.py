@@ -184,6 +184,10 @@ def test_scaled_expansion_infinite_size_is_limit():
         lambda: VanishingModel(k=2, delta_f=1.0, kappa_f=1.0, a_f_half=math.nan),
         lambda: q_lower_order(SymmetryCase.PrincipalEven, 0.5, math.nan, {"a1": 1.0, "a2": 1.0}),
         lambda: pair_corr_expansion(0.5, math.nan, 0.1, 1.0, 1.0),
+        lambda: pair_corr_expansion(0.5, math.inf, 0.1, 1.0, 1.0),
+        lambda: pair_corr_expansion(0.5, 8.0, math.nan, 1.0, 1.0),
+        lambda: pair_corr_expansion(0.5, 8.0, 0.1, math.inf, 1.0),
+        lambda: pair_corr_expansion(0.5, 8.0, 0.1, 1.0, -math.inf),
         # e1 divides by M / |lambda(M)|^2 - 1, which is 0 and then negative
         lambda: e_coefficients_from_inputs(11, 11.0),
         lambda: e_coefficients_from_inputs(11, 22.0),
@@ -194,7 +198,8 @@ def test_scaled_expansion_infinite_size_is_limit():
          "n-eff-m-inf", "n-eff-x-nan", "h-asymp-nan", "h-asymp-inf", "small-value-rho-nan",
          "small-value-n-nan", "small-value-n-inf", "vanishing-x-nan", "vanishing-x-inf", "vanishing-delta-nan",
          "vanishing-delta-inf", "vanishing-a-nan", "q-r-nan",
-         "pair-corr-r-nan", "e1-ratio-1", "e1-ratio-half", "e1-m-inf"],
+         "pair-corr-r-nan", "pair-corr-r-inf", "pair-corr-e1-nan", "pair-corr-e2-inf",
+         "pair-corr-e3-inf", "e1-ratio-1", "e1-ratio-half", "e1-m-inf"],
 )
 def test_outside_the_formula_range_raises(call):
     with pytest.raises(ValueError):
