@@ -4,7 +4,8 @@ U(N) and USp(2N) eigenangles come from a Hermitian eigen-solve
 (`eigvalsh`) of the Cayley transform, with rows that have an eigenvalue near
 -1 solved again after a rotation (`unitary_angles`); USp rows are then
 paired as +/- theta (`_symmetrize`).  SO eigenangles alone come from
-`eigvals`, projected to the unit circle and paired the same way.
+`eigvals`, projected to the unit circle and sorted: LAPACK's exact conjugate
+pairs (and exact 0 for SO(2N+1)) are already exact +/- theta.
 det(I - A) comes from LU, checked against angles already solved (`char_poly_batch`).
 """
 
@@ -63,29 +64,22 @@ def _canonical_angles(w: np.ndarray) -> np.ndarray:
     Ties at -pi are mapped to +pi so every angle lies in (-pi, pi].
     """
     mod = np.abs(w)
-    drift = np.max(np.abs(mod - 1.0))
+    drift = np.max(np.abs(mod - 1.0), initial=0.0)
     if drift > _MODULUS_TOL:
         raise SpectralError(f"eigenvalue modulus drifted from 1 by {drift:.3e}")
     theta = np.arctan2(w.imag, w.real)
     return np.where(theta <= -np.pi, np.pi, theta)
 
 
-def _symmetrize(theta: np.ndarray, forced_zero: bool) -> np.ndarray:
-    """Enforce the theta -> -theta symmetry on a batch of angle rows.
+def _symmetrize(theta: np.ndarray) -> np.ndarray:
+    """Enforce the theta -> -theta symmetry on a batch of USp angle rows.
 
-    Angles are ranked by magnitude; for odd orthogonal matrices the
-    smallest-magnitude angle is the structural zero and is pinned to 0
-    exactly.  The remaining angles are paired consecutively and each pair
-    is replaced by +/- the mean magnitude.
+    Angles are ranked by magnitude, paired consecutively, and each pair is
+    replaced by +/- the mean magnitude; rows come back sorted.
     """
     mags = np.sort(np.abs(theta), axis=1)
-    if forced_zero:
-        mags = mags[:, 1:]
     paired = 0.5 * (mags[:, 0::2] + mags[:, 1::2])
-    parts = [-paired, paired]
-    if forced_zero:
-        parts.append(np.zeros((theta.shape[0], 1)))
-    out = np.concatenate(parts, axis=1)
+    out = np.concatenate([-paired, paired], axis=1)
     # a pair of angles exactly at pi averages to pi; its negative copy
     # belongs at +pi in the canonical branch
     out = np.where(out <= -np.pi, np.pi, out)
@@ -123,8 +117,7 @@ def _cayley(a: np.ndarray):
 
 
 def _widest_gap(theta: np.ndarray):
-    """Middle and width of the largest gap between the angles of each row, going round the circle."""
-    theta = np.sort(theta, axis=1)
+    """Middle and width of the largest gap between the angles of each sorted row, round the circle."""
     gaps = np.empty_like(theta)
     gaps[:, :-1] = np.diff(theta, axis=1)
     gaps[:, -1] = theta[:, 0] + 2.0 * np.pi - theta[:, -1]
@@ -147,8 +140,9 @@ def unitary_angles(mats: np.ndarray) -> np.ndarray:
         max|t| <= max(_CAYLEY_T_MAX, _CAYLEY_GAP_SLACK * cot(g / 4)),
 
     and solves every other row again with psi moving -1 to the middle of
-    that gap.  The stack is solved in slices of about _CHUNK_WORDS entries,
-    the sampler's chunk, so the pass's stack-sized temporaries stay
+    that gap.  Each pass sorts the rows it solves, for that gap search and
+    for the caller.  The stack is solved in slices of about _CHUNK_WORDS
+    entries, the sampler's chunk, so the pass's stack-sized temporaries stay
     cache-sized whatever B is.  When I + A' of a row is exactly singular
     (-1 an eigenvalue), the solve fails for the whole pass of its slice;
     that row is turned by half the mean spacing, pi / dim, so that the next
@@ -161,12 +155,11 @@ def unitary_angles(mats: np.ndarray) -> np.ndarray:
     step = max(1, _CHUNK_WORDS // dim**2)
     for lo in range(0, count, step):
         _cayley_passes(mats[lo : lo + step], theta[lo : lo + step])
-    theta.sort(axis=1)
     return theta
 
 
 def _cayley_passes(mats: np.ndarray, theta: np.ndarray) -> None:
-    """Fills theta, shape (B, dim), with the unsorted angles of one slice (`unitary_angles`)."""
+    """Fills theta, shape (B, dim), with the sorted angle rows of one slice (`unitary_angles`)."""
     count, dim = mats.shape[:2]
     rows = np.arange(count)
     psi = np.zeros(count)
@@ -185,7 +178,7 @@ def _cayley_passes(mats: np.ndarray, theta: np.ndarray) -> None:
         if not np.all(np.isfinite(defect)):
             raise SpectralError("matrix with non-finite entries")
         t = np.linalg.eigvalsh(h)
-        theta[rows] = _wrap(psi[:, None] + 2.0 * np.arctan(t))
+        theta[rows] = np.sort(_wrap(psi[:, None] + 2.0 * np.arctan(t)), axis=1)
         centre, width = _widest_gap(theta[rows])
         limit = np.maximum(_CAYLEY_T_MAX, _CAYLEY_GAP_SLACK / np.tan(0.25 * width))
         # the defect of a unitary row stays near eps * max|t|**2, far below
@@ -208,9 +201,8 @@ def eigenangles_batch(spec: GroupSpec, mats: np.ndarray) -> np.ndarray:
     if spec.group is GroupKind.Unitary:
         return unitary_angles(mats)
     if spec.group is GroupKind.USp:
-        return _symmetrize(unitary_angles(mats), forced_zero=False)
-    theta = _canonical_angles(np.linalg.eigvals(mats))
-    return _symmetrize(theta, forced_zero=spec.group is GroupKind.SOOdd)
+        return _symmetrize(unitary_angles(mats))
+    return np.sort(_canonical_angles(np.linalg.eigvals(mats)), axis=1)
 
 
 def char_poly_batch(mats: np.ndarray, angles: np.ndarray | None = None) -> np.ndarray:

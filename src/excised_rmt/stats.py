@@ -270,12 +270,12 @@ def pair_correlation_mc(
     dim = spec.dim
     hist = Histogram.uniform(0.0, window, bins, events=count * dim)
     scale = dim / (2.0 * np.pi)
-    off_diagonal = ~np.eye(dim, dtype=bool)
 
     def reduce(mats):
         theta = eigenangles_batch(spec, mats)
         diffs = np.mod(theta[:, :, None] - theta[:, None, :], 2.0 * np.pi)
-        x = diffs[:, off_diagonal].ravel() * scale
+        x = diffs.ravel() * scale
+        # drops the diagonal, whose differences are exactly 0.0
         return x[x > 0.0]
 
     for _, x in _blocks(spec, count, master_seed, workers, reduce):

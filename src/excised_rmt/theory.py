@@ -134,6 +134,8 @@ def first_angle_cdf(group: GroupKind, n: int, theta) -> np.ndarray:
     nodes, the Nystrom determinant det(I - B B^T) is computed as the equal
     N x N determinant det(I - B^T B).  theta may be an array; it is
     evaluated in batches, so memory is bounded for any number of angles.
+    n above 2 * _CDF_NODES raises: 40 nodes are within 1e-14 of 600 at
+    N = 80, but off by 2.3e-4 for USp(2N) at N = 100.
     """
     GroupSpec(group, n)  # validates n
     if group is GroupKind.USp:
@@ -142,6 +144,8 @@ def first_angle_cdf(group: GroupKind, n: int, theta) -> np.ndarray:
         basis, freq = np.cos, np.arange(n)
     else:
         raise ValueError("first_angle_cdf covers USp(2N) and SO(2N) only")
+    if n > 2 * _CDF_NODES:
+        raise ValueError(f"first_angle_cdf: n = {n} is past 2 * {_CDF_NODES} quadrature nodes")
     scale = np.sqrt(np.where(freq == 0, 1.0, 2.0) / _PI)
     theta = np.asarray(theta, dtype=float)
     if not np.all((theta >= 0.0) & (theta <= _PI)):

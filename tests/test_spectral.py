@@ -32,20 +32,43 @@ def test_angles_sorted_and_in_range(kind):
     assert np.all(angles > -np.pi) and np.all(angles <= np.pi)
 
 
-@pytest.mark.parametrize("kind", [GroupKind.SOEven, GroupKind.SOOdd, GroupKind.USp])
-def test_self_dual_spectra_exactly_symmetric(kind):
-    # Real-orthogonal and symplectic spectra come in exact +/- pairs
-    spec = GroupSpec(kind, 5)
-    rows = eigenangles_batch(spec, sample_batch(spec, 4, 0, 20))
+# the last two are the golden `sample` runs, whose SO rows are only sorted
+@pytest.mark.parametrize(
+    "kind,n,seed,count",
+    [
+        pytest.param(GroupKind.SOEven, 5, 4, 20, id="GroupKind.SOEven"),
+        pytest.param(GroupKind.SOOdd, 5, 4, 20, id="GroupKind.SOOdd"),
+        pytest.param(GroupKind.USp, 5, 4, 20, id="GroupKind.USp"),
+        pytest.param(GroupKind.SOEven, 10, 11, 1500, id="golden-SO(20)"),
+        pytest.param(GroupKind.SOOdd, 5, 14, 700, id="golden-SO(11)"),
+    ],
+)
+def test_self_dual_spectra_exactly_symmetric(kind, n, seed, count):
+    # Real-orthogonal and symplectic spectra come in exact +/- pairs: for SO
+    # because LAPACK returns each complex eigenvalue with its exact conjugate
+    spec = GroupSpec(kind, n)
+    rows = eigenangles_batch(spec, sample_batch(spec, seed, 0, count))
     for row in rows:
         paired = row[np.abs(row) < np.pi]  # exclude possible -1 eigenvalues at +pi
-        assert np.allclose(np.sort(paired), -np.sort(-paired)[::-1], atol=0.0)
+        assert np.array_equal(paired, -paired[::-1])
 
 
 def test_so_odd_has_forced_zero():
     spec = GroupSpec(GroupKind.SOOdd, 5)
-    rows = eigenangles_batch(spec, sample_batch(spec, 8, 0, 50))
-    assert np.all(np.min(np.abs(rows), axis=1) == 0.0)
+    # the second is the golden SO(11) `sample` run
+    for seed, count in ((8, 50), (14, 700)):
+        rows = eigenangles_batch(spec, sample_batch(spec, seed, 0, count))
+        assert np.all(np.min(np.abs(rows), axis=1) == 0.0)
+
+
+@pytest.mark.parametrize("kind", ALL_GROUPS)
+def test_empty_stack_gives_empty_rows(kind):
+    spec = GroupSpec(kind, 3)
+    mats = np.empty((0, spec.dim, spec.dim))
+    angles = eigenangles_batch(spec, mats)
+    assert angles.shape == (0, spec.dim)
+    assert char_poly_batch(mats, angles).shape == (0,)
+    assert first_angles_batch(angles).shape == (0,)
 
 
 def test_eigenvalues_reconstruct_matrix_spectrum():
@@ -169,7 +192,7 @@ def test_non_unitary_input_raises():
 
 def _usp_eigvals_route(mats):
     """The eigen-solve the USp Cayley route replaced: eigvals, radial projection, pairing."""
-    return _symmetrize(_canonical_angles(np.linalg.eigvals(mats)), forced_zero=False)
+    return _symmetrize(_canonical_angles(np.linalg.eigvals(mats)))
 
 
 @pytest.mark.parametrize("n,per_case", [(10, 20), (30, 4)])

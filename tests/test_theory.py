@@ -574,6 +574,17 @@ def test_first_angle_cdf_is_a_distribution(group, monkeypatch):
 
 
 @pytest.mark.parametrize("group", FIRST_ANGLE_GROUPS)
+def test_first_angle_cdf_holds_up_to_twice_its_nodes(group, monkeypatch):
+    # past N = 2 * 40 the 40-node rule drifts: USp(200) is off by 2.3e-4
+    theta = np.linspace(0.01, math.pi, 24)
+    cdf = first_angle_cdf(group, 80, theta)
+    with pytest.raises(ValueError, match="nodes"):
+        first_angle_cdf(group, 81, theta)
+    monkeypatch.setattr(special, "_CDF_NODES", 400)
+    assert np.max(np.abs(cdf - first_angle_cdf(group, 80, theta))) < 1e-13
+
+
+@pytest.mark.parametrize("group", FIRST_ANGLE_GROUPS)
 def test_first_angle_cdf_batches_match_scalars(group, monkeypatch):
     theta = np.random.default_rng(3).uniform(0.0, math.pi, (7, 5))
     whole = first_angle_cdf(group, 6, theta)
