@@ -164,15 +164,18 @@ def fundamental_discriminants_up_to(X: int) -> np.ndarray:
     return np.concatenate([np.ones(1, dtype=np.int64), *_sieve_windows(X, np.ones(1, dtype=bool))])
 
 
-def _legendre_table(M: int) -> np.ndarray:
-    """The Legendre symbol (r / M) for 0 <= r < M, M an odd prime: 1 on
-    the nonzero squares, which are r * r % M for 1 <= r < (M + 1) / 2."""
-    table = np.full(M, -1, dtype=np.int64)
-    table[0] = 0
-    # r * r < M**2 / 4 fits int64 up to M = 6e9, where the table is 48 GB
+def _legendre_mask(M: int, psi: int) -> np.ndarray:
+    """The residues 0 <= r < M whose Legendre symbol (r / M) equals psi
+    (+1 or -1), M an odd prime: the nonzero squares, which are r * r % M
+    for 1 <= r < (M + 1) / 2, or the other nonzero residues."""
+    mask = np.full(M, psi < 0)
+    mask[0] = False
+    # r * r < M**2 / 4 fits int64 up to M = 6e9
     r = np.arange(1, (M + 1) // 2, dtype=np.int64)
-    table[r * r % M] = 1
-    return table
+    np.multiply(r, r, out=r)
+    np.remainder(r, M, out=r)
+    mask[r] = psi > 0
+    return mask
 
 
 def family_windows(spec: FamilySpec) -> Iterator[np.ndarray]:
@@ -187,9 +190,10 @@ def family_windows(spec: FamilySpec) -> Iterator[np.ndarray]:
     """
     M = int(spec.M)
     if spec.case is SymmetryCase.Generic:
-        keep = np.arange(M) == spec.residue_u
+        keep = np.zeros(M, dtype=bool)
+        keep[spec.residue_u] = True
     else:
-        keep = _legendre_table(M) == spec.psi_d_M
+        keep = _legendre_mask(M, spec.psi_d_M)
     return _sieve_windows(int(spec.X), keep)
 
 

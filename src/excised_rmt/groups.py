@@ -18,9 +18,9 @@ Sampling recipes:
 All randomness is a pure function of (master_seed, sample_index): each
 sample owns a counter-based Philox stream and Gaussians come from
 Box-Muller, so results are identical regardless of scheduling or worker
-count.  A batch is built in chunks of about _CHUNK_WORDS Gaussians, each
-drawn, orthogonalized and written into the output before the next, so
-its temporaries stay cache-sized whatever the batch size.
+count.  A batch is drawn and orthogonalized in one step, so its
+temporaries are a few times its output; the Monte Carlo drivers keep that
+small by sampling in blocks sized in `stats`.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ import numpy as np
 from excised_rmt.special import require_integer
 
 _MASK64 = (1 << 64) - 1
-# Gaussians drawn and orthogonalized per chunk of a batch (256 KiB); a
-# chunk this size stays in cache and keeps a batch's memory near its output's
-_CHUNK_WORDS = 2**15
 
 
 class GroupKind(enum.Enum):
@@ -203,21 +200,18 @@ def sample_batch(spec: GroupSpec, master_seed: int, start: int, count: int) -> n
     Returns a (count, dim, dim) array; real dtype for the SO groups,
     complex128 otherwise.  Element i depends only on master_seed and
     start + i, so it equals sample_batch(spec, master_seed, start + i, 1)[0].
+    The seed and the indices are taken mod 2**64.  The whole batch is
+    drawn and orthogonalized at once, with temporaries a few times the
+    size of its output.
     """
+    require_integer("master seed", master_seed)
+    require_integer("start", start)
     require_integer("count", count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    d = spec.dim
-    real = spec.group in (GroupKind.SOEven, GroupKind.SOOdd)
-    out = np.empty((count, d, d), dtype=np.float64 if real else np.complex128)
-    need = _gaussian_count(spec)
-    rows = max(1, _CHUNK_WORDS // need)
-    g = np.empty((min(rows, count), need))
-    for lo in range(0, count, rows):
-        chunk = g[: count - lo]
-        _gaussian_block(master_seed, start + lo, chunk)
-        out[lo : lo + len(chunk)] = _orthogonalize(spec, chunk)
-    return out
+    g = np.empty((count, _gaussian_count(spec)))
+    _gaussian_block(master_seed, start, g)
+    return _orthogonalize(spec, g)
 
 
 def group_from_name(name: str) -> GroupKind:

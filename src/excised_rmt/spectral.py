@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from excised_rmt.groups import _CHUNK_WORDS, GroupKind, GroupSpec
+from excised_rmt.groups import GroupKind, GroupSpec
 from excised_rmt.special import require_integer
 
 _MODULUS_TOL = 1e-6
@@ -141,26 +141,17 @@ def unitary_angles(mats: np.ndarray) -> np.ndarray:
 
     and solves every other row again with psi moving -1 to the middle of
     that gap.  Each pass sorts the rows it solves, for that gap search and
-    for the caller.  The stack is solved in slices of about _CHUNK_WORDS
-    entries, the sampler's chunk, so the pass's stack-sized temporaries stay
-    cache-sized whatever B is.  When I + A' of a row is exactly singular
-    (-1 an eigenvalue), the solve fails for the whole pass of its slice;
-    that row is turned by half the mean spacing, pi / dim, so that the next
-    pass finds the gap, and every row of the slice is solved again.  A row
-    not kept within _CAYLEY_PASSES passes, such as one of a non-unitary
-    input, raises SpectralError.
+    for the caller.  The whole stack goes through each pass at once, with
+    a few stack-sized temporaries; the Monte Carlo drivers keep the stack
+    to one block of `stats`.  When I + A' of a row is exactly singular (-1
+    an eigenvalue), the solve fails for the whole pass; that row is turned
+    by half the mean spacing, pi / dim, so that the next pass finds the
+    gap, and every row is solved again.  A row not kept within
+    _CAYLEY_PASSES passes, such as one of a non-unitary input, raises
+    SpectralError.
     """
     count, dim = mats.shape[:2]
     theta = np.empty((count, dim))
-    step = max(1, _CHUNK_WORDS // dim**2)
-    for lo in range(0, count, step):
-        _cayley_passes(mats[lo : lo + step], theta[lo : lo + step])
-    return theta
-
-
-def _cayley_passes(mats: np.ndarray, theta: np.ndarray) -> None:
-    """Fills theta, shape (B, dim), with the sorted angle rows of one slice (`unitary_angles`)."""
-    count, dim = mats.shape[:2]
     rows = np.arange(count)
     psi = np.zeros(count)
     a = mats
@@ -185,7 +176,7 @@ def _cayley_passes(mats: np.ndarray, theta: np.ndarray) -> None:
         # _MODULUS_TOL, except when I + A' is nearly singular
         far = (np.abs(t).max(axis=1) > limit) | (defect > _MODULUS_TOL)
         if not far.any():
-            return
+            return theta
         rows, defect = rows[far], defect[far]
         psi = _wrap(centre[far] - np.pi)
         a = mats[rows] * np.exp(-1j * psi)[:, None, None]

@@ -3,12 +3,15 @@
 Every ensemble statistic is one reduction over ``_blocks``, which cuts
 the sample-index range into near-equal blocks of Haar matrices and hands
 them back in index order; per-sample arrays are filled by ``_collect``.
-With more than one worker, blocks are sampled and reduced on a thread
-pool (numpy's LAPACK and ufunc loops release the GIL), and the blocks in
-flight share one memory budget.  workers=None, the default here and in
-the CLI when --workers is unset, uses every usable core.  Each matrix is
-a pure function of (seed, index) and histogram counts are integer sums,
-so no output byte depends on the worker count or the block layout.
+``_blocks`` is the one place that sizes a batch: a block holds at most
+_BLOCK_ELEMENTS matrix entries, and sampling and eigen-solves take each
+block whole.  With more than one worker, blocks are sampled and reduced
+on a thread pool (numpy's LAPACK and ufunc loops release the GIL), with
+at most one block per thread plus one in flight.  workers=None, the
+default here and in the CLI when --workers is unset, uses every usable
+core.  Each matrix is a pure function of (seed, index) and histogram
+counts are integer sums, so no output byte depends on the worker count
+or the block layout.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from excised_rmt.special import require_integer
 from excised_rmt.spectral import char_poly_batch, eigenangles_batch, first_angles_batch
 
 DEFAULT_BINS = 100
-# Matrix entries over all blocks in flight; bounds memory for any matrix
-# size and worker count.
-_BLOCK_ELEMENTS = 2**18
+# Matrix entries per block, whatever the matrix size and worker count; the
+# memory of a run is a few times this per block in flight.
+_BLOCK_ELEMENTS = 2**16
 
 # One row per sample of the CLI ``sample`` table and the excision pipeline;
 # the CSV's columns, their order and their number format follow from it.
@@ -150,17 +153,16 @@ def _blocks(
 ):
     """Iterates (start, reduce(mats)) over sample indices 0..count-1 in index order.
 
-    mats holds the Haar samples start..start+len(mats)-1.  Up to
-    min(workers, count, usable cores) threads (usable cores when workers
-    is None) sample and reduce blocks, and at most one block per thread is
-    started ahead of the one the caller is consuming, so the blocks in
-    flight share a budget of about _BLOCK_ELEMENTS matrix entries.  The
-    range is cut into near-equal blocks, a multiple of the thread count of
-    them unless that would exceed count, so every thread gets the same
-    work.  A count or workers that is not an integer raises TypeError at
-    the call, a negative count or workers < 1 ValueError; an exception in
-    a block is raised by the iterator, in index order.  One thread runs
-    inline.
+    mats holds the Haar samples start..start+len(mats)-1, at most
+    _BLOCK_ELEMENTS // dim**2 of them (one when a matrix alone is larger).
+    Up to min(workers, count, usable cores) threads (usable cores when
+    workers is None) sample and reduce blocks, and at most one block per
+    thread is started ahead of the one the caller is consuming.  The range
+    is cut into near-equal blocks, a multiple of the thread count of them
+    unless that would exceed count, so every thread gets the same work.  A
+    count or workers that is not an integer raises TypeError at the call,
+    a negative count or workers < 1 ValueError; an exception in a block is
+    raised by the iterator, in index order.  One thread runs inline.
     """
     require_integer("count", count)
     if count < 0:
@@ -172,7 +174,7 @@ def _blocks(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     threads = max(1, min(workers, count, cores))
-    per_block = max(1, _BLOCK_ELEMENTS // (threads * spec.dim**2))
+    per_block = max(1, _BLOCK_ELEMENTS // spec.dim**2)
     blocks = min(count, threads * -(-count // (threads * per_block)))
 
     def run(i: int):

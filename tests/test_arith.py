@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,7 +169,25 @@ def _legendre_by_euler(M: int) -> np.ndarray:
 
 def test_legendre_table_matches_euler_criterion():
     for M in map(int, primes(3000)[1:]):
-        assert np.array_equal(arith._legendre_table(M), _legendre_by_euler(M)), M
+        euler = _legendre_by_euler(M)
+        for psi in (1, -1):
+            assert np.array_equal(arith._legendre_mask(M, psi), euler == psi), (M, psi)
+
+
+@pytest.mark.parametrize("case", [SymmetryCase.PrincipalEven, SymmetryCase.Generic])
+def test_family_residue_mask_stays_near_one_byte_per_residue(case):
+    # a large prime level and a small family: the residue mask is one bool
+    # per residue, plus the int64 square roots r < M / 2 while it is built
+    M = 5_000_011
+    spec = FamilySpec(M=M, case=case, X=1000, residue_u=2)
+    tracemalloc.start()
+    try:
+        windows = family_windows(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * M, peak
+    assert np.concatenate(list(windows)).tolist() == _family_brute(spec).tolist()
 
 
 def _family_whole_mask(spec: FamilySpec) -> np.ndarray:

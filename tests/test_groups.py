@@ -116,27 +116,23 @@ def test_gaussian_block_matches_per_sample_recipe(seed, start, need, count):
     assert np.array_equal(block.view(np.uint64), expected.view(np.uint64))
 
 
-def _chunk_words_splitting_unevenly(spec, count):
-    # chunks of 3 matrices, so a count that is not a multiple of 3 ends short
-    assert count % 3 != 0
-    return 3 * _gaussian_count(spec) + 1
-
-
 @pytest.mark.parametrize("kind", ALL_GROUPS)
-def test_sample_batch_does_not_depend_on_the_chunk_size(kind, monkeypatch):
+def test_sample_batch_rows_equal_matrices_sampled_alone(kind):
     # SO(2N+1) has an odd Gaussian count; the starts wrap past 2**64 - 1
     spec = GroupSpec(kind, 4)
     count = 11
     for start in (0, 2**64 - 5):
         whole = sample_batch(spec, 3, start, count)
-        for words in (8, _chunk_words_splitting_unevenly(spec, count)):
-            monkeypatch.setattr(groups, "_CHUNK_WORDS", words)
-            chunked = sample_batch(spec, 3, start, count)
-            monkeypatch.undo()
-            assert chunked.dtype == whole.dtype
-            assert np.array_equal(chunked.view(np.uint8), whole.view(np.uint8))
         single = np.stack([sample_batch(spec, 3, start + i, 1)[0] for i in range(count)])
+        assert single.dtype == whole.dtype
         assert np.array_equal(single.view(np.uint8), whole.view(np.uint8))
+
+
+@pytest.mark.parametrize("name, seed, start", [("master seed", 1.7, 0), ("master seed", True, 0),
+                                               ("start", 1, 1.9), ("start", 1, True)])
+def test_sample_batch_seed_and_start_must_be_integers(name, seed, start):
+    with pytest.raises(TypeError, match=f"{name} must be an integer"):
+        sample_batch(GroupSpec(GroupKind.Unitary, 2), seed, start, 1)
 
 
 @pytest.mark.parametrize(
@@ -149,7 +145,8 @@ def test_sample_batch_does_not_depend_on_the_chunk_size(kind, monkeypatch):
     ],
 )
 def test_sample_batch_memory_stays_near_its_output(kind, n, count):
-    # block sizes of the Monte Carlo driver; every temporary is per chunk
+    # the whole batch is orthogonalized at once: its Gaussians, the QR's
+    # factors and their copies peak at 4-5 times the output
     spec = GroupSpec(kind, n)
     sample_batch(spec, 1, 0, 1)  # first-call allocations are not the batch's
     tracemalloc.start()
@@ -158,7 +155,7 @@ def test_sample_batch_memory_stays_near_its_output(kind, n, count):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * out.nbytes, (peak, out.nbytes)
+    assert peak <= 6 * out.nbytes, (peak, out.nbytes)
 
 
 @pytest.mark.parametrize("kind", ALL_GROUPS)

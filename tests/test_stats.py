@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ def test_mean_one_histogram_has_unit_mean_support():
 
 @pytest.mark.parametrize("cores", [1, 2, 4])
 def test_blocks_split_the_range_evenly(cores, monkeypatch):
-    # 60 entries per budget: 15, 7 or 3 matrices of U(2) per block on 1, 2 or 4 threads
+    # 60 entries per block: at most 15 matrices of U(2), on any number of threads
     monkeypatch.setattr(stats, "_BLOCK_ELEMENTS", 60)
     monkeypatch.setattr(stats, "_usable_cores", lambda: cores)
     monkeypatch.setattr(stats, "sample_batch", lambda spec, seed, first, size: (first, size))
@@ -108,7 +109,7 @@ def test_blocks_split_the_range_evenly(cores, monkeypatch):
     for count in (0, 1, 2, 3, 7, 100):
         for workers in (1, 2, 3, 8, None):
             threads = max(1, min(cores if workers is None else workers, count, cores))
-            per_block = max(1, 60 // (threads * 4))
+            per_block = 60 // 4
             spans = [span for _, span in _blocks(spec, count, 1, workers)]
             pos = 0
             for first, size in spans:  # contiguous, ordered, nonempty, within the budget
@@ -156,32 +157,57 @@ def test_histogram_bins_must_be_an_integer(bins):
 
 
 def test_block_size_follows_matrix_size(monkeypatch):
-    # 2**18 matrix entries per block: at most 655 matrices of SO(20), 291 of
+    # 2**16 matrix entries per block: at most 163 matrices of SO(20), 72 of
     # U(30), so one more than that splits into two near-equal blocks
     monkeypatch.setattr(stats, "_usable_cores", lambda: 1)
-    for spec, block, second in ((GroupSpec(GroupKind.SOEven, 10), 655, 328),
-                                (GroupSpec(GroupKind.Unitary, 30), 291, 146)):
+    for spec, block, second in ((GroupSpec(GroupKind.SOEven, 10), 163, 82),
+                                (GroupSpec(GroupKind.Unitary, 30), 72, 36)):
         blocks = list(_blocks(spec, block + 1, 1, workers=1))
         assert [start for start, _ in blocks] == [0, second]
         streamed = np.concatenate([mats for _, mats in blocks])
         assert streamed.tobytes() == stats.sample_batch(spec, 1, 0, block + 1).tobytes()
 
 
-def test_threads_share_the_block_budget(monkeypatch):
-    # two threads split 2**18 entries: at most 327 matrices of SO(20) per
-    # block, so 700 matrices make 2 * ceil(700 / 654) = 4 blocks of 175
+def test_block_count_is_a_multiple_of_the_threads(monkeypatch):
+    # the thread count does not shrink a block: at most 163 matrices of
+    # SO(20) per block, so 700 matrices on two threads make
+    # 2 * ceil(700 / 326) = 6 blocks of 116 or 117
     monkeypatch.setattr(stats, "_usable_cores", lambda: 2)
     spec = GroupSpec(GroupKind.SOEven, 10)
     blocks = list(_blocks(spec, 700, 1, workers=2))
-    assert [start for start, _ in blocks] == [0, 175, 350, 525]
+    assert [start for start, _ in blocks] == [0, 116, 233, 350, 466, 583]
     streamed = np.concatenate([mats for _, mats in blocks])
     assert streamed.tobytes() == stats.sample_batch(spec, 1, 0, 700).tobytes()
+
+
+def _traced_peak(fn, spec, count, workers):
+    tracemalloc.start()
+    try:
+        fn(spec, count, 1, workers=workers)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fn, spec", [(pair_correlation_mc, GroupSpec(GroupKind.Unitary, 30)),
+                                      (one_level_density_mc, GroupSpec(GroupKind.USp, 10))])
+def test_driver_memory_does_not_grow_with_the_block_count(fn, spec, monkeypatch):
+    # 8 and then 32 full blocks: on one thread the peak is one block's, and
+    # on two threads at most the three blocks in flight; which phases of the
+    # two threads' blocks meet varies from run to run, so that peak is
+    # bounded by three one-thread peaks, not compared run to run
+    monkeypatch.setattr(stats, "_usable_cores", lambda: 2)
+    per_block = stats._BLOCK_ELEMENTS // spec.dim**2
+    fn(spec, 2, 1, workers=2)  # first-call allocations are not the blocks'
+    one = _traced_peak(fn, spec, 8 * per_block, workers=1)
+    assert _traced_peak(fn, spec, 32 * per_block, workers=1) <= 1.1 * one
+    assert _traced_peak(fn, spec, 32 * per_block, workers=2) <= 3 * one
 
 
 @pytest.fixture
 def small_blocks(monkeypatch):
     """Many small blocks, and four usable cores whatever the machine has."""
-    monkeypatch.setattr(stats, "_BLOCK_ELEMENTS", 600)
+    monkeypatch.setattr(stats, "_BLOCK_ELEMENTS", 200)
     monkeypatch.setattr(stats, "_usable_cores", lambda: 4)
 
 
@@ -199,8 +225,8 @@ def test_threaded_arrays_are_byte_identical(fn, small_blocks):
 
 
 def test_block_error_propagates_and_stops_sampling(monkeypatch, small_blocks):
-    # 3 threads, at most 600 // (3 * 16) = 12 matrices of U(4) per block, so
-    # 576 matrices make 48 blocks of exactly 12
+    # 3 threads, at most 200 // 16 = 12 matrices of U(4) per block, so 576
+    # matrices make 48 blocks of exactly 12
     calls = []
     real = stats.sample_batch
 
