@@ -29,7 +29,7 @@ from typing import Dict, Iterator, Tuple
 import numpy as np
 
 from excised_rmt.special import require_integer
-from excised_rmt.theory import SymmetryCase
+from excised_rmt.theory import SymmetryCase, n_std
 
 _PI = math.pi
 
@@ -246,7 +246,7 @@ def sum_log_family(spec: FamilySpec) -> dict:
     d = _log_scaled(enumerate_family(spec), spec.M)
     count = d.size
     direct = float(np.sum(d))
-    closed = count * (math.log(math.sqrt(spec.M) * spec.X / (2.0 * _PI)) - 1.0)
+    closed = count * (n_std(spec.M, spec.X) - 1.0)
     return {"direct": direct, "closed": closed, "gap": direct - closed, "count": count}
 
 

@@ -409,7 +409,7 @@ def main(argv=None) -> int:
         if workers is not None and workers < 1:
             raise DataError(f"--workers must be >= 1, got {workers}")
         return args.func(args)
-    except (DataError, zeros.ZeroDataError, ValueError, OverflowError, OSError) as exc:
+    except (DataError, ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -67,8 +67,7 @@ def _canonical_angles(w: np.ndarray) -> np.ndarray:
     drift = np.max(np.abs(mod - 1.0), initial=0.0)
     if drift > _MODULUS_TOL:
         raise SpectralError(f"eigenvalue modulus drifted from 1 by {drift:.3e}")
-    theta = np.arctan2(w.imag, w.real)
-    return np.where(theta <= -np.pi, np.pi, theta)
+    return _wrap(np.arctan2(w.imag, w.real))
 
 
 def _symmetrize(theta: np.ndarray) -> np.ndarray:
@@ -79,10 +78,7 @@ def _symmetrize(theta: np.ndarray) -> np.ndarray:
     """
     mags = np.sort(np.abs(theta), axis=1)
     paired = 0.5 * (mags[:, 0::2] + mags[:, 1::2])
-    out = np.concatenate([-paired, paired], axis=1)
-    # a pair of angles exactly at pi averages to pi; its negative copy
-    # belongs at +pi in the canonical branch
-    out = np.where(out <= -np.pi, np.pi, out)
+    out = _wrap(np.concatenate([-paired, paired], axis=1))
     out.sort(axis=1)
     return out
 

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from excised_rmt import special
 from excised_rmt.groups import GroupKind, GroupSpec, one_level_range
 from excised_rmt.special import (
-    _CDF_NODES,
     EULER_GAMMA,
     GLAISHER,
     STIELTJES_GAMMA1,
@@ -119,40 +119,44 @@ def exact_scaled_density(group: GroupKind, n: int, tau) -> np.ndarray:
 # Basis values computed per batch of angles (about 1 MB per batch)
 _CDF_CHUNK_WORDS = 2**17
 
+# Each symmetric group's rank-N kernel on (0, pi), K_N(x, y) = sum_k
+# phi_k(x) phi_k(y), as a row (f, shift): phi_k = sqrt(2/pi) f((k + shift) x),
+# k = 0..N-1, and 1/sqrt(pi) where the frequency is 0.  S_M(z) =
+# sin(M z / 2) / (2 pi sin(z / 2)).
+_KERNEL_BASES = {
+    GroupKind.USp: (np.sin, 1.0),  # S_{2N+1}(x - y) - S_{2N+1}(x + y)
+    GroupKind.SOEven: (np.cos, 0.0),  # S_{2N-1}(x - y) + S_{2N-1}(x + y)
+    GroupKind.SOOdd: (np.sin, 0.5),  # S_{2N}(x - y) - S_{2N}(x + y)
+}
+
 
 def first_angle_cdf(group: GroupKind, n: int, theta) -> np.ndarray:
-    """Exact law of the smallest eigenangle in (0, pi] on USp(2N) or SO(2N).
+    """Exact law of the smallest eigenangle in (0, pi] on USp(2N), SO(2N)
+    or SO(2N+1), whose forced angle 0 is not counted.
 
-    P(theta_1 <= theta) = 1 - det(I - K_N) with K_N restricted to
-    (0, theta), by a Gauss-Legendre Nystrom method (Bornemann, Math. Comp.
-    79, 2010).  With S_M(z) = sin(M z / 2) / (2 pi sin(z / 2)), the kernel
-    is S_{2N+1}(x - y) - S_{2N+1}(x + y) for USp(2N) and
-    S_{2N-1}(x - y) + S_{2N-1}(x + y) for SO(2N).  Both have rank N,
-    K_N(x, y) = sum_k phi_k(x) phi_k(y) with phi_k = sqrt(2/pi) sin(k x),
-    k = 1..N, for USp(2N) and phi_0 = 1/sqrt(pi), phi_k = sqrt(2/pi)
-    cos(k x), k = 1..N-1, for SO(2N).  So with B = W^(1/2) Phi on the
-    nodes, the Nystrom determinant det(I - B B^T) is computed as the equal
-    N x N determinant det(I - B^T B).  theta may be an array; it is
-    evaluated in batches, so memory is bounded for any number of angles.
-    n above 2 * _CDF_NODES raises: 40 nodes are within 1e-14 of 600 at
-    N = 80, but off by 2.3e-4 for USp(2N) at N = 100.
+    P(theta_1 <= theta) = 1 - det(I - K_N), K_N from _KERNEL_BASES
+    restricted to (0, theta), by a Gauss-Legendre Nystrom method
+    (Bornemann, Math. Comp. 79, 2010) taken as the equal N x N determinant
+    det(I - B^T B), B = W^(1/2) Phi on the nodes.  theta may be an array,
+    evaluated in batches of bounded memory.  n above 2 * special._CDF_NODES
+    raises: 40 nodes are within 1e-14 of 600 at N = 80, but off by 2.3e-4
+    for USp(2N) at N = 100.
     """
     GroupSpec(group, n)  # validates n
-    if group is GroupKind.USp:
-        basis, freq = np.sin, np.arange(1, n + 1)
-    elif group is GroupKind.SOEven:
-        basis, freq = np.cos, np.arange(n)
-    else:
-        raise ValueError("first_angle_cdf covers USp(2N) and SO(2N) only")
-    if n > 2 * _CDF_NODES:
-        raise ValueError(f"first_angle_cdf: n = {n} is past 2 * {_CDF_NODES} quadrature nodes")
+    if group not in _KERNEL_BASES:
+        raise ValueError("first_angle_cdf covers USp(2N), SO(2N) and SO(2N+1) only")
+    nodes = special._CDF_NODES
+    if n > 2 * nodes:
+        raise ValueError(f"first_angle_cdf: n = {n} is past 2 * {nodes} quadrature nodes")
+    basis, shift = _KERNEL_BASES[group]
+    freq = shift + np.arange(n)
     scale = np.sqrt(np.where(freq == 0, 1.0, 2.0) / _PI)
     theta = np.asarray(theta, dtype=float)
     if not np.all((theta >= 0.0) & (theta <= _PI)):
         raise ValueError("theta must lie in [0, pi]")
     flat = theta.ravel()
     out = np.empty(flat.shape)
-    rows = max(1, _CDF_CHUNK_WORDS // (_CDF_NODES * n))
+    rows = max(1, _CDF_CHUNK_WORDS // (nodes * n))
     for start in range(0, flat.size, rows):
         x, w = gauss_legendre(0.0, flat[start : start + rows])
         b = basis(x[:, :, None] * freq) * scale

@@ -8,6 +8,7 @@ import pytest
 
 from excised_rmt.groups import GroupKind, GroupSpec, one_level_range
 from excised_rmt.spectral import ExcisionRule
+from excised_rmt.stats import first_eigenangle_samples, ks_distance
 from excised_rmt import special, theory
 from excised_rmt.special import (
     EULER_GAMMA,
@@ -504,12 +505,16 @@ def test_u_pair_corr_exact_values():
 
 # --- first eigenangle -------------------------------------------------------
 
-FIRST_ANGLE_GROUPS = [GroupKind.USp, GroupKind.SOEven]
+FIRST_ANGLE_GROUPS = [GroupKind.USp, GroupKind.SOEven, GroupKind.SOOdd]
 
 
 def _gram_cdf(group, n, theta):
     """1 - det(I - G) with G the exact Gram matrix of the kernel's basis on (0, theta)."""
-    k = np.arange(1, n + 1) if group is GroupKind.USp else np.arange(n)
+    k = {
+        GroupKind.USp: np.arange(1, n + 1),
+        GroupKind.SOEven: np.arange(n),
+        GroupKind.SOOdd: np.arange(1, n + 1) - 0.5,
+    }[group]
     diff = (k[:, None] - k[None, :]).astype(float)
     add = (k[:, None] + k[None, :]).astype(float)
 
@@ -517,12 +522,12 @@ def _gram_cdf(group, n, theta):
         safe = np.where(a == 0.0, 1.0, a)
         return np.where(a == 0.0, theta, np.sin(a * theta) / safe)
 
-    if group is GroupKind.USp:  # 2 sin(kx) sin(lx) = cos((k-l)x) - cos((k+l)x)
-        gram = (integral_of_cos(diff) - integral_of_cos(add)) / math.pi
-    else:  # 2 cos(kx) cos(lx) = cos((k-l)x) + cos((k+l)x), and phi_0 = 1/sqrt(pi)
+    if group is GroupKind.SOEven:  # 2 cos(kx) cos(lx) = cos((k-l)x) + cos((k+l)x), phi_0 = 1/sqrt(pi)
         gram = (integral_of_cos(diff) + integral_of_cos(add)) / math.pi
         gram[0, :] /= math.sqrt(2.0)
         gram[:, 0] /= math.sqrt(2.0)
+    else:  # 2 sin(kx) sin(lx) = cos((k-l)x) - cos((k+l)x)
+        gram = (integral_of_cos(diff) - integral_of_cos(add)) / math.pi
     return 1.0 - np.linalg.det(np.eye(n) - gram)
 
 
@@ -531,7 +536,11 @@ def _nystrom_cdf(group, n, theta, nodes=40):
     t, w = np.polynomial.legendre.leggauss(nodes)
     x = 0.5 * theta * (1.0 + t)
     root_w = np.sqrt(0.5 * theta * w)
-    m, sign = (2 * n + 1, -1.0) if group is GroupKind.USp else (2 * n - 1, 1.0)
+    m, sign = {
+        GroupKind.USp: (2 * n + 1, -1.0),
+        GroupKind.SOEven: (2 * n - 1, 1.0),
+        GroupKind.SOOdd: (2 * n, -1.0),
+    }[group]
 
     def s_m(z):  # sin(m z / 2) / (2 pi sin(z / 2))
         return sin_ratio(m, 0.5 * z) / (2.0 * math.pi)
@@ -546,6 +555,9 @@ def test_first_angle_cdf_of_the_rank_one_groups():
     usp = (theta - np.sin(theta) * np.cos(theta)) / math.pi
     assert np.max(np.abs(first_angle_cdf(GroupKind.USp, 1, theta) - usp)) < 1e-14
     assert np.max(np.abs(first_angle_cdf(GroupKind.SOEven, 1, theta) - theta / math.pi)) < 1e-14
+    # SO(3)'s one free angle has density (1 - cos) / pi on [0, pi]
+    so3 = (theta - np.sin(theta)) / math.pi
+    assert np.max(np.abs(first_angle_cdf(GroupKind.SOOdd, 1, theta) - so3)) < 1e-14
 
 
 @pytest.mark.parametrize("group", FIRST_ANGLE_GROUPS)
@@ -584,6 +596,14 @@ def test_first_angle_cdf_holds_up_to_twice_its_nodes(group, monkeypatch):
     assert np.max(np.abs(cdf - first_angle_cdf(group, 80, theta))) < 1e-13
 
 
+def test_first_angle_cdf_reads_the_node_count_it_integrates_with(monkeypatch):
+    # the limit follows the rule gauss_legendre uses, not a copy taken at import
+    monkeypatch.setattr(special, "_CDF_NODES", 20)
+    first_angle_cdf(GroupKind.USp, 40, 0.5)
+    with pytest.raises(ValueError, match="2 \\* 20 quadrature nodes"):
+        first_angle_cdf(GroupKind.USp, 41, 0.5)
+
+
 @pytest.mark.parametrize("group", FIRST_ANGLE_GROUPS)
 def test_first_angle_cdf_batches_match_scalars(group, monkeypatch):
     theta = np.random.default_rng(3).uniform(0.0, math.pi, (7, 5))
@@ -597,9 +617,8 @@ def test_first_angle_cdf_batches_match_scalars(group, monkeypatch):
 
 
 def test_first_angle_cdf_rejects_what_it_does_not_cover():
-    for group in (GroupKind.SOOdd, GroupKind.Unitary):
-        with pytest.raises(ValueError, match="USp"):
-            first_angle_cdf(group, 5, 0.5)
+    with pytest.raises(ValueError, match="USp"):
+        first_angle_cdf(GroupKind.Unitary, 5, 0.5)
     for theta in (-1e-9, math.pi + 1e-9, float("nan"), [0.1, 4.0]):
         with pytest.raises(ValueError, match="theta"):
             first_angle_cdf(GroupKind.USp, 5, theta)
@@ -607,6 +626,34 @@ def test_first_angle_cdf_rejects_what_it_does_not_cover():
         first_angle_cdf(GroupKind.USp, 0, 0.5)
     with pytest.raises(TypeError):
         first_angle_cdf(GroupKind.SOEven, 2.0, 0.5)
+
+
+@pytest.mark.parametrize("group", FIRST_ANGLE_GROUPS)
+@pytest.mark.parametrize("n", [1, 4, 10])
+def test_kernel_basis_diagonal_is_the_density(group, n):
+    basis, shift = theory._KERNEL_BASES[group]
+    freq = shift + np.arange(n)
+    x = np.linspace(0.0, math.pi, 1003)[1:-1]
+    phi = np.sqrt(np.where(freq == 0, 1.0, 2.0) / math.pi) * basis(x[:, None] * freq)
+    assert np.max(np.abs(np.sum(phi**2, axis=1) - finite_n_density(group, n, x))) < 1e-13
+
+
+@pytest.mark.parametrize("group", FIRST_ANGLE_GROUPS)
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+def test_first_angle_cdf_tends_to_the_density_mass_at_small_angles(group, n):
+    # P(theta_1 <= theta) = int_0^theta rho - P(two angles below theta) + ...
+    x, w = gauss_legendre(0.0, 0.01)
+    mass = np.sum(finite_n_density(group, n, x) * w)
+    assert abs(first_angle_cdf(group, n, 0.01) / mass - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 5, 10])
+def test_odd_orthogonal_first_angles_follow_the_law(n):
+    angles = first_eigenangle_samples(GroupSpec(GroupKind.SOOdd, n), 40_000, 3)
+    bound = 1.63 / math.sqrt(angles.size)  # 1% critical value of the one-sample KS
+    assert ks_distance(angles, lambda x: first_angle_cdf(GroupKind.SOOdd, n, x)) <= bound
+    # planted fault: the same angles against the symplectic law must fail
+    assert ks_distance(angles, lambda x: first_angle_cdf(GroupKind.USp, n, x)) > bound
 
 
 def test_pair_corr_expansion_limits():
