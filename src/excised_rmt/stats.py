@@ -47,12 +47,11 @@ SAMPLE_DTYPE = np.dtype(
 class Histogram:
     """Fixed-edge bin counts with underflow, overflow and NaN tracking.
 
-    ``values()`` is a density: counts / (events * width) when the builder
-    gives an event count (e.g. matrices sampled), a per-event density;
-    otherwise counts / (in-range total * width), which integrates to 1.
+    ``values()`` is a density per event: counts / (events * width), where
+    events is what the builder counts (a matrix, a pair or a sample).
     """
 
-    def __init__(self, edges, events: Optional[int] = None):
+    def __init__(self, edges, events: int):
         edges = np.asarray(edges, dtype=float)
         # a NaN edge fails no comparison, and an infinite one makes a bin
         # of infinite width
@@ -60,8 +59,9 @@ class Histogram:
             raise ValueError("edges must be finite")
         if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
             raise ValueError("edges must be strictly increasing with >= 2 entries")
-        if events is not None and events <= 0:
-            raise ValueError("events must be positive")
+        require_integer("events", events)
+        if events < 1:
+            raise ValueError("events must be >= 1")
         self.edges = edges
         self.counts = np.zeros(edges.size - 1, dtype=np.int64)
         self.underflow = 0
@@ -70,11 +70,11 @@ class Histogram:
         self.events = events
 
     @classmethod
-    def uniform(cls, lo: float, hi: float, bins: int = DEFAULT_BINS, **kw) -> "Histogram":
+    def uniform(cls, lo: float, hi: float, bins: int, events: int) -> "Histogram":
         require_integer("bins", bins)
         if bins < 1:
             raise ValueError("bins must be >= 1")
-        return cls(np.linspace(lo, hi, bins + 1), **kw)
+        return cls(np.linspace(lo, hi, bins + 1), events)
 
     def add(self, values) -> None:
         values = np.asarray(values, dtype=float).ravel()
@@ -92,17 +92,8 @@ class Histogram:
     def widths(self) -> np.ndarray:
         return np.diff(self.edges)
 
-    @property
-    def total_in_range(self) -> int:
-        return int(self.counts.sum())
-
     def values(self) -> np.ndarray:
-        if self.events is not None:
-            return self.counts / (self.events * self.widths)
-        total = self.total_in_range
-        if total == 0:
-            return np.zeros_like(self.counts, dtype=float)
-        return self.counts / (total * self.widths)
+        return self.counts / (self.events * self.widths)
 
     def to_csv_text(self) -> str:
         vals = self.values()
@@ -117,11 +108,13 @@ class Histogram:
 
 
 def mean_normalize(samples) -> np.ndarray:
-    """Divide samples by their mean; requires nonempty input and a positive
-    finite mean (one that overflows, or is NaN, raises)."""
+    """Divide samples by their mean; requires nonempty nonnegative input
+    and a positive finite mean (one that overflows, or is NaN, raises)."""
     xs = np.asarray(samples, dtype=float)
     if xs.size == 0:
         raise ValueError("mean_normalize: empty input")
+    if np.any(xs < 0.0):
+        raise ValueError("mean_normalize: negative sample")
     with np.errstate(over="ignore", invalid="ignore"):
         m = xs.mean()
     if not 0.0 < m < np.inf:
@@ -132,7 +125,7 @@ def mean_normalize(samples) -> np.ndarray:
 def mean_one_histogram(samples, bins: int = DEFAULT_BINS) -> Histogram:
     """Density of the mean-normalized samples on [0, just above their max]."""
     scaled = mean_normalize(samples)
-    hist = Histogram.uniform(0.0, float(scaled.max()) * (1.0 + 1e-12), bins)
+    hist = Histogram.uniform(0.0, float(scaled.max()) * (1.0 + 1e-12), bins, scaled.size)
     hist.add(scaled)
     return hist
 
@@ -217,17 +210,14 @@ def density_angles(spec: GroupSpec, angle_rows: np.ndarray) -> np.ndarray:
     """Fold a batch of spectra to the one-level-density support.
 
     Symmetric groups with paired spectra keep the nonnegative half on
-    [0, pi]; the full-circle groups map onto [0, 2pi).  For odd orthogonal
-    matrices the structural zero eigenangle is excluded, leaving 2N
-    genuine angles per matrix.
+    [0, pi]; the full-circle groups map onto [0, 2pi).  Odd orthogonal rows
+    are sorted exact +- pairs around the structural zero eigenangle, so
+    dropping column N leaves the 2N genuine angles per matrix.
     """
     if spec.group in (GroupKind.SOEven, GroupKind.USp):
         return angle_rows[angle_rows > 0.0]
     if spec.group is GroupKind.SOOdd:
-        zero_col = np.argmin(np.abs(angle_rows), axis=1)
-        keep = np.ones(angle_rows.shape, dtype=bool)
-        keep[np.arange(angle_rows.shape[0]), zero_col] = False
-        theta = angle_rows[keep]
+        theta = np.delete(angle_rows, spec.n, axis=1)
     else:
         theta = angle_rows.ravel()
     return np.mod(theta, 2.0 * np.pi)

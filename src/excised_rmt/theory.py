@@ -137,10 +137,12 @@ def first_angle_cdf(group: GroupKind, n: int, theta) -> np.ndarray:
     P(theta_1 <= theta) = 1 - det(I - K_N), K_N from _KERNEL_BASES
     restricted to (0, theta), by a Gauss-Legendre Nystrom method
     (Bornemann, Math. Comp. 79, 2010) taken as the equal N x N determinant
-    det(I - B^T B), B = W^(1/2) Phi on the nodes.  theta may be an array,
-    evaluated in batches of bounded memory.  n above 2 * special._CDF_NODES
-    raises: 40 nodes are within 1e-14 of 600 at N = 80, but off by 2.3e-4
-    for USp(2N) at N = 100.
+    det(I - G), G = B^T B, B = W^(1/2) Phi on the nodes.  The determinant is
+    summed in log space from the eigenvalues of G, so small probabilities
+    keep their relative accuracy.  theta may be an array, evaluated in
+    batches of bounded memory.  n above 2 * special._CDF_NODES raises: 40
+    nodes are within 1e-14 of 600 at N = 80, but off by 2.3e-4 for USp(2N)
+    at N = 100.
     """
     GroupSpec(group, n)  # validates n
     if group not in _KERNEL_BASES:
@@ -161,8 +163,11 @@ def first_angle_cdf(group: GroupKind, n: int, theta) -> np.ndarray:
         x, w = gauss_legendre(0.0, flat[start : start + rows])
         b = basis(x[:, :, None] * freq) * scale
         b *= np.sqrt(w)[:, :, None]
-        gram = np.matmul(b.transpose(0, 2, 1), b)
-        out[start : start + rows] = 1.0 - np.linalg.det(np.eye(n) - gram)
+        lam = np.clip(np.linalg.eigvalsh(np.matmul(b.transpose(0, 2, 1), b)), 0.0, 1.0)
+        # an eigenvalue 1 (theta = pi) gives log 0 = -inf and F = 1; 0.0 -
+        # rather than unary minus keeps F(0) = +0.0
+        with np.errstate(divide="ignore"):
+            out[start : start + rows] = 0.0 - np.expm1(np.log1p(-lam).sum(axis=1))
     return float_or_array(out.reshape(theta.shape))
 
 

@@ -96,21 +96,22 @@ def compare_report(zero_samples, ensemble_samples, bins: int = DEFAULT_BINS) -> 
     """Mean-1 normalize both sample sets and compare their distributions.
 
     Both sides are normalized identically (divided by their own sample
-    mean).  Returns the KS distance, sample counts, Monte Carlo standard
-    errors per bin, and bin-wise density residuals on shared edges.
+    mean); a negative sample raises ValueError.  Returns the KS distance,
+    sample counts, Monte Carlo standard errors per bin, and bin-wise
+    density residuals on shared edges.
     """
     left = mean_normalize(zero_samples)
     right = mean_normalize(ensemble_samples)
     hi = float(max(left.max(), right.max())) * (1.0 + 1e-12)
-    hleft = Histogram.uniform(0.0, hi, bins)
-    hright = Histogram.uniform(0.0, hi, bins)
+    hleft = Histogram.uniform(0.0, hi, bins, left.size)
+    hright = Histogram.uniform(0.0, hi, bins, right.size)
     hleft.add(left)
     hright.add(right)
     vleft = hleft.values()
     vright = hright.values()
     width = hleft.widths
-    se_left = np.sqrt(np.maximum(hleft.counts, 1)) / (max(hleft.total_in_range, 1) * width)
-    se_right = np.sqrt(np.maximum(hright.counts, 1)) / (max(hright.total_in_range, 1) * width)
+    se_left = np.sqrt(np.maximum(hleft.counts, 1)) / (hleft.events * width)
+    se_right = np.sqrt(np.maximum(hright.counts, 1)) / (hright.events * width)
     rows = []
     for i in range(bins):
         rows.append(

@@ -12,6 +12,7 @@ numpy or BLAS these digests may differ without any change to the code.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from excised_rmt.cli import main
@@ -37,12 +38,28 @@ RUNS = {
          "--window", "3", "--bins", "40"],
         "087a26d2b8fde294f88d8619cee352b8727c99524c26809f71de8aee40e33f1e",
     ),
+    # SO(11) drops the forced zero angle of each matrix from the density
+    "onelevel_so_odd": (
+        ["onelevel", "--group", "so_odd", "--n", "5", "--count", "1500", "--seed", "15",
+         "--bins", "50"],
+        "c2d852e10ca214214ab9ef95b22a0cfd12b23bc45de2c1d033aa8c8371101d6b",
+    ),
 }
 EXCISED_SAMPLE = "119b1bd2af1b6f67d9bd7b022d49bd0108e394955b1b0c84d3dceef88815f3f4"
+# the `compare` JSON of the golden SO(20) `sample` table against _write_zero_list
+COMPARED_SAMPLE = "400503322a0a0124b02db4a22262cdc9d1f42f6088da585c5e20c404e12bf5cb"
 
 
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _write_zero_list(path) -> None:
+    """800 records d,gamma1,gamma2,gamma3 with strictly increasing ordinates."""
+    rng = np.random.default_rng(3)
+    ordinates = np.cumsum(rng.uniform(0.01, 1.0, size=(800, 3)), axis=1)
+    path.write_text("".join(f"{5 + 4 * i}," + ",".join(f"{g:.17g}" for g in row) + "\n"
+                            for i, row in enumerate(ordinates)))
 
 
 @pytest.mark.parametrize("workers", ["1", "3"])
@@ -59,6 +76,12 @@ def test_golden_output(name, workers, tmp_path, capsys):
         assert code == 0
         assert _digest(kept) == EXCISED_SAMPLE
         assert "kept 650 of 1500" in capsys.readouterr().err
+        zero_list, report = tmp_path / "zeros.csv", tmp_path / "report.json"
+        _write_zero_list(zero_list)
+        code = main(["compare", "--zeros", str(zero_list), "--samples", str(out),
+                     "--out", str(report)])
+        assert code == 0
+        assert _digest(report) == COMPARED_SAMPLE
 
 
 # Family enumeration is exact integer arithmetic, so these digests do not

@@ -26,24 +26,25 @@ from excised_rmt.stats import (
     pair_correlation_mc,
     sample_summaries,
 )
+from excised_rmt.zeros import compare_report
 
 
 def test_histogram_density_integrates_to_one():
-    h = Histogram.uniform(0.0, 2.0, 10)
+    h = Histogram.uniform(0.0, 2.0, 10, 1000)
     h.add(np.random.default_rng(0).uniform(0.0, 2.0, 1000))
     assert float(np.sum(h.values() * h.widths)) == pytest.approx(1.0)
 
 
 def test_histogram_tracks_out_of_range():
-    h = Histogram.uniform(0.0, 1.0, 4)
+    h = Histogram.uniform(0.0, 1.0, 4, 4)
     h.add([-0.5, 0.2, 0.7, 3.0])
-    assert h.total_in_range == 2
+    assert (h.counts.sum(), h.underflow, h.overflow) == (2, 1, 1)
 
 
 def test_histogram_counts_nan():
-    h = Histogram.uniform(0.0, 1.0, 4)
+    h = Histogram.uniform(0.0, 1.0, 4, 3)
     h.add([np.nan, 0.5, np.inf])
-    assert (h.nan, h.overflow, h.underflow, h.total_in_range) == (1, 1, 0, 1)
+    assert (h.nan, h.overflow, h.underflow, h.counts.sum()) == (1, 1, 0, 1)
     h.add([np.nan, np.nan])
     assert h.nan == 3
 
@@ -53,11 +54,11 @@ def test_histogram_rejects_non_finite_edges(bad):
     edges = [0.0, 0.5, 1.0]
     for i in range(len(edges)):
         with pytest.raises(ValueError, match="finite"):
-            Histogram(edges[:i] + [bad] + edges[i + 1:])
+            Histogram(edges[:i] + [bad] + edges[i + 1:], 1)
 
 
 def test_histogram_per_event_density():
-    # with an event count the density is per event, not per binned value
+    # the density is per event, not per binned value: 3.0 is out of range
     h = Histogram.uniform(0.0, 1.0, 2, events=4)
     h.add([0.25, 0.25, 0.75, 3.0])
     assert h.values().tolist() == [2 / (4 * 0.5), 1 / (4 * 0.5)]
@@ -66,8 +67,14 @@ def test_histogram_per_event_density():
             Histogram.uniform(0.0, 1.0, 2, events=events)
 
 
+@pytest.mark.parametrize("events", [True, 4.0, None])
+def test_histogram_events_must_be_an_integer(events):
+    with pytest.raises(TypeError, match="events must be an integer"):
+        Histogram.uniform(0.0, 1.0, 2, events)
+
+
 def test_histogram_csv_contract():
-    h = Histogram.uniform(0.0, 1.0, 2)
+    h = Histogram.uniform(0.0, 1.0, 2, 3)
     h.add([0.25, 0.25, 0.75])
     text = h.to_csv_text()
     lines = text.split("\n")
@@ -89,6 +96,19 @@ def test_mean_normalize():
     for bad in ([1e308, 1e308], [np.inf, 1.0], [np.nan, 1.0]):
         with pytest.raises(ValueError, match="not positive and finite"):
             mean_normalize(np.array(bad))
+
+
+@pytest.mark.parametrize("fn", [
+    pytest.param(mean_normalize, id="mean_normalize"),
+    pytest.param(mean_one_histogram, id="mean_one_histogram"),
+    pytest.param(lambda xs: compare_report(xs, [1.0, 2.0]), id="compare_report-left"),
+    pytest.param(lambda xs: compare_report([1.0, 2.0], xs), id="compare_report-right"),
+])
+def test_mean_one_normalization_rejects_a_negative_sample(fn):
+    # the mean stays positive, but a value below the bins' 0 would be lost
+    # from a density per sample
+    with pytest.raises(ValueError, match="negative sample"):
+        fn(np.array([2.0, 1.0, -0.5]))
 
 
 def test_mean_one_histogram_has_unit_mean_support():
@@ -153,7 +173,7 @@ def test_counts_and_workers_must_be_integers(fn, count, workers):
 @pytest.mark.parametrize("bins", [True, 2.0])
 def test_histogram_bins_must_be_an_integer(bins):
     with pytest.raises(TypeError, match="bins must be an integer"):
-        Histogram.uniform(0.0, 1.0, bins)
+        Histogram.uniform(0.0, 1.0, bins, 1)
 
 
 def test_block_size_follows_matrix_size(monkeypatch):

@@ -560,6 +560,21 @@ def test_first_angle_cdf_of_the_rank_one_groups():
     assert np.max(np.abs(first_angle_cdf(GroupKind.SOOdd, 1, theta) - so3)) < 1e-14
 
 
+@pytest.mark.parametrize("group, exact", [
+    pytest.param(GroupKind.USp, lambda t: (2 * t - mpmath.sin(2 * t)) / (2 * mpmath.pi),
+                 id="USp(2)"),
+    pytest.param(GroupKind.SOEven, lambda t: t / mpmath.pi, id="SO(2)"),
+    pytest.param(GroupKind.SOOdd, lambda t: (t - mpmath.sin(t)) / mpmath.pi, id="SO(3)"),
+])
+def test_first_angle_cdf_keeps_its_relative_accuracy_at_small_angles(group, exact):
+    # F ~ theta^3 for USp(2) and SO(3), so 1 - det(I - G) in double
+    # precision keeps no digit of it at theta = 1e-5
+    for theta in (1e-5, 1e-4, 1e-3, 1e-2):
+        with mpmath.workdps(40):
+            want = exact(mpmath.mpf(theta))
+            assert abs((first_angle_cdf(group, 1, theta) - want) / want) < 1e-13
+
+
 @pytest.mark.parametrize("group", FIRST_ANGLE_GROUPS)
 @pytest.mark.parametrize("n", [2, 5, 10, 30])
 def test_first_angle_cdf_matches_exact_gram_and_stated_kernel(group, n):
