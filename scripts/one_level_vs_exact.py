@@ -34,8 +34,7 @@ def main() -> None:
         # kernel has curvature comparable to the bin width
         x, w = gauss_legendre(hist.edges[:-1], hist.edges[1:])
         exact = np.sum(finite_n_density(kind, n, x) * w, axis=-1) / hist.widths
-        se = np.sqrt(np.maximum(hist.counts, 1)) / (hist.events * hist.widths)
-        dev = np.max(np.abs(hist.values() - exact) / se)
+        dev = np.max(np.abs(hist.values() - exact) / hist.errors())
         out = here / f"one_level_{kind.name.lower()}.csv"
         hist.to_csv(out)
         print(f"{kind.name:8s} N={n:3d}  max |MC - exact| / se = {dev:.2f}  -> {out.name}")

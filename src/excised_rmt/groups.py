@@ -128,12 +128,9 @@ def _box_muller(bits: np.ndarray, out: np.ndarray) -> None:
 
 
 def _gaussian_count(spec: GroupSpec) -> int:
-    d = spec.dim
-    if spec.group in (GroupKind.SOEven, GroupKind.SOOdd):
-        return d * d
-    if spec.group is GroupKind.Unitary:
-        return 2 * d * d
-    return 4 * spec.n * spec.n  # quaternionic: two complex matrices of size N
+    """Normals per matrix: dim**2, doubled for U(N)'s complex entries (USp(2N)'s
+    two complex N x N matrices are 4N**2 = dim**2 normals)."""
+    return (1 + (spec.group is GroupKind.Unitary)) * spec.dim**2
 
 
 def _qr_phases(z: np.ndarray):

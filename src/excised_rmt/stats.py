@@ -5,13 +5,13 @@ the sample-index range into near-equal blocks of Haar matrices and hands
 them back in index order; per-sample arrays are filled by ``_collect``.
 ``_blocks`` is the one place that sizes a batch: a block holds at most
 _BLOCK_ELEMENTS matrix entries, and sampling and eigen-solves take each
-block whole.  With more than one worker, blocks are sampled and reduced
-on a thread pool (numpy's LAPACK and ufunc loops release the GIL), with
-at most one block per thread plus one in flight.  workers=None, the
-default here and in the CLI when --workers is unset, uses every usable
-core.  Each matrix is a pure function of (seed, index) and histogram
-counts are integer sums, so no output byte depends on the worker count
-or the block layout.
+block whole.  For every worker count, one included, blocks are sampled
+and reduced on a thread pool (numpy's LAPACK and ufunc loops release the
+GIL), with at most one block per thread plus one in flight.
+workers=None, the default here and in the CLI when --workers is unset,
+uses every usable core.  Each matrix is a pure function of (seed, index)
+and histogram counts are integer sums, so no output byte depends on the
+worker count or the block layout.
 """
 
 from __future__ import annotations
@@ -45,36 +45,32 @@ SAMPLE_DTYPE = np.dtype(
 
 
 class Histogram:
-    """Fixed-edge bin counts with underflow, overflow and NaN tracking.
+    """Equal-width bin counts on [lo, hi] with underflow, overflow and NaN tracking.
 
     ``values()`` is a density per event: counts / (events * width), where
-    events is what the builder counts (a matrix, a pair or a sample).
+    events is what the builder counts (a matrix, a pair or a sample), and
+    ``errors()`` is its Poisson standard error.
     """
 
-    def __init__(self, edges, events: int):
-        edges = np.asarray(edges, dtype=float)
-        # a NaN edge fails no comparison, and an infinite one makes a bin
-        # of infinite width
-        if not np.all(np.isfinite(edges)):
-            raise ValueError("edges must be finite")
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("edges must be strictly increasing with >= 2 entries")
+    def __init__(self, lo: float, hi: float, bins: int, events: int):
+        # an infinite bound makes linspace warn, and a NaN one fails no comparison
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError("lo and hi must be finite")
+        require_integer("bins", bins)
+        if bins < 1:
+            raise ValueError("bins must be >= 1")
+        edges = np.linspace(lo, hi, bins + 1)
+        if np.any(np.diff(edges) <= 0):
+            raise ValueError("edges must be strictly increasing")
         require_integer("events", events)
         if events < 1:
             raise ValueError("events must be >= 1")
         self.edges = edges
-        self.counts = np.zeros(edges.size - 1, dtype=np.int64)
+        self.counts = np.zeros(bins, dtype=np.int64)
         self.underflow = 0
         self.overflow = 0
         self.nan = 0
         self.events = events
-
-    @classmethod
-    def uniform(cls, lo: float, hi: float, bins: int, events: int) -> "Histogram":
-        require_integer("bins", bins)
-        if bins < 1:
-            raise ValueError("bins must be >= 1")
-        return cls(np.linspace(lo, hi, bins + 1), events)
 
     def add(self, values) -> None:
         values = np.asarray(values, dtype=float).ravel()
@@ -94,6 +90,10 @@ class Histogram:
 
     def values(self) -> np.ndarray:
         return self.counts / (self.events * self.widths)
+
+    def errors(self) -> np.ndarray:
+        """Poisson standard error of values(), an empty bin counted as one."""
+        return np.sqrt(np.maximum(self.counts, 1)) / (self.events * self.widths)
 
     def to_csv_text(self) -> str:
         vals = self.values()
@@ -125,7 +125,7 @@ def mean_normalize(samples) -> np.ndarray:
 def mean_one_histogram(samples, bins: int = DEFAULT_BINS) -> Histogram:
     """Density of the mean-normalized samples on [0, just above their max]."""
     scaled = mean_normalize(samples)
-    hist = Histogram.uniform(0.0, float(scaled.max()) * (1.0 + 1e-12), bins, scaled.size)
+    hist = Histogram(0.0, float(scaled.max()) * (1.0 + 1e-12), bins, scaled.size)
     hist.add(scaled)
     return hist
 
@@ -155,7 +155,8 @@ def _blocks(
     unless that would exceed count, so every thread gets the same work.  A
     count or workers that is not an integer raises TypeError at the call,
     a negative count or workers < 1 ValueError; an exception in a block is
-    raised by the iterator, in index order.  One thread runs inline.
+    raised by the iterator, in index order.  Every thread count, one
+    included, runs on the same in-order pool.
     """
     require_integer("count", count)
     if count < 0:
@@ -175,14 +176,12 @@ def _blocks(
         size = count * (i + 1) // blocks - first
         return first, reduce(sample_batch(spec, master_seed, first, size))
 
-    if threads == 1:
-        return map(run, range(blocks))
     return _in_order_on_threads(run, blocks, threads)
 
 
 def _in_order_on_threads(run, blocks: int, threads: int):
     """Yields run(0), ..., run(blocks-1), computed on a pool of threads."""
-    # imported here: one-worker runs do not pay for concurrent.futures
+    # imported here: importing excised_rmt.stats does not pay for concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(threads) as pool:
@@ -209,18 +208,18 @@ def _collect(
 def density_angles(spec: GroupSpec, angle_rows: np.ndarray) -> np.ndarray:
     """Fold a batch of spectra to the one-level-density support.
 
-    Symmetric groups with paired spectra keep the nonnegative half on
-    [0, pi]; the full-circle groups map onto [0, 2pi).  Odd orthogonal rows
-    are sorted exact +- pairs around the structural zero eigenangle, so
-    dropping column N leaves the 2N genuine angles per matrix.
+    U(N) angles map onto [0, 2pi).  The self-dual groups' spectra come in
+    +- pairs, so each row's sorted magnitudes are taken one per pair; a -1
+    pair at +pi counts once, and SO(2N+1)'s forced zero sorts first and is
+    skipped.  SO(2N) and USp(2N) keep those N angles on [0, pi]; SO(2N+1)
+    keeps them and 2pi minus them, on [0, 2pi).
     """
-    if spec.group in (GroupKind.SOEven, GroupKind.USp):
-        return angle_rows[angle_rows > 0.0]
+    if spec.group is GroupKind.Unitary:
+        return np.mod(angle_rows, 2.0 * np.pi)
+    half = np.sort(np.abs(angle_rows), axis=1)[:, 1::2]
     if spec.group is GroupKind.SOOdd:
-        theta = np.delete(angle_rows, spec.n, axis=1)
-    else:
-        theta = angle_rows.ravel()
-    return np.mod(theta, 2.0 * np.pi)
+        return np.concatenate([half, 2.0 * np.pi - half], axis=1)
+    return half
 
 
 def one_level_density_mc(
@@ -233,7 +232,7 @@ def one_level_density_mc(
     """Empirical eigenangle density per matrix per radian."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    hist = Histogram.uniform(0.0, one_level_range(spec), bins, events=count)
+    hist = Histogram(0.0, one_level_range(spec), bins, events=count)
 
     def reduce(mats):
         return density_angles(spec, eigenangles_batch(spec, mats))
@@ -260,7 +259,7 @@ def pair_correlation_mc(
     if count < 1 or not 0 < window < np.inf:
         raise ValueError("need count >= 1 and a finite window > 0")
     dim = spec.dim
-    hist = Histogram.uniform(0.0, window, bins, events=count * dim)
+    hist = Histogram(0.0, window, bins, events=count * dim)
     scale = dim / (2.0 * np.pi)
 
     def reduce(mats):

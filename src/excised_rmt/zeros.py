@@ -103,15 +103,14 @@ def compare_report(zero_samples, ensemble_samples, bins: int = DEFAULT_BINS) -> 
     left = mean_normalize(zero_samples)
     right = mean_normalize(ensemble_samples)
     hi = float(max(left.max(), right.max())) * (1.0 + 1e-12)
-    hleft = Histogram.uniform(0.0, hi, bins, left.size)
-    hright = Histogram.uniform(0.0, hi, bins, right.size)
+    hleft = Histogram(0.0, hi, bins, left.size)
+    hright = Histogram(0.0, hi, bins, right.size)
     hleft.add(left)
     hright.add(right)
     vleft = hleft.values()
     vright = hright.values()
-    width = hleft.widths
-    se_left = np.sqrt(np.maximum(hleft.counts, 1)) / (hleft.events * width)
-    se_right = np.sqrt(np.maximum(hright.counts, 1)) / (hright.events * width)
+    se_left = hleft.errors()
+    se_right = hright.errors()
     rows = []
     for i in range(bins):
         rows.append(

@@ -84,8 +84,7 @@ def _max_bin_z(hist, f) -> float:
     """Largest per-bin |MC - exact| / se against the bin averages of f."""
     x, w = gauss_legendre(hist.edges[:-1], hist.edges[1:])
     exact = np.sum(f(x) * w, axis=-1) / hist.widths
-    se = np.sqrt(np.maximum(hist.counts, 1)) / (hist.events * hist.widths)
-    return float(np.max(np.abs(hist.values() - exact) / se))
+    return float(np.max(np.abs(hist.values() - exact) / hist.errors()))
 
 
 @pytest.mark.parametrize(

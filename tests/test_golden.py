@@ -44,6 +44,28 @@ RUNS = {
          "--bins", "50"],
         "c2d852e10ca214214ab9ef95b22a0cfd12b23bc45de2c1d033aa8c8371101d6b",
     ),
+    # one run per group the density fold and the histograms serve but the
+    # runs above do not: SO(20) and U(9) densities, a USp(20) pair
+    # correlation and a USp(20) sample table
+    "onelevel_so_even": (
+        ["onelevel", "--group", "so_even", "--n", "10", "--count", "1500", "--seed", "16",
+         "--bins", "50"],
+        "d6c17d2bee2cf99e3e13cfd5c44dc49a738e817def1643ac71ffb026f54d0a6d",
+    ),
+    "onelevel_unitary": (
+        ["onelevel", "--group", "unitary", "--n", "9", "--count", "1500", "--seed", "17",
+         "--bins", "50"],
+        "22ab3644da8a5157b7788facf10b1696485e167f2f0c643ac0804ba609c87064",
+    ),
+    "paircorr_usp": (
+        ["paircorr", "--group", "usp", "--n", "10", "--count", "700", "--seed", "18",
+         "--window", "3", "--bins", "40"],
+        "fd006fc7e4d8947b6c6476febbd121b1ec787b22f0c42b43a9e0707a9376a253",
+    ),
+    "sample_usp": (
+        ["sample", "--group", "usp", "--n", "10", "--count", "700", "--seed", "19"],
+        "a3a4fd770de64d2fd091c48eb3d6bdf39ba2733195cfb35edd5f56dda44b99ad",
+    ),
 }
 EXCISED_SAMPLE = "119b1bd2af1b6f67d9bd7b022d49bd0108e394955b1b0c84d3dceef88815f3f4"
 # the `compare` JSON of the golden SO(20) `sample` table against _write_zero_list

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from excised_rmt import stats
 from excised_rmt.groups import GroupKind, GroupSpec, sample_batch
-from excised_rmt.spectral import SpectralError
+from excised_rmt.spectral import SpectralError, eigenangles_batch
 from excised_rmt.stats import (
     Histogram,
     _blocks,
     char_poly_magnitudes,
+    density_angles,
     first_eigenangle_samples,
     ks_distance,
     mean_normalize,
@@ -30,19 +31,19 @@ from excised_rmt.zeros import compare_report
 
 
 def test_histogram_density_integrates_to_one():
-    h = Histogram.uniform(0.0, 2.0, 10, 1000)
+    h = Histogram(0.0, 2.0, 10, 1000)
     h.add(np.random.default_rng(0).uniform(0.0, 2.0, 1000))
     assert float(np.sum(h.values() * h.widths)) == pytest.approx(1.0)
 
 
 def test_histogram_tracks_out_of_range():
-    h = Histogram.uniform(0.0, 1.0, 4, 4)
+    h = Histogram(0.0, 1.0, 4, 4)
     h.add([-0.5, 0.2, 0.7, 3.0])
     assert (h.counts.sum(), h.underflow, h.overflow) == (2, 1, 1)
 
 
 def test_histogram_counts_nan():
-    h = Histogram.uniform(0.0, 1.0, 4, 3)
+    h = Histogram(0.0, 1.0, 4, 3)
     h.add([np.nan, 0.5, np.inf])
     assert (h.nan, h.overflow, h.underflow, h.counts.sum()) == (1, 1, 0, 1)
     h.add([np.nan, np.nan])
@@ -51,30 +52,47 @@ def test_histogram_counts_nan():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_histogram_rejects_non_finite_edges(bad):
-    edges = [0.0, 0.5, 1.0]
-    for i in range(len(edges)):
+    for lo, hi in ((bad, 1.0), (0.0, bad)):
         with pytest.raises(ValueError, match="finite"):
-            Histogram(edges[:i] + [bad] + edges[i + 1:], 1)
+            Histogram(lo, hi, 2, 1)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (1.0, 0.0)])
+def test_histogram_rejects_empty_range(lo, hi):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Histogram(lo, hi, 2, 1)
+
+
+def test_histogram_errors_match_compare_report():
+    rng = np.random.default_rng(4)
+    left, right = rng.exponential(1.0, 300), rng.exponential(1.0, 200)
+    report = compare_report(left, right, bins=12)
+    hi = report["bins"][-1]["bin_right"]
+    for side, xs in (("left", left), ("right", right)):
+        hist = Histogram(0.0, hi, 12, xs.size)
+        hist.add(mean_normalize(xs))
+        se = np.array([row[f"se_{side}"] for row in report["bins"]])
+        assert hist.errors().tobytes() == se.tobytes()
 
 
 def test_histogram_per_event_density():
     # the density is per event, not per binned value: 3.0 is out of range
-    h = Histogram.uniform(0.0, 1.0, 2, events=4)
+    h = Histogram(0.0, 1.0, 2, events=4)
     h.add([0.25, 0.25, 0.75, 3.0])
     assert h.values().tolist() == [2 / (4 * 0.5), 1 / (4 * 0.5)]
     for events in (0, -1):
         with pytest.raises(ValueError, match="events"):
-            Histogram.uniform(0.0, 1.0, 2, events=events)
+            Histogram(0.0, 1.0, 2, events=events)
 
 
 @pytest.mark.parametrize("events", [True, 4.0, None])
 def test_histogram_events_must_be_an_integer(events):
     with pytest.raises(TypeError, match="events must be an integer"):
-        Histogram.uniform(0.0, 1.0, 2, events)
+        Histogram(0.0, 1.0, 2, events)
 
 
 def test_histogram_csv_contract():
-    h = Histogram.uniform(0.0, 1.0, 2, 3)
+    h = Histogram(0.0, 1.0, 2, 3)
     h.add([0.25, 0.25, 0.75])
     text = h.to_csv_text()
     lines = text.split("\n")
@@ -173,7 +191,7 @@ def test_counts_and_workers_must_be_integers(fn, count, workers):
 @pytest.mark.parametrize("bins", [True, 2.0])
 def test_histogram_bins_must_be_an_integer(bins):
     with pytest.raises(TypeError, match="bins must be an integer"):
-        Histogram.uniform(0.0, 1.0, bins, 1)
+        Histogram(0.0, 1.0, bins, 1)
 
 
 def test_block_size_follows_matrix_size(monkeypatch):
@@ -245,8 +263,8 @@ def test_threaded_arrays_are_byte_identical(fn, small_blocks):
 
 
 def test_block_error_propagates_and_stops_sampling(monkeypatch, small_blocks):
-    # 3 threads, at most 200 // 16 = 12 matrices of U(4) per block, so 576
-    # matrices make 48 blocks of exactly 12
+    # at most 200 // 16 = 12 matrices of U(4) per block, so 576 matrices
+    # make 48 blocks of exactly 12 on 1 or 3 threads
     calls = []
     real = stats.sample_batch
 
@@ -262,12 +280,14 @@ def test_block_error_propagates_and_stops_sampling(monkeypatch, small_blocks):
 
     monkeypatch.setattr(stats, "sample_batch", tagged)
     spec = GroupSpec(GroupKind.Unitary, 4)
-    seen = []
-    with pytest.raises(SpectralError, match="block 36"):
-        for start, _ in _blocks(spec, 576, 1, workers=3, reduce=reduce):
-            seen.append(start)
-    assert seen == [0, 12, 24]
-    assert len([first for first in calls if first > 36]) <= 3
+    for workers in (1, 3):
+        calls.clear()
+        seen = []
+        with pytest.raises(SpectralError, match="block 36"):
+            for start, _ in _blocks(spec, 576, 1, workers=workers, reduce=reduce):
+                seen.append(start)
+        assert seen == [0, 12, 24]
+        assert len([first for first in calls if first > 36]) <= workers
 
 
 @pytest.mark.parametrize("workers, count", [(1, 50), (2, 50), (3, 50), (8, 50), (8, 2), (3, 1)])
@@ -287,7 +307,7 @@ def test_thread_count_is_capped(workers, count, monkeypatch):
         assert starts == sorted(starts) and len(starts) >= threads
         assert 1 <= len(idents) <= threads
         if threads == 1:
-            assert idents == {threading.get_ident()}
+            assert len(idents) == 1
 
 
 def test_huge_worker_count_matches_one_worker(monkeypatch):
@@ -354,6 +374,35 @@ def test_unitary_one_level_density_is_flat():
     # per-matrix density on [0, 2pi) is N/(2pi)
     expect = 8 / (2 * np.pi)
     assert np.max(np.abs(h.values() - expect)) < 0.1
+
+
+def _conjugated(core):
+    q, _ = np.linalg.qr(np.random.default_rng(6).standard_normal(core.shape))
+    return (q @ core @ q.T)[None]
+
+
+_PI = np.pi
+_R07 = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+
+
+@pytest.mark.parametrize("spec, mats, rows, folded", [
+    pytest.param(GroupSpec(GroupKind.SOOdd, 1), _conjugated(np.diag([-1.0, -1.0, 1.0])),
+                 [0.0, _PI, _PI], [_PI, _PI], id="SO(3)"),
+    pytest.param(GroupSpec(GroupKind.SOEven, 2),
+                 _conjugated(np.block([[_R07, np.zeros((2, 2))], [np.zeros((2, 2)), -np.eye(2)]])),
+                 [-0.7, 0.7, _PI, _PI], [0.7, _PI], id="SO(4)"),
+    # exactly -I: the Cayley solve's singular I + A
+    pytest.param(GroupSpec(GroupKind.USp, 1), -np.eye(2, dtype=complex)[None],
+                 [_PI, _PI], [_PI], id="USp(2)"),
+])
+def test_density_angles_counts_a_minus_one_pair_once(spec, mats, rows, folded):
+    # a planted -1 pair comes back as [pi, pi], not as a +- pair; the fold
+    # still takes one angle per pair, and SO(2N+1) drops its forced zero
+    angle_rows = eigenangles_batch(spec, mats)
+    assert np.all(angle_rows[0][np.array(rows) == _PI] == _PI)
+    assert np.allclose(angle_rows[0], rows, rtol=0.0, atol=1e-12)
+    out = np.sort(density_angles(spec, angle_rows), axis=None)
+    assert out.size == len(folded) and np.allclose(out, folded, rtol=0.0, atol=1e-12)
 
 
 def test_sample_summaries_worker_invariant_and_consistent():
