@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -102,6 +102,9 @@ class FamilySpec:
             raise ValueError("epsilon_f and Delta must be +1 or -1")
         if self.X < 3:
             raise ValueError("X must be >= 3")
+        # the sieve's int64 strike positions run below 2X
+        if self.X >= 2**62:
+            raise ValueError("X must be < 2**62")
         if self.case is SymmetryCase.Generic and not (0 < self.residue_u < self.M):
             raise ValueError("residue class U must satisfy 0 < U < M")
 
@@ -124,9 +127,10 @@ class FamilySpec:
 _WINDOW = 1 << 18
 
 
-def _sieve_windows(X: int, keep: np.ndarray) -> Iterator[np.ndarray]:
-    """Fundamental discriminants 2 <= d <= X with keep[d % keep.size], as
-    sorted int64 arrays, one window of _WINDOW integers at a time.
+def _sieve_windows(X: int, keep: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """The fundamental discriminants 2 <= d <= X with keep[d % keep.size],
+    one window of _WINDOW integers at a time, as (lo, mask) pairs:
+    mask[i] says whether lo + i is one.
 
     d is fundamental iff d = 1, 5, 9, 13, 8 or 12 (mod 16) and no odd
     prime square divides d: for d = 4m with m = 2, 3 (mod 4), an odd p^2
@@ -153,6 +157,12 @@ def _sieve_windows(X: int, keep: np.ndarray) -> Iterator[np.ndarray]:
             mask[-lo % sq :: sq] = False
         first = -(-lo // large) * large
         mask[first[first < lo + n] - lo] = False
+        yield lo, mask
+
+
+def _members(windows: Iterator[Tuple[int, np.ndarray]]) -> Iterator[np.ndarray]:
+    """Each window's members, as a sorted int64 array."""
+    for lo, mask in windows:
         yield np.flatnonzero(mask) + lo
 
 
@@ -161,7 +171,8 @@ def fundamental_discriminants_up_to(X: int) -> np.ndarray:
     X = int(X)
     if X < 1:
         return np.empty(0, dtype=np.int64)
-    return np.concatenate([np.ones(1, dtype=np.int64), *_sieve_windows(X, np.ones(1, dtype=bool))])
+    windows = _members(_sieve_windows(X, np.ones(1, dtype=bool)))
+    return np.concatenate([np.ones(1, dtype=np.int64), *windows])
 
 
 def _legendre_mask(M: int, psi: int) -> np.ndarray:
@@ -178,28 +189,52 @@ def _legendre_mask(M: int, psi: int) -> np.ndarray:
     return mask
 
 
-def family_windows(spec: FamilySpec) -> Iterator[np.ndarray]:
-    """The admissible fundamental discriminants 1 < d <= X, sorted, as one
-    int64 array per sieve window.
+def _residue_keep(spec: FamilySpec) -> np.ndarray:
+    """The family's condition on d mod M, as a length-M mask of residues.
 
     A principal or self-CM family keeps every d with kronecker(d, M) =
     spec.psi_d_M, which for the self-CM case also means gcd(d, M) = 1.
     The generic case keeps one residue class d = U (mod M), matching its
-    closed-form cardinality.  Each condition depends on d mod M only, so
-    it is one length-M mask of residues, tiled over the sieve.
+    closed-form cardinality.
     """
     M = int(spec.M)
     if spec.case is SymmetryCase.Generic:
         keep = np.zeros(M, dtype=bool)
         keep[spec.residue_u] = True
-    else:
-        keep = _legendre_mask(M, spec.psi_d_M)
-    return _sieve_windows(int(spec.X), keep)
+        return keep
+    return _legendre_mask(M, spec.psi_d_M)
+
+
+def family_windows(spec: FamilySpec) -> Iterator[np.ndarray]:
+    """The admissible fundamental discriminants 1 < d <= X, sorted, as one
+    int64 array per sieve window.  Each family condition depends on d mod
+    M only, so it is one mask of residues, tiled over the sieve."""
+    return _members(_sieve_windows(int(spec.X), _residue_keep(spec)))
+
+
+def _family_array(
+    spec: FamilySpec, dtype, fill: Callable[[np.ndarray, np.ndarray], None]
+) -> np.ndarray:
+    """One array of exactly the family's size, whose slice for each sieve
+    window fill(d, out) writes from that window's members d.
+
+    The sieve runs twice, once to count the members and once to fill, so
+    no family-sized array is held beside the result, and np.sum reads the
+    same contiguous array that a whole-family expression would give.
+    """
+    X, keep = int(spec.X), _residue_keep(spec)
+    count = sum(int(np.count_nonzero(mask)) for _, mask in _sieve_windows(X, keep))
+    out = np.empty(count, dtype=dtype)
+    start = 0
+    for d in _members(_sieve_windows(X, keep)):
+        fill(d, out[start : start + d.size])
+        start += d.size
+    return out
 
 
 def enumerate_family(spec: FamilySpec) -> np.ndarray:
     """All admissible fundamental discriminants 1 < d <= X, sorted."""
-    return np.concatenate(list(family_windows(spec)))
+    return _family_array(spec, np.int64, lambda d, out: np.copyto(out, d))
 
 
 def cardinality_estimate(spec: FamilySpec) -> float:
@@ -233,19 +268,19 @@ def twisted_root_number(M: int, epsilon_f: complex, d: int, chi_f_of_d: complex)
     return chi_f_of_d * psi * epsilon_f
 
 
-def _log_scaled(d: np.ndarray, M: int) -> np.ndarray:
-    """log(sqrt(M) d / 2 pi) as float, computed in one array."""
-    d = d.astype(float)
-    np.multiply(d, math.sqrt(M), out=d)
-    np.divide(d, 2.0 * _PI, out=d)
-    return np.log(d, out=d)
+def _log_scaled(d: np.ndarray, M: int, out: np.ndarray) -> np.ndarray:
+    """Writes log(sqrt(M) d / 2 pi) into the float array out, in place."""
+    np.copyto(out, d)
+    np.multiply(out, math.sqrt(M), out=out)
+    np.divide(out, 2.0 * _PI, out=out)
+    return np.log(out, out=out)
 
 
 def sum_log_family(spec: FamilySpec) -> dict:
     """Direct and closed-form values of sum over d of log(sqrt(M) d / 2 pi)."""
-    d = _log_scaled(enumerate_family(spec), spec.M)
-    count = d.size
-    direct = float(np.sum(d))
+    logs = _family_array(spec, np.float64, lambda d, out: _log_scaled(d, spec.M, out))
+    count = logs.size
+    direct = float(np.sum(logs))
     closed = count * (n_std(spec.M, spec.X) - 1.0)
     return {"direct": direct, "closed": closed, "gap": direct - closed, "count": count}
 
@@ -262,11 +297,15 @@ def oscillatory_family_sum(spec: FamilySpec, tau: float, R: float) -> dict:
         raise ValueError("tau must be finite")
     if not 0 < R < math.inf:
         raise ValueError("R must be positive and finite")
-    d = _log_scaled(enumerate_family(spec), spec.M)
-    count = d.size
-    z = np.multiply(d, -2j * _PI * tau / R)
-    del d
-    direct = complex(np.sum(np.exp(z, out=z)))
+    phase = -2j * _PI * tau / R
+
+    def fill(d: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(_log_scaled(d, spec.M, np.empty(d.size)), phase, out=out)
+        np.exp(out, out=out)
+
+    z = _family_array(spec, np.complex128, fill)
+    count = z.size
+    direct = complex(np.sum(z))
     closed = (
         count
         * cmath.exp(-2j * _PI * tau - 2j * _PI * tau / R)

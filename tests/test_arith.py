@@ -255,6 +255,10 @@ def test_family_spec_validation():
         FamilySpec(M=11, case=SymmetryCase.PrincipalEven, X=100, epsilon_f=2)
     with pytest.raises(ValueError):
         FamilySpec(M=11, case=SymmetryCase.Generic, X=100, residue_u=11)
+    # the sieve's int64 strike positions reach 2X
+    with pytest.raises(ValueError, match=r"X must be < 2\*\*62"):
+        FamilySpec(M=3, case=SymmetryCase.Generic, X=2**62, residue_u=1)
+    FamilySpec(M=3, case=SymmetryCase.Generic, X=2**62 - 1, residue_u=1)
 
 
 @pytest.mark.parametrize(
@@ -346,14 +350,48 @@ def test_oscillatory_family_sum_matched_r():
                                           (3, SymmetryCase.Generic, 0.37),
                                           (7, SymmetryCase.SelfCM, 1.9)])
 def test_family_sums_match_the_plain_expression(M, case, tau):
-    # the in-place sums must equal the plain array expression bit for bit
-    spec = FamilySpec(M=M, case=case, X=100_000)
-    R = math.log(math.sqrt(M) * spec.X / (2 * math.pi)) - 1.0
-    d = enumerate_family(spec).astype(float)
-    base = np.log(math.sqrt(M) * d / (2.0 * math.pi))
-    assert sum_log_family(spec)["direct"] == float(np.sum(base))
-    expect = complex(np.sum(np.exp(-2j * math.pi * tau / R * base)))
-    assert oscillatory_family_sum(spec, tau, R)["direct"] == expect
+    # the window-by-window sums must equal the plain array expression bit
+    # for bit; X = 700_000 spans three sieve windows of 2**18
+    for X in (100_000, 700_000):
+        spec = FamilySpec(M=M, case=case, X=X)
+        R = math.log(math.sqrt(M) * spec.X / (2 * math.pi)) - 1.0
+        d = enumerate_family(spec).astype(float)
+        base = np.log(math.sqrt(M) * d / (2.0 * math.pi))
+        assert sum_log_family(spec)["direct"] == float(np.sum(base)), X
+        expect = complex(np.sum(np.exp(-2j * math.pi * tau / R * base)))
+        assert oscillatory_family_sum(spec, tau, R)["direct"] == expect, X
+
+
+@pytest.mark.parametrize("name, bytes_per_member", [("enumerate_family", 8),
+                                                    ("sum_log_family", 8),
+                                                    ("oscillatory_family_sum", 16)])
+def test_family_arrays_hold_only_the_result(name, bytes_per_member):
+    # each fills one array of exactly the family's size, window by window;
+    # the rest is the sieve's per-window masks and members
+    spec = FamilySpec(M=11, case=SymmetryCase.PrincipalEven, X=10**7)
+    R = math.log(math.sqrt(11) * spec.X / (2 * math.pi)) - 1.0
+    call = {
+        "enumerate_family": lambda s: enumerate_family(s).size,
+        "sum_log_family": lambda s: sum_log_family(s)["count"],
+        "oscillatory_family_sum": lambda s: oscillatory_family_sum(s, 1.0, R)["count"],
+    }[name]
+    call(FamilySpec(M=11, case=SymmetryCase.PrincipalEven, X=1000))  # first-call allocations
+    tracemalloc.start()
+    try:
+        count = call(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count > 10**6
+    assert peak - bytes_per_member * count < 4 * 2**20, peak
+
+
+def test_empty_family():
+    spec = FamilySpec(M=3, case=SymmetryCase.Generic, X=4, residue_u=2)
+    members = enumerate_family(spec)
+    assert members.dtype == np.int64 and members.size == 0
+    for r in (sum_log_family(spec), oscillatory_family_sum(spec, 1.0, 2.0)):
+        assert r["count"] == 0 and r["direct"] == 0
 
 
 def test_oscillatory_family_sum_rejects_bad_r():

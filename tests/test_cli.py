@@ -197,6 +197,11 @@ def test_discriminants_output(capsys):
     assert "estimate" in err
 
 
+def test_discriminants_rejects_x_beyond_the_sieve(capsys):
+    code, out, err = run(capsys, "discriminants", "--M", "3", "--case", "generic", "--X", str(10**30))
+    assert (code, out, err) == (1, "", "error: X must be < 2**62\n")
+
+
 def _decimal_reference(values) -> bytes:
     return "".join(f"{v}\n" for v in values).encode()
 
