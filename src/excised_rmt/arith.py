@@ -82,6 +82,12 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def _require_sieve_bound(X: int) -> None:
+    # the sieve's int64 strike positions run below 2X
+    if X >= 2**62:
+        raise ValueError("X must be < 2**62")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Arithmetic data selecting a family of quadratic twists."""
@@ -102,9 +108,7 @@ class FamilySpec:
             raise ValueError("epsilon_f and Delta must be +1 or -1")
         if self.X < 3:
             raise ValueError("X must be >= 3")
-        # the sieve's int64 strike positions run below 2X
-        if self.X >= 2**62:
-            raise ValueError("X must be < 2**62")
+        _require_sieve_bound(self.X)
         if self.case is SymmetryCase.Generic and not (0 < self.residue_u < self.M):
             raise ValueError("residue class U must satisfy 0 < U < M")
 
@@ -171,6 +175,7 @@ def fundamental_discriminants_up_to(X: int) -> np.ndarray:
     X = int(X)
     if X < 1:
         return np.empty(0, dtype=np.int64)
+    _require_sieve_bound(X)
     windows = _members(_sieve_windows(X, np.ones(1, dtype=bool)))
     return np.concatenate([np.ones(1, dtype=np.int64), *windows])
 

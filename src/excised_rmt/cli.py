@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -100,37 +101,74 @@ def _sample_field_types() -> list:
     return [int if np.issubdtype(dtype[name], np.integer) else float for name in dtype.names]
 
 
-def _sample_table_text(table) -> str:
-    """The sample CSV: an int as is, a float to 17 significant digits."""
-    row = ",".join("{}" if kind is int else "{:.17g}" for kind in _sample_field_types())
-    return "\n".join([SAMPLE_HEADER, *(row.format(*values) for values in table.tolist()), ""])
+def _sample_table_text(rows) -> str:
+    """The sample CSV lines of rows: an int as is, a float to 17
+    significant digits."""
+    line = ",".join("{}" if kind is int else "{:.17g}" for kind in _sample_field_types()) + "\n"
+    return "".join([line.format(*values) for values in rows.tolist()])
 
 
-def _read_sample_table(path) -> np.ndarray:
-    types = _sample_field_types()
+def _with_header(chunks):
+    """The sample CSV's header line, then chunks."""
+    yield f"{SAMPLE_HEADER}\n".encode()
+    yield from chunks
+
+
+def _sample_table_chunks(path):
+    """Yields the rows of a sample CSV as SAMPLE_DTYPE arrays, one chunk of
+    lines at a time."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != SAMPLE_HEADER:
+        if fh.readline().strip() != SAMPLE_HEADER:
             raise DataError(f"{path}: expected header {SAMPLE_HEADER!r}")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(types):
-                raise DataError(f"{path}: line {lineno}: expected {len(types)} fields")
-            try:
-                rows.append(tuple([kind(part) for kind, part in zip(types, parts)]))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
+        first_line = 2
+        # lines of about _BLOCK_ELEMENTS bytes, some 700 rows: like a sampled
+        # block, a chunk's memory does not grow with the table
+        while lines := fh.readlines(stats._BLOCK_ELEMENTS):
+            yield _read_sample_table(path, lines, first_line)
+            first_line += len(lines)
+
+
+def _read_sample_table(path, lines, first_line) -> np.ndarray:
+    """The rows of lines, which are path's lines from line number first_line on.
+
+    numpy's reader parses them.  Lines it refuses, a blank one among them,
+    are parsed again one by one: blank lines are skipped, and each other
+    line must hold five comma-separated fields that int() or float() take,
+    or the DataError names it.
+    """
+    try:
+        # numpy warns, rather than raises, on lines that hold no rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(lines, delimiter=",", dtype=stats.SAMPLE_DTYPE, comments=None,
+                              ndmin=1)
+    except (ValueError, Warning):
+        pass
+    types = _sample_field_types()
+    rows = []
+    for lineno, line in enumerate(lines, start=first_line):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(types):
+            raise DataError(f"{path}: line {lineno}: expected {len(types)} fields")
+        try:
+            rows.append(tuple([kind(part) for kind, part in zip(types, parts)]))
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
     return np.array(rows, dtype=stats.SAMPLE_DTYPE)
 
 
 def cmd_sample(args) -> int:
     spec = _group_spec(args)
-    table = stats.sample_summaries(spec, args.count, args.seed, workers=args.workers)
-    _write(args.out, [_sample_table_text(table).encode()])
+
+    def text(start, mats):
+        # formatted on the thread that sampled the block
+        return _sample_table_text(stats.summary_rows(spec, start, mats)).encode()
+
+    blocks = stats._blocks(spec, args.count, args.seed, args.workers, text)
+    _write(args.out, _with_header(lines for _, lines in blocks))
     return 0
 
 
@@ -154,12 +192,13 @@ def cmd_paircorr(args) -> int:
 
 def cmd_excise(args) -> int:
     rule = ExcisionRule(c=args.c, k=args.k, n_std=args.nstd)
-    table = _read_sample_table(args.input)
-    keep = excise_mask(table["charpoly_abs"], rule)
-    kept = table[keep]
-    _write(args.out, [_sample_table_text(kept).encode()])
+    total, kept = 0, []
+    for rows in _sample_table_chunks(args.input):
+        total += rows.size
+        kept.append(rows[excise_mask(rows["charpoly_abs"], rule)])
+    _write(args.out, _with_header(_sample_table_text(rows).encode() for rows in kept))
     sys.stderr.write(
-        f"kept {int(keep.sum())} of {table.size} (threshold {rule.threshold:.17g})\n"
+        f"kept {sum(rows.size for rows in kept)} of {total} (threshold {rule.threshold:.17g})\n"
     )
     return 0
 
@@ -265,9 +304,11 @@ def cmd_compare(args) -> int:
     zero_samples = zeros.lowest_zero_statistic(
         records, which=args.which, vanish_tol=args.vanish_tol
     )
-    table = _read_sample_table(args.samples)
-    ensemble = table["first_angle"]
-    ensemble = ensemble[np.isfinite(ensemble)]
+    angles = [np.empty(0)]
+    for rows in _sample_table_chunks(args.samples):
+        first = rows["first_angle"]
+        angles.append(first[np.isfinite(first)])
+    ensemble = np.concatenate(angles)
     report = zeros.compare_report(zero_samples, ensemble, bins=args.bins)
     _write(args.out, [(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()])
     return 0

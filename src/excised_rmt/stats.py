@@ -142,9 +142,9 @@ def _blocks(
     count: int,
     master_seed: int,
     workers: Optional[int] = None,
-    reduce=lambda mats: mats,
+    reduce=lambda start, mats: mats,
 ):
-    """Iterates (start, reduce(mats)) over sample indices 0..count-1 in index order.
+    """Iterates (start, reduce(start, mats)) over sample indices 0..count-1 in index order.
 
     mats holds the Haar samples start..start+len(mats)-1, at most
     _BLOCK_ELEMENTS // dim**2 of them (one when a matrix alone is larger).
@@ -174,7 +174,7 @@ def _blocks(
     def run(i: int):
         first = count * i // blocks
         size = count * (i + 1) // blocks - first
-        return first, reduce(sample_batch(spec, master_seed, first, size))
+        return first, reduce(first, sample_batch(spec, master_seed, first, size))
 
     return _in_order_on_threads(run, blocks, threads)
 
@@ -234,7 +234,7 @@ def one_level_density_mc(
         raise ValueError("count must be >= 1")
     hist = Histogram(0.0, one_level_range(spec), bins, events=count)
 
-    def reduce(mats):
+    def reduce(start, mats):
         return density_angles(spec, eigenangles_batch(spec, mats))
 
     for _, angles in _blocks(spec, count, master_seed, workers, reduce):
@@ -262,7 +262,7 @@ def pair_correlation_mc(
     hist = Histogram(0.0, window, bins, events=count * dim)
     scale = dim / (2.0 * np.pi)
 
-    def reduce(mats):
+    def reduce(start, mats):
         theta = eigenangles_batch(spec, mats)
         diffs = np.mod(theta[:, :, None] - theta[:, None, :], 2.0 * np.pi)
         x = diffs.ravel() * scale
@@ -309,10 +309,25 @@ def first_eigenangle_samples(
 ) -> np.ndarray:
     """Smallest positive eigenangle of each sampled matrix, in index order."""
 
-    def reduce(mats):
+    def reduce(start, mats):
         return first_angles_batch(eigenangles_batch(spec, mats))
 
     return _collect(spec, count, master_seed, workers, reduce)
+
+
+def summary_rows(spec: GroupSpec, start: int, mats: np.ndarray) -> np.ndarray:
+    """The SAMPLE_DTYPE rows of samples start..start+len(mats)-1, whose
+    matrices are mats: first angle and det(I - A), checked against those
+    angles."""
+    theta = eigenangles_batch(spec, mats)
+    cp = char_poly_batch(mats, theta)
+    rows = np.empty(len(mats), dtype=SAMPLE_DTYPE)
+    rows["sample_index"] = np.arange(start, start + len(mats))
+    rows["first_angle"] = first_angles_batch(theta)
+    rows["charpoly_re"] = cp.real
+    rows["charpoly_im"] = cp.imag
+    rows["charpoly_abs"] = np.abs(cp)
+    return rows
 
 
 def sample_summaries(
@@ -321,25 +336,14 @@ def sample_summaries(
     master_seed: int,
     workers: Optional[int] = None,
 ) -> np.ndarray:
-    """Per-sample summary table: first angle and det(I - A), checked against those angles.
+    """Per-sample summary table: summary_rows of every sample, in
+    sample-index order.  The CLI ``sample`` streams the same rows block
+    by block."""
 
-    Returns a SAMPLE_DTYPE array in sample-index order; the backbone of
-    the CLI ``sample`` output and the excision pipeline.
-    """
+    def reduce(start, mats):
+        return summary_rows(spec, start, mats)
 
-    def reduce(mats):
-        theta = eigenangles_batch(spec, mats)
-        cp = char_poly_batch(mats, theta)
-        rows = np.empty(len(mats), dtype=SAMPLE_DTYPE)
-        rows["first_angle"] = first_angles_batch(theta)
-        rows["charpoly_re"] = cp.real
-        rows["charpoly_im"] = cp.imag
-        rows["charpoly_abs"] = np.abs(cp)
-        return rows
-
-    out = _collect(spec, count, master_seed, workers, reduce, SAMPLE_DTYPE)
-    out["sample_index"] = np.arange(count)
-    return out
+    return _collect(spec, count, master_seed, workers, reduce, SAMPLE_DTYPE)
 
 
 def char_poly_magnitudes(
@@ -347,7 +351,7 @@ def char_poly_magnitudes(
 ) -> np.ndarray:
     """|det(I - A)| per sample by LU alone: no eigen-solve, no cross-check (fast path)."""
 
-    def reduce(mats):
+    def reduce(start, mats):
         return np.abs(char_poly_batch(mats))
 
     return _collect(spec, count, master_seed, workers, reduce)

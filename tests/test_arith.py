@@ -261,6 +261,19 @@ def test_family_spec_validation():
     FamilySpec(M=3, case=SymmetryCase.Generic, X=2**62 - 1, residue_u=1)
 
 
+@pytest.mark.parametrize("X", [2**62, 2**63 - 1, 10**30])
+def test_fundamental_discriminants_reject_x_beyond_the_sieve(X):
+    # refused before the sieve allocates anything
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^X must be < 2\*\*62$"):
+            fundamental_discriminants_up_to(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("M", 11.0), ("M", True), ("X", 1e5), ("X", False), ("residue_u", 2.5), ("residue_u", True)],

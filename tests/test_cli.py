@@ -18,7 +18,7 @@ from excised_rmt import arith, stats, theory, zeros
 from excised_rmt.cli import (
     SAMPLE_HEADER,
     _decimal_lines,
-    _read_sample_table,
+    _sample_table_chunks,
     _sample_table_text,
     build_parser,
     main,
@@ -49,6 +49,21 @@ def test_negative_count_is_a_count_error(capsys):
     assert code == 0 and out == SAMPLE_HEADER + "\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--group", "so_evn", "--n", "3"], "unknown group name: 'so_evn'"),
+     (["--group", "usp", "--n", "0"], "half-size N must be a positive integer"),
+     (["--group", "usp", "--n", "3", "--count", "-1"], "count must be >= 0")],
+)
+def test_sample_argument_error_comes_before_any_output(flags, message, tmp_path, capsys):
+    code, out, err = run(capsys, "sample", *flags)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    result = tmp_path / "result.csv"
+    code, out, err = run(capsys, "sample", *flags, "--out", str(result))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not result.exists()
+
+
 @pytest.mark.parametrize("bins", ["0", "-2"])
 @pytest.mark.parametrize(
     "argv",
@@ -68,11 +83,10 @@ def test_sample_table_text_formats_every_value():
         dtype=stats.SAMPLE_DTYPE,
     )
     assert _sample_table_text(table) == (
-        SAMPLE_HEADER + "\n"
         "0,0.10000000000000001,-0,1e-300,2.5\n"
         "1099511627776,nan,inf,-inf,0.33333333333333331\n"
     )
-    assert _sample_table_text(table[:0]) == SAMPLE_HEADER + "\n"
+    assert _sample_table_text(table[:0]) == ""
 
 
 def test_sample_table_round_trips_bit_for_bit(tmp_path):
@@ -89,8 +103,8 @@ def test_sample_table_round_trips_bit_for_bit(tmp_path):
         table[floats[i % len(floats)]][i] = value
     table["sample_index"][:2] = 2**63 - 1, -(2**63)
     path = tmp_path / "samples.csv"
-    path.write_text(_sample_table_text(table))
-    back = _read_sample_table(path)
+    path.write_text(SAMPLE_HEADER + "\n" + _sample_table_text(table))
+    back = np.concatenate(list(_sample_table_chunks(path)))
     assert back.dtype == table.dtype and back.tobytes() == table.tobytes()
 
 
@@ -232,15 +246,19 @@ def test_decimal_lines_matches_python_formatting(values):
     assert _decimal_lines(np.array(values, dtype=np.int64)) == _decimal_reference(values)
 
 
-def _discriminants_peak_bytes(tmp_path, X):
-    argv = ["discriminants", "--M", "3", "--case", "principal_even", "--X", str(X),
-            "--out", str(tmp_path / "d.txt")]
+def _peak_bytes(*argv):
+    """The tracemalloc peak of one successful CLI run."""
     tracemalloc.start()
     try:
-        assert main(argv) == 0
+        assert main(list(argv)) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _discriminants_peak_bytes(tmp_path, X):
+    return _peak_bytes("discriminants", "--M", "3", "--case", "principal_even", "--X", str(X),
+                       "--out", str(tmp_path / "d.txt"))
 
 
 def test_discriminants_memory_does_not_grow_with_x(tmp_path, capsys):
@@ -249,6 +267,62 @@ def test_discriminants_memory_does_not_grow_with_x(tmp_path, capsys):
     large = _discriminants_peak_bytes(tmp_path, 10**7)
     assert large <= 4 * 2**20, large
     assert large <= 1.1 * small, (small, large)
+
+
+def test_sample_memory_does_not_grow_with_the_count(tmp_path, monkeypatch):
+    # blocks of 250 SO(4) matrices, so that both counts are whole blocks of
+    # one size: rows are formatted and written block by block
+    monkeypatch.setattr(stats, "_BLOCK_ELEMENTS", 250 * 16)
+    argv = ["sample", "--group", "so_even", "--n", "2", "--workers", "1",
+            "--out", str(tmp_path / "s.csv"), "--count"]
+    _peak_bytes(*argv, "500")  # first-call allocations
+    small = _peak_bytes(*argv, "5000")
+    large = _peak_bytes(*argv, "50000")
+    assert large <= 1.1 * small, (small, large)
+
+
+def _excise_peak_bytes(tmp_path, count):
+    # every row is kept at the threshold 0.5, the most that excise holds
+    rows = np.empty(count, dtype=stats.SAMPLE_DTYPE)
+    rows["sample_index"] = np.arange(count)
+    for name in stats.SAMPLE_DTYPE.names[1:]:
+        rows[name] = np.random.default_rng(count).uniform(1.0, 2.0, count)
+    samples = tmp_path / "samples.csv"
+    samples.write_text(SAMPLE_HEADER + "\n" + _sample_table_text(rows))
+    del rows
+    return _peak_bytes("excise", "--c", "0.5", "--k", "1", "--nstd", "5",
+                       "--input", str(samples), "--out", str(tmp_path / "kept.csv"))
+
+
+def test_excise_holds_one_structured_row_per_kept_row(tmp_path, capsys):
+    # the kept rows, 40 bytes each, and one chunk of lines at a time
+    _excise_peak_bytes(tmp_path, 100)  # first-call allocations
+    small = _excise_peak_bytes(tmp_path, 5_000)
+    large = _excise_peak_bytes(tmp_path, 50_000)
+    assert stats.SAMPLE_DTYPE.itemsize == 40
+    assert (large - small) / 45_000 <= 64, (small, large)
+    assert (tmp_path / "kept.csv").read_text() == (tmp_path / "samples.csv").read_text()
+
+
+def test_sample_failure_mid_run_keeps_the_rows_before_it(tmp_path, monkeypatch, capsys):
+    # blocks of 10 SO(4) matrices on one thread; the third block fails
+    monkeypatch.setattr(stats, "_BLOCK_ELEMENTS", 10 * 16)
+    argv = ["sample", "--group", "so_even", "--n", "2", "--count", "50", "--workers", "1",
+            "--seed", "3", "--out"]
+    code, _, _ = run(capsys, *argv, str(tmp_path / "whole.csv"))
+    assert code == 0
+    summary_rows = stats.summary_rows
+
+    def failing(spec, start, mats):
+        if start == 20:
+            raise ValueError("planted failure")
+        return summary_rows(spec, start, mats)
+
+    monkeypatch.setattr(stats, "summary_rows", failing)
+    code, _, err = run(capsys, *argv, str(tmp_path / "cut.csv"))
+    assert (code, err) == (1, "error: planted failure\n")
+    whole = (tmp_path / "whole.csv").read_text().splitlines(keepends=True)
+    assert (tmp_path / "cut.csv").read_text() == "".join(whole[:21])
 
 
 def test_decimal_lines_empty():
@@ -489,11 +563,78 @@ def test_sample_table_blank_lines_are_skipped(command, tmp_path, capsys):
         assert result[1:] == (SAMPLE_HEADER + "\n" + rows[0] + "\n", "kept 1 of 2 (threshold 0.5)\n")
 
 
-def test_excise_header_only_table(tmp_path, capsys):
+@pytest.mark.parametrize("blank", ["", "\n", "  \n\t\n"])
+def test_excise_header_only_table(blank, tmp_path, capsys):
+    # no numpy "input contained no data" warning escapes (warnings are errors here)
     samples = tmp_path / "empty.csv"
-    samples.write_text(SAMPLE_HEADER + "\n")
+    samples.write_text(SAMPLE_HEADER + "\n" + blank)
     code, out, err = _read_through("excise", samples, tmp_path, capsys)
     assert (code, out, err) == (0, SAMPLE_HEADER + "\n", "kept 0 of 0 (threshold 0.5)\n")
+
+
+def test_compare_header_only_table(tmp_path, capsys):
+    samples = tmp_path / "empty.csv"
+    samples.write_text(SAMPLE_HEADER + "\n\n")
+    code, out, err = _read_through("compare", samples, tmp_path, capsys)
+    assert (code, out, err) == (1, "", "error: mean_normalize: empty input\n")
+
+
+@pytest.mark.parametrize("command", ["excise", "compare"])
+@pytest.mark.parametrize(
+    "line, lineno",
+    [("# a comment", 3), ("#0,0.5,1,0,1", 3), ("\t#", 3)],
+)
+def test_sample_table_has_no_comment_lines(command, line, lineno, tmp_path, capsys):
+    samples = tmp_path / "comment.csv"
+    samples.write_text("\n".join([SAMPLE_HEADER, "0,0.5,1,0,1", line, "1,0.5,1,0,1"]) + "\n")
+    code, out, err = _read_through(command, samples, tmp_path, capsys)
+    assert (code, out) == (1, "")
+    if line.count(",") == 4:
+        message = "invalid literal for int() with base 10: '#0'"
+    else:
+        message = "expected 5 fields"
+    assert err == f"error: {samples}: line {lineno}: {message}\n"
+
+
+# Each of these rows reads as the row beside it: spaces around a field,
+# an explicit sign and PEP 515 underscores are what int() and float() accept
+EQUIVALENT_ROWS = [
+    (" 0 , 0.5 ,1,\t0 ,1 ", "0,0.5,1,0,1"),
+    ("+7,+0.25,-1e0,0.0,1E0", "7,0.25,-1,0,1"),
+    ("1_0,1_0.5,2_0,0,3_0", "10,10.5,20,0,30"),
+    ("3,NaN,-Infinity,INF,+inf", "3,nan,-inf,inf,inf"),
+]
+
+
+@pytest.mark.parametrize("command", ["excise", "compare"])
+def test_sample_table_fields_read_as_python_numbers(command, tmp_path, capsys):
+    written = tmp_path / "written.csv"
+    written.write_text("\n".join([SAMPLE_HEADER, *(row for row, _ in EQUIVALENT_ROWS)]) + "\n")
+    plain = tmp_path / "plain.csv"
+    plain.write_text("\n".join([SAMPLE_HEADER, *(row for _, row in EQUIVALENT_ROWS)]) + "\n")
+    result = _read_through(command, written, tmp_path, capsys)
+    assert result[0] == 0
+    assert result == _read_through(command, plain, tmp_path, capsys)
+    if command == "excise":
+        assert result[1] == "\n".join([SAMPLE_HEADER, "0,0.5,1,0,1", "7,0.25,-1,0,1",
+                                       "10,10.5,20,0,30", "3,nan,-inf,inf,inf"]) + "\n"
+
+
+@pytest.mark.parametrize("command", ["excise", "compare"])
+def test_sample_table_special_values_round_trip(command, tmp_path, capsys):
+    # every row is kept at the threshold 0.5, so excise writes back the bytes it read
+    rows = ["1099511627776,nan,inf,-0,inf", "0,-0,-inf,nan,1",
+            "9223372036854775807,0.10000000000000001,-1.7976931348623157e+308,"
+            "4.9406564584124654e-324,0.5"]
+    samples = tmp_path / "special.csv"
+    samples.write_text("\n".join([SAMPLE_HEADER, *rows]) + "\n")
+    code, out, err = _read_through(command, samples, tmp_path, capsys)
+    assert code == 0
+    if command == "excise":
+        assert (out, err) == (samples.read_text(), "kept 3 of 3 (threshold 0.5)\n")
+    else:
+        # the NaN first angle is left out
+        assert json.loads(out)["n_right"] == 2
 
 
 def test_compare_report(tmp_path, capsys):

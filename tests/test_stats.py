@@ -272,7 +272,7 @@ def test_block_error_propagates_and_stops_sampling(monkeypatch, small_blocks):
         calls.append(first)
         return first, real(spec, seed, first, size)
 
-    def reduce(block):
+    def reduce(start, block):
         first, mats = block
         if first == 36:
             raise SpectralError("block 36")
@@ -298,7 +298,7 @@ def test_thread_count_is_capped(workers, count, monkeypatch):
         monkeypatch.setattr(stats, "_usable_cores", lambda: cores)
         idents = set()
 
-        def reduce(mats):
+        def reduce(start, mats):
             idents.add(threading.get_ident())
             return mats
 
