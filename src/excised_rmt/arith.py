@@ -83,7 +83,7 @@ def kronecker(a: int, n: int) -> int:
 
 
 def _require_sieve_bound(X: int) -> None:
-    # the sieve's int64 strike positions run below 2X
+    # the sieve's int64 window starts and members are at most X
     if X >= 2**62:
         raise ValueError("X must be < 2**62")
 
@@ -138,36 +138,49 @@ def _sieve_windows(X: int, keep: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]
 
     d is fundamental iff d = 1, 5, 9, 13, 8 or 12 (mod 16) and no odd
     prime square divides d: for d = 4m with m = 2, 3 (mod 4), an odd p^2
-    divides m iff it divides d.  So each window starts from the tiled
-    mod-16 and residue patterns and strikes the multiples of every odd
-    p^2 <= X, by a strided slice for p^2 below the window length and by
-    one index write for the larger squares, which have at most one
-    multiple per window.
+    divides m iff it divides d.  So each window starts from two tiled
+    patterns: the residue one, and one of period 16 * 9 * 25 * 49 that
+    holds the mod-16 rule with the multiples of 9, 25 and 49 already
+    struck.  It then strikes the multiples of every other odd p^2 <= X:
+    by a strided slice for the few p^2 below _WINDOW / 32, which have
+    many multiples per window, and by one index write for all larger
+    squares together, whose positions np.repeat lays out.
     """
     window = _WINDOW
-    admissible = np.isin(np.arange(16), (1, 5, 9, 13, 8, 12))
-    mod16 = np.tile(admissible, window // 16 + 2)
+    span = 16 * 9 * 25 * 49
+    # span is a multiple of 16 and of each square struck here
+    base = np.tile(np.isin(np.arange(16), (1, 5, 9, 13, 8, 12)), (span + window) // 16 + 1)
+    for sq in (9, 25, 49):
+        base[::sq] = False
     period = keep.size
     residues = np.tile(keep, window // period + 2)
-    odd = primes(math.isqrt(X))[1:]
+    # the odd primes from 11 on
+    odd = primes(math.isqrt(X))[4:]
     squares = odd * odd
-    small = squares[squares < window].tolist()
-    large = squares[squares >= window]
+    sliced = squares[squares < window >> 5].tolist()
+    indexed = squares[squares >= window >> 5]
     # the first window starts at 2, so d = 0 and d = 1 are never members
     for lo in range(2, X + 1, window):
         n = min(window, X + 1 - lo)
-        mask = np.logical_and(mod16[lo % 16 : lo % 16 + n], residues[lo % period : lo % period + n])
-        for sq in small:
+        mask = np.logical_and(base[lo % span : lo % span + n], residues[lo % period : lo % period + n])
+        for sq in sliced:
             mask[-lo % sq :: sq] = False
-        first = -(-lo // large) * large
-        mask[first[first < lo + n] - lo] = False
+        # the first multiple of each square at or past lo, as an offset
+        # below sq, and how many of its multiples fall in the window
+        first = np.remainder(-lo, indexed)
+        hits = (n - 1 - first) // indexed + 1
+        starts = np.repeat(np.cumsum(hits) - hits, hits)
+        k = np.arange(starts.size) - starts
+        mask[np.repeat(first, hits) + np.repeat(indexed, hits) * k] = False
         yield lo, mask
 
 
 def _members(windows: Iterator[Tuple[int, np.ndarray]]) -> Iterator[np.ndarray]:
     """Each window's members, as a sorted int64 array."""
     for lo, mask in windows:
-        yield np.flatnonzero(mask) + lo
+        d = np.flatnonzero(mask)
+        d += lo
+        yield d
 
 
 def fundamental_discriminants_up_to(X: int) -> np.ndarray:
@@ -302,11 +315,16 @@ def oscillatory_family_sum(spec: FamilySpec, tau: float, R: float) -> dict:
         raise ValueError("tau must be finite")
     if not 0 < R < math.inf:
         raise ValueError("R must be positive and finite")
-    phase = -2j * _PI * tau / R
+    # each term is exp(i y) with y = -2 pi tau / R * log(...), filled as
+    # (cos y, sin y): the same bits as np.exp where libm's cexp goes
+    # through sincos, as glibc's does
+    rate = -2.0 * _PI * tau / R
 
     def fill(d: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(_log_scaled(d, spec.M, np.empty(d.size)), phase, out=out)
-        np.exp(out, out=out)
+        y = _log_scaled(d, spec.M, np.empty(d.size))
+        y *= rate
+        np.cos(y, out=out.real)
+        np.sin(y, out=out.imag)
 
     z = _family_array(spec, np.complex128, fill)
     count = z.size

@@ -64,16 +64,17 @@ def _decimal_lines(values: np.ndarray) -> bytes:
     one per LF-terminated line.
 
     Values with the same number of digits w are contiguous, so each such
-    slice is written as a (k, w + 1) byte array.  One division by 10**4
-    splits off four digits at a time, whose columns are read from
-    _digits4().
+    slice is written as a (k, w + 1) byte array; one search for the 18
+    powers 10, ..., 10**18 finds where every slice stops.  One division
+    by 10**4 splits off four digits at a time, whose columns are read
+    from _digits4().
     """
     digits = _digits4()
+    # 10**19 exceeds int64, so every value past the last stop has 19 digits
+    stops = np.searchsorted(values, 10 ** np.arange(1, 19)).tolist() + [values.size]
     chunks = []
     start = 0
-    for width in range(1, 20):
-        # 10**19 exceeds int64, so every value left has 19 digits
-        stop = values.size if width == 19 else int(np.searchsorted(values, 10**width))
+    for width, stop in enumerate(stops, 1):
         if stop > start:
             rest = values[start:stop].copy()
             quot = np.empty_like(rest)

@@ -104,6 +104,23 @@ def test_fundamental_discriminants_at_every_window(monkeypatch, window):
     assert np.array_equal(np.concatenate(windows), _family_brute(spec))
 
 
+@pytest.mark.parametrize("window, starts_at", [(2**12, (9, 25, 49)), (4373, (9, 25, 49, 121, 841))],
+                         ids=["4096", "4373"])
+def test_sieve_strikes_every_square_from_every_start(monkeypatch, window, starts_at):
+    # 9, 25 and 49 come pre-struck in the pattern, 121 is struck by a
+    # slice (below window / 32), and 169 up to the window take several
+    # index writes per window; some window starts on a multiple of each
+    # square in starts_at, so its first hit is at offset 0
+    monkeypatch.setattr(arith, "_WINDOW", window)
+    X = 60_000
+    for sq in starts_at:
+        assert any(lo % sq == 0 for lo in range(2, X + 1, window)), sq
+    ref = [d for d in range(1, X + 1) if _is_fund_brute(d)]
+    assert fundamental_discriminants_up_to(X).tolist() == ref
+    spec = FamilySpec(M=11, case=SymmetryCase.PrincipalOdd, X=X)
+    assert np.array_equal(np.concatenate(list(family_windows(spec))), _family_brute(spec))
+
+
 # --- Kronecker symbol ------------------------------------------------------
 
 @given(st.integers(min_value=-500, max_value=500), st.integers(min_value=-500, max_value=500))

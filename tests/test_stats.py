@@ -328,6 +328,36 @@ def test_ks_distance_against_scipy():
     assert ours == pytest.approx(ref, abs=1e-12)
 
 
+def test_ks_distance_matches_the_gap_over_both_samples():
+    # the gap at every point of a and b together, as one array; small
+    # integer draws give ties within and across the samples
+    rng = np.random.default_rng(4)
+    for size_a, size_b, values in [(1, 1, 3), (7, 3, 4), (50, 200, 10), (333, 120, 1000)]:
+        a = rng.integers(0, values, size_a).astype(float)
+        b = rng.integers(0, values, size_b).astype(float)
+        a.sort()
+        b.sort()
+        everything = np.concatenate([a, b])
+        ca = np.searchsorted(a, everything, side="right") / a.size
+        cb = np.searchsorted(b, everything, side="right") / b.size
+        assert ks_distance(a, b) == float(np.max(np.abs(ca - cb)))
+
+
+def test_ks_distance_memory_per_row():
+    # sorted copies of both samples plus one sample's quotients, about 20
+    # bytes per row at equal sizes
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=2 * 10**5), rng.normal(0.1, 1.0, 2 * 10**5)
+    ks_distance(a[:10], b[:10])  # first-call allocations
+    tracemalloc.start()
+    try:
+        ks_distance(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * (a.size + b.size), peak
+
+
 def test_ks_distance_against_cdf():
     rng = np.random.default_rng(3)
     a = rng.uniform(0, 1, 500)
