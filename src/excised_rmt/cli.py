@@ -50,13 +50,33 @@ def _write(path, chunks) -> None:
 
 
 @functools.cache
-def _digits4() -> np.ndarray:
-    """_digits4()[j][r] is the ASCII code of the j-th of the four
-    zero-padded decimal digits of r, for 0 <= r < 10**4."""
-    r = np.arange(10**4)
-    table = np.stack([ord("0") + r // 10 ** (3 - j) % 10 for j in range(4)]).astype(np.uint8)
-    table.flags.writeable = False
-    return table
+def _digit_codes(k: int) -> np.ndarray:
+    """_digit_codes(k)[r] holds the k zero-padded ASCII digits of r, for
+    0 <= r < 10**k and k = 1..4, as one little-endian uint32: the first
+    digit in the lowest byte, zeros past the k-th.  Stored as '<u4', the
+    table gives the same bytes on a big-endian host."""
+    r = np.arange(10**k)
+    codes = np.zeros(10**k, dtype="<u4")
+    for j in range(k):
+        codes |= (ord("0") + r // 10 ** (k - 1 - j) % 10).astype("<u4") << 8 * j
+    codes.flags.writeable = False
+    return codes
+
+
+def _group_codes(values: np.ndarray, width: int) -> list:
+    """The _digit_codes() entries of width-digit values, one array per
+    group of four digits, right to left; the last, the lead group, holds
+    the 1 to 4 digits that are left."""
+    codes = []
+    for _ in range((width - 1) // 4):
+        # numpy divides by a scalar far faster than it takes remainders
+        quot = values // 10**4
+        group = quot * 10**4
+        np.subtract(values, group, out=group)
+        codes.append(_digit_codes(4)[group])
+        values = quot
+    codes.append(_digit_codes(width - 4 * len(codes))[values])
+    return codes
 
 
 def _decimal_lines(values: np.ndarray) -> bytes:
@@ -64,33 +84,27 @@ def _decimal_lines(values: np.ndarray) -> bytes:
     one per LF-terminated line.
 
     Values with the same number of digits w are contiguous, so each such
-    slice is written as a (k, w + 1) byte array; one search for the 18
-    powers 10, ..., 10**18 finds where every slice stops.  One division
-    by 10**4 splits off four digits at a time, whose columns are read
-    from _digits4().
+    slice is written as one byte array of w + 1 columns (padded to four
+    while it is filled); one search for the 18 powers 10, ..., 10**18
+    finds where every slice stops.  Division by 10**4 splits each value
+    into groups of four digits, right to left, and each group is one
+    4-byte store of its _digit_codes() entry, left to right.
     """
-    digits = _digits4()
     # 10**19 exceeds int64, so every value past the last stop has 19 digits
     stops = np.searchsorted(values, 10 ** np.arange(1, 19)).tolist() + [values.size]
     chunks = []
     start = 0
     for width, stop in enumerate(stops, 1):
         if stop > start:
-            rest = values[start:stop].copy()
-            quot = np.empty_like(rest)
-            lines = np.empty((stop - start, width + 1), dtype=np.uint8)
+            codes = _group_codes(values[start:stop], width)
+            # rows of at least four bytes; stored left to right, the lead
+            # group's spare bytes are overwritten by the next store or the LF
+            lines = np.empty((stop - start, max(width + 1, 4)), dtype=np.uint8)
+            for i in reversed(range(len(codes))):
+                end = max(4, width - 4 * i)
+                lines[:, end - 4 : end].view("<u4")[:, 0] = codes[i]
             lines[:, width] = ord("\n")
-            # end is one past the last column of the group of up to four
-            # digits that rest holds once the quotient is split off
-            for end in range(width, 0, -4):
-                if end > 4:
-                    # numpy divides by a scalar far faster than it takes remainders
-                    np.floor_divide(rest, 10**4, out=quot)
-                    rest -= 10**4 * quot
-                for j in range(max(0, 4 - end), 4):
-                    lines[:, end - 4 + j] = digits[j][rest]
-                rest, quot = quot, rest
-            chunks.append(lines.tobytes())
+            chunks.append(lines[:, : width + 1].tobytes())
             start = stop
     return b"".join(chunks)
 
@@ -169,7 +183,10 @@ def cmd_sample(args) -> int:
         return _sample_table_text(stats.summary_rows(spec, start, mats)).encode()
 
     blocks = stats._blocks(spec, args.count, args.seed, args.workers, text)
-    _write(args.out, _with_header(lines for _, lines in blocks))
+    # map keeps no block once it is written, so however late this thread
+    # wakes, the block the pool thread builds next overlaps only the one
+    # that waits to be written
+    _write(args.out, _with_header(map(lambda block: block[1], blocks)))
     return 0
 
 

@@ -88,8 +88,10 @@ def test_fundamental_discriminants_every_small_bound():
 
 @pytest.mark.parametrize("window", [16, 64, 1000])
 def test_fundamental_discriminants_at_every_window(monkeypatch, window):
-    # the largest squares struck by a slice are 3^2, 7^2 and 31^2 for these
-    # windows; every larger one goes through the index write
+    # window >> 5 is below 121 for these windows, so no square is struck
+    # by a slice: 9, 25 and 49 come pre-struck in the pattern and every
+    # larger one goes through the index write;
+    # test_sieve_strikes_every_square_from_every_start covers the slices
     monkeypatch.setattr(arith, "_WINDOW", window)
     X = 5000
     ref = [d for d in range(1, X + 1) if _is_fund_brute(d)]

@@ -18,6 +18,7 @@ from excised_rmt import arith, stats, theory, zeros
 from excised_rmt.cli import (
     SAMPLE_HEADER,
     _decimal_lines,
+    _digit_codes,
     _sample_table_chunks,
     _sample_table_text,
     build_parser,
@@ -244,6 +245,46 @@ def test_decimal_lines_single_value(value):
 def test_decimal_lines_matches_python_formatting(values):
     values = sorted(values)
     assert _decimal_lines(np.array(values, dtype=np.int64)) == _decimal_reference(values)
+
+
+def test_decimal_lines_every_integer_below_2e5():
+    assert _decimal_lines(np.arange(2 * 10**5)) == _decimal_reference(range(2 * 10**5))
+
+
+@pytest.mark.parametrize("width", range(6, 20))
+def test_decimal_lines_seeded_values_of_each_width(width):
+    # the largest width-digit value that fits in int64, inclusive
+    high = min(10**width, 2**63) - 1
+    values = np.random.default_rng(width).integers(10 ** (width - 1), high, 10**4, endpoint=True)
+    values[0] = high
+    values.sort()
+    assert _decimal_lines(values) == _decimal_reference(values.tolist())
+
+
+def test_digit_codes_hold_zero_padded_ascii_digits():
+    assert _digit_codes(4)[1234].tobytes() == b"1234"
+    assert _digit_codes(3)[7].tobytes()[:3] == b"007"
+    for k in range(1, 5):
+        codes = _digit_codes(k)
+        assert codes.dtype == np.dtype("<u4") and codes.size == 10**k
+        expected = "".join(f"{r:0{k}d}" + "\0" * (4 - k) for r in range(10**k)).encode()
+        assert codes.tobytes() == expected
+        assert not codes.flags.writeable
+        with pytest.raises(ValueError):
+            codes[0] = 0
+
+
+def test_decimal_lines_memory_per_value():
+    # one sieve window's worth of 7-digit values
+    values = np.arange(10**6, 10**6 + 35_000, dtype=np.int64)
+    _decimal_lines(values)  # builds the code tables
+    tracemalloc.start()
+    try:
+        _decimal_lines(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / values.size <= 33, peak / values.size
 
 
 def _peak_bytes(*argv):
