@@ -15,9 +15,11 @@ Exit codes: 0 success, 1 data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import json
+import os
 import sys
 import warnings
 
@@ -28,10 +30,41 @@ from excised_rmt.groups import GroupSpec, group_from_name
 from excised_rmt.spectral import ExcisionRule, excise_mask
 
 SAMPLE_HEADER = ",".join(stats.SAMPLE_DTYPE.names)
+# glibc's mallopt parameters, from <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 class DataError(RuntimeError):
     pass
+
+
+def _keep_block_memory() -> None:
+    """Lets glibc's malloc keep freed block memory in the process.
+
+    A complex block (16 * stats._BLOCK_ELEMENTS bytes, 1 MiB) is above
+    glibc's dynamic trim threshold, so each block's arrays would go back
+    to the kernel and be faulted in again for the next block.  Arrays up
+    to 4 blocks come from the heap, not mmap, and each arena keeps up to
+    8 blocks of free memory.  Either threshold alone turns off glibc's
+    dynamic thresholds and faults more than neither, so the trim one is
+    set only if the mmap one was taken.  A no-op on any other libc.
+
+    The setting is process-wide, so the program makes it (``main``, which
+    the excised-rmt console script runs) and the library never does; an
+    in-process caller of ``main`` inherits it.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    block_bytes = 16 * stats._BLOCK_ELEMENTS
+    if mallopt(_M_MMAP_THRESHOLD, 4 * block_bytes):
+        mallopt(_M_TRIM_THRESHOLD, 8 * block_bytes)
 
 
 def _group_spec(args) -> GroupSpec:
@@ -454,7 +487,8 @@ def main(argv=None) -> int:
     the command line is parsed again, so that a flag given there wins.  A
     required flag still unset is a usage error; a config key that the
     subcommand has no flag for, a value that its flag would not accept, or
-    workers below 1 is a data error."""
+    workers below 1 is a data error.  The subcommands that sample blocks
+    first let glibc keep their freed block memory (_keep_block_memory)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -467,6 +501,8 @@ def main(argv=None) -> int:
         workers = getattr(args, "workers", None)
         if workers is not None and workers < 1:
             raise DataError(f"--workers must be >= 1, got {workers}")
+        if hasattr(args, "workers"):
+            _keep_block_memory()
         return args.func(args)
     except (DataError, ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

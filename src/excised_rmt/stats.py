@@ -12,6 +12,13 @@ workers=None, the default here and in the CLI when --workers is unset,
 uses every usable core.  Each matrix is a pure function of (seed, index)
 and histogram counts are integer sums, so no output byte depends on the
 worker count or the block layout.
+
+A complex block is 1 MiB, above glibc's dynamic trim threshold, so
+malloc returns each block's arrays to the kernel and faults them in
+again for the next block.  This module leaves the allocator alone: the
+setting that keeps them is process-wide, so ``cli.main`` makes it for
+the subcommands that sample blocks, and a host process that imports the
+library keeps its own.
 """
 
 from __future__ import annotations

@@ -4,8 +4,12 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import mpmath
@@ -14,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excised_rmt import arith, stats, theory, zeros
+from excised_rmt import arith, cli, stats, theory, zeros
 from excised_rmt.cli import (
     SAMPLE_HEADER,
     _decimal_lines,
@@ -138,23 +142,28 @@ def test_readme_library_block_runs():
     assert namespace["keep"].shape == (500,)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sample", "--group", "so_even", "--n", "4", "--count", "30", "--seed", "2"],
-        ["onelevel", "--group", "usp", "--n", "3", "--count", "30", "--bins", "7"],
-        ["paircorr", "--group", "unitary", "--n", "4", "--count", "30", "--bins", "7"],
-        ["excise", "--c", "0.5", "--k", "1", "--nstd", "5", "--input", "s.csv"],
-        ["neff", "--case", "principal_even", "--M", "11", "--X", "9960"],
-        ["compare", "--zeros", "z.csv", "--samples", "s.csv", "--bins", "4"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_stdout_matches_out_file(argv, tmp_path, monkeypatch, capsysbinary):
-    # every subcommand writes the same bytes to stdout as to --out
+# one run of each subcommand, from a directory that holds s.csv and z.csv
+SUBCOMMAND_RUNS = {
+    "sample": ["sample", "--group", "so_even", "--n", "4", "--count", "30", "--seed", "2"],
+    "onelevel": ["onelevel", "--group", "usp", "--n", "3", "--count", "30", "--bins", "7"],
+    "paircorr": ["paircorr", "--group", "unitary", "--n", "4", "--count", "30", "--bins", "7"],
+    "excise": ["excise", "--c", "0.5", "--k", "1", "--nstd", "5", "--input", "s.csv"],
+    "compare": ["compare", "--zeros", "z.csv", "--samples", "s.csv", "--bins", "4"],
+    "discriminants": ["discriminants", "--M", "5", "--case", "generic", "--X", "200"],
+    "neff": ["neff", "--case", "principal_even", "--M", "11", "--X", "9960"],
+}
+
+
+def _subcommand_inputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["sample", "--group", "usp", "--n", "3", "--count", "40", "--out", "s.csv"]) == 0
     (tmp_path / "z.csv").write_text("5,0.5,1.5\n8,0.25,2.0\n")
+
+
+@pytest.mark.parametrize("argv", list(SUBCOMMAND_RUNS.values()), ids=list(SUBCOMMAND_RUNS))
+def test_stdout_matches_out_file(argv, tmp_path, monkeypatch, capsysbinary):
+    # every subcommand writes the same bytes to stdout as to --out
+    _subcommand_inputs(tmp_path, monkeypatch)
     assert main(argv + ["--out", "result"]) == 0
     capsysbinary.readouterr()
     assert main(argv) == 0
@@ -364,6 +373,98 @@ def test_sample_failure_mid_run_keeps_the_rows_before_it(tmp_path, monkeypatch, 
     assert (code, err) == (1, "error: planted failure\n")
     whole = (tmp_path / "whole.csv").read_text().splitlines(keepends=True)
     assert (tmp_path / "cut.csv").read_text() == "".join(whole[:21])
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_RUNS))
+def test_only_the_sampling_subcommands_keep_block_memory(command, tmp_path, monkeypatch, capsys):
+    _subcommand_inputs(tmp_path, monkeypatch)
+    calls = []
+    monkeypatch.setattr(cli, "_keep_block_memory", lambda: calls.append(command))
+    assert main(SUBCOMMAND_RUNS[command] + ["--out", "result"]) == 0
+    assert calls == ([command] if command in ("sample", "onelevel", "paircorr") else [])
+
+
+def _fake_libc(result):
+    """A libc whose mallopt returns result, and the list of its calls."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return result
+
+    return types.SimpleNamespace(mallopt=mallopt), calls
+
+
+def _no_libc(name):
+    raise OSError("no libc")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: types.SimpleNamespace(), _no_libc],
+                         ids=["no-mallopt", "oserror"])
+@pytest.mark.parametrize("command", ["sample", "onelevel", "paircorr"])
+def test_sampling_without_mallopt_writes_the_same_bytes(command, cdll, tmp_path, monkeypatch,
+                                                        capsys):
+    _subcommand_inputs(tmp_path, monkeypatch)
+    assert main(SUBCOMMAND_RUNS[command] + ["--out", "with"]) == 0
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert main(SUBCOMMAND_RUNS[command] + ["--out", "without"]) == 0
+    assert (tmp_path / "with").read_bytes() == (tmp_path / "without").read_bytes()
+
+
+@pytest.mark.parametrize("result, taken", [(1, 2), (0, 1)], ids=["taken", "refused"])
+def test_keep_block_memory_sets_both_thresholds_or_neither(result, taken, monkeypatch):
+    libc, calls = _fake_libc(result)
+    monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36", raising=False)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    cli._keep_block_memory()
+    block_bytes = 16 * stats._BLOCK_ELEMENTS
+    # M_MMAP_THRESHOLD first: the trim threshold is set only if it was taken
+    assert calls == [(-3, 4 * block_bytes), (-1, 8 * block_bytes)][:taken]
+
+
+def _unknown_confstr_name(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("confstr", [lambda name: None, _unknown_confstr_name],
+                         ids=["other-libc", "unknown-name"])
+def test_keep_block_memory_leaves_other_libcs_alone(confstr, monkeypatch):
+    libc, calls = _fake_libc(1)
+    monkeypatch.setattr(cli.os, "confstr", confstr, raising=False)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    cli._keep_block_memory()
+    assert calls == []
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError):
+        return False
+
+
+def _child_minor_faults(tmp_path, count) -> int:
+    """The minor page faults of one `onelevel` run in a child process."""
+    import resource
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    subprocess.run([sys.executable, "-m", "excised_rmt.cli", "onelevel", "--group", "usp",
+                    "--n", "10", "--workers", "2", "--count", str(count),
+                    "--out", str(tmp_path / "density.csv")], env=env, check=True, timeout=120)
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and _glibc()),
+                    reason="counts glibc's page faults on Linux")
+def test_block_memory_is_not_faulted_in_again_for_every_block(tmp_path):
+    # about 13 and 50 blocks of 163 USp(20) matrices: freed blocks stay in
+    # the process, so the faults are the interpreter's and the first blocks'
+    small = _child_minor_faults(tmp_path, 2048)
+    large = _child_minor_faults(tmp_path, 8192)
+    assert large <= 1.25 * small, (small, large)
 
 
 def test_decimal_lines_empty():
